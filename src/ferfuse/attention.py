@@ -8,7 +8,8 @@ image stream is scored by the landmark queries and vice versa, so each
 stream mixes its own values under the other stream's addressing.
 
 Attention weight tensors stay alive in the graph and can be collected via
-an ``AttentionTrace`` for relevance analysis.
+an ``AttentionTrace`` for relevance analysis; mark them ``retain_grad``
+before ``backward`` to keep their gradients.
 """
 
 from __future__ import annotations

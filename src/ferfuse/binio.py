@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+import stat
 import struct
 
 
@@ -26,6 +28,21 @@ def read_exact(f, n: int, what: str) -> bytes:
     if len(buf) != n:
         raise TruncatedFileError(f"unexpected end of file while reading {what} ({len(buf)}/{n} bytes)")
     return buf
+
+
+def expect_bytes(f, n: int, what: str) -> None:
+    """Raise TruncatedFileError unless at least ``n`` bytes remain in ``f``.
+
+    Readers call this with the size a header implies before they allocate
+    for it, so a corrupt header fails fast instead of asking for memory.
+    A pipe has no size to check against and passes.
+    """
+    st = os.fstat(f.fileno())
+    if not stat.S_ISREG(st.st_mode):
+        return
+    left = st.st_size - f.tell()
+    if n > left:
+        raise TruncatedFileError(f"{what} needs {n} bytes but only {left} remain in the file")
 
 
 def read_u32(f, what: str) -> int:

@@ -14,6 +14,7 @@ checks names and shapes and reports the first mismatch by name.
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 
 import numpy as np
@@ -24,6 +25,7 @@ from .binio import (
     FormatVersionError,
     TruncatedFileError,
     check_magic,
+    expect_bytes,
     read_exact,
     read_u32,
     write_u32,
@@ -62,10 +64,13 @@ def load_checkpoint(path) -> "OrderedDict[str, np.ndarray]":
         count = read_u32(f, "tensor count")
         for i in range(count):
             name_len = read_u32(f, f"name length of tensor {i}")
+            expect_bytes(f, name_len, f"name of tensor {i}")
             name = read_exact(f, name_len, f"name of tensor {i}").decode("utf-8")
             rank = read_u32(f, f"rank of {name}")
+            expect_bytes(f, 4 * rank, f"extents of {name}")
             shape = tuple(read_u32(f, f"extent of {name}") for _ in range(rank))
-            n = int(np.prod(shape, dtype=np.int64)) if shape else 1
+            n = math.prod(shape)
+            expect_bytes(f, 8 * n, f"data of {name} {shape}")
             raw = read_exact(f, 8 * n, f"data of {name}")
             out[name] = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
     return out

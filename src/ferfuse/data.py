@@ -31,6 +31,7 @@ import numpy as np
 from .binio import (
     FormatVersionError,
     check_magic,
+    expect_bytes,
     read_exact,
     read_u32,
     write_u32,
@@ -222,6 +223,7 @@ def read_features(path) -> FeatureDataset:
         num_classes = read_u32(f, "class count")
         count = read_u32(f, "sample count")
         plane = patches * dim
+        expect_bytes(f, count * (8 * plane + 4), f"{count} samples of {patches}x{dim} features")
         x_img = np.empty((count, patches, dim), dtype=np.float64)
         x_lm = np.empty((count, patches, dim), dtype=np.float64)
         labels = np.empty(count, dtype=np.int64)

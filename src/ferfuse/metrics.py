@@ -153,8 +153,3 @@ def write_metrics_csv(report: EvalReport, path) -> None:
         writer.writerow(["mean_class_accuracy", repr(report.mean_class_accuracy)])
         for i, v in enumerate(report.per_class_accuracy):
             writer.writerow([f"class_accuracy_{report.confusion.class_names[i]}", "" if v is None else repr(v)])
-
-
-def write_report(report: EvalReport, confusion_path, metrics_path) -> None:
-    write_confusion_csv(report.confusion, confusion_path)
-    write_metrics_csv(report, metrics_path)

@@ -70,6 +70,8 @@ def capture_attention(
     logits = forward(x_img, x_lm, params, cfg, training=False, trace=trace)
     onehot = np.zeros(cfg.num_classes)
     onehot[target_class] = 1.0
+    for rec in trace.records:
+        rec.weights.retain_grad = True
     backward(sum_all(mul_const(logits, onehot)))
     captured = []
     for rec in trace.records:

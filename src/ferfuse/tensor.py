@@ -5,6 +5,12 @@ built from the primitives in this module. Ops record themselves onto a
 dynamic graph as they run; ``backward`` walks that graph once, in reverse
 topological order, and accumulates vector-Jacobian products.
 
+``backward`` keeps only the gradients something reads: ``.grad`` is set on
+leaves that require grad and on intermediates marked ``retain_grad``; every
+other intermediate's gradient is freed as soon as its op's VJP has run.
+A VJP may return ``None`` for an input that does not require grad, and
+``matmul``'s does, so no work goes into gradients nobody asked for.
+
 All data is float64 and row-major. Any NaN or Inf entering or leaving an
 op is a contract violation and raises ``NonFiniteError`` immediately.
 A graph and its tensors belong to a single thread; detached value arrays
@@ -34,12 +40,13 @@ class Tensor:
     """Dense float64 array node in the autodiff graph.
 
     ``requires_grad`` marks tensors whose gradient ``backward`` should
-    populate. Tensors produced by ops inherit the flag from their inputs
+    compute. Tensors produced by ops inherit the flag from their inputs
     and keep a reference to the op that created them, which is all the
-    graph structure backward needs.
+    graph structure backward needs. ``backward`` stores ``grad`` on leaves;
+    an op output keeps its gradient only when ``retain_grad`` is set.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "creator")
+    __slots__ = ("data", "requires_grad", "grad", "creator", "retain_grad")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -49,6 +56,7 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
         self.creator: OpNode | None = None
+        self.retain_grad = False
 
     @property
     def shape(self) -> tuple:
@@ -123,23 +131,31 @@ class Graph:
 
 
 def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(tensor) into ``grad`` for every tensor that
-    requires grad and is reachable from ``loss``.
+    """Accumulate d(loss)/d(tensor) into ``grad`` for every leaf that
+    requires grad, and every tensor marked ``retain_grad``, reachable from
+    ``loss``.
 
     Each call adds one more copy of the gradient; callers reset with
     ``zero_grad`` between steps. Leaves with ``requires_grad=False`` are
-    simply left alone.
+    simply left alone. The gradient of any other op output lives only
+    until its op's VJP has consumed it, so a step holds the gradients in
+    flight rather than one per activation.
     """
     if loss.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
     graph = Graph.trace(loss)
     # Fresh per-call accumulators so repeated backward calls stack cleanly.
     fresh: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    touched: dict[int, Tensor] = {id(loss): loss}
+    leaves: dict[int, Tensor] = {id(loss): loss} if loss.creator is None and loss.requires_grad else {}
     for node in reversed(graph.ops):
-        gout = fresh.get(id(node.output))
+        out = node.output
+        # Every consumer of this output ran earlier in reverse order, so its
+        # gradient is complete here and nothing reads it after this VJP.
+        gout = fresh.pop(id(out), None)
         if gout is None:
             continue
+        if out.retain_grad:
+            _accumulate(out, gout)
         for parent, g in zip(node.inputs, node.vjp(gout)):
             if g is None or not parent.requires_grad:
                 continue
@@ -148,10 +164,14 @@ def backward(loss: Tensor) -> None:
                 fresh[pid] = fresh[pid] + g
             else:
                 fresh[pid] = g
-                touched[pid] = parent
-    for tid, t in touched.items():
-        if t.requires_grad:
-            t.grad = fresh[tid] if t.grad is None else t.grad + fresh[tid]
+                if parent.creator is None:
+                    leaves[pid] = parent
+    for tid, t in leaves.items():
+        _accumulate(t, fresh[tid])
+
+
+def _accumulate(t: Tensor, g: np.ndarray) -> None:
+    t.grad = g if t.grad is None else t.grad + g
 
 
 def zero_grads(tensors) -> None:
@@ -174,6 +194,14 @@ def _swap_last2(a: np.ndarray) -> np.ndarray:
     return np.swapaxes(a, -1, -2)
 
 
+# OpenBLAS, as bundled with numpy, runs a product of up to about this many
+# multiply-adds with an unpacked small-matrix kernel. A stack of such
+# products beats one folded product above the limit: (256, 8, 32) @ (32, 32)
+# took 106 us as a stack and 148 us folded on one thread of a Xeon core
+# (numpy 2.4); at paper widths the fold is 15-40% faster.
+_SMALL_GEMM_MACS = 1_000_000
+
+
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum the leading axes numpy broadcasting added, back down to ``shape``."""
     while g.ndim > len(shape):
@@ -191,6 +219,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     2-D operands give the plain m x k @ k x n product. Higher-rank operands
     are stacks of matrices; leading axes must match exactly, or be absent
     on one side (that side is broadcast across the stack).
+
+    A stack times one 2-D matrix, the shape of every linear map, folds the
+    stack into rows: both gradients, and the forward unless the stack is
+    made of small products, are then single 2-D GEMMs, and the weight
+    gradient needs no sum over the stack.
     """
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul needs rank >= 2 operands, got {a.shape} and {b.shape}")
@@ -198,12 +231,27 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul inner extents differ: {a.shape} vs {b.shape}")
     if a.ndim > 2 and b.ndim > 2 and a.shape[:-2] != b.shape[:-2]:
         raise ShapeError(f"matmul leading axes differ: {a.shape} vs {b.shape}")
-    out = a.data @ b.data
+    if b.ndim == 2 and a.ndim > 2:
+        k, n = b.shape
+        if a.shape[-2] * k * n <= _SMALL_GEMM_MACS < a.size * n:
+            # Each product fits the small-matrix kernel; their fold does not.
+            out = a.data @ b.data
+        else:
+            out = (a.data.reshape(-1, k) @ b.data).reshape(a.shape[:-1] + (n,))
 
-    def vjp(g):
-        ga = _unbroadcast(g @ _swap_last2(b.data), a.shape)
-        gb = _unbroadcast(_swap_last2(a.data) @ g, b.shape)
-        return ga, gb
+        def vjp(g):
+            g2 = g.reshape(-1, n)
+            ga = (g2 @ b.data.T).reshape(a.shape) if a.requires_grad else None
+            gb = a.data.reshape(-1, k).T @ g2 if b.requires_grad else None
+            return ga, gb
+
+    else:
+        out = a.data @ b.data
+
+        def vjp(g):
+            ga = _unbroadcast(g @ _swap_last2(b.data), a.shape) if a.requires_grad else None
+            gb = _unbroadcast(_swap_last2(a.data) @ g, b.shape) if b.requires_grad else None
+            return ga, gb
 
     return _record("matmul", (a, b), out, vjp)
 

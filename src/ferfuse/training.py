@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -52,17 +52,7 @@ class TrainConfig:
             raise ValueError(f"label_smoothing must be in [0, 1), got {self.label_smoothing}")
 
     def to_dict(self) -> dict:
-        return {
-            "batch_size": self.batch_size,
-            "learning_rate": self.learning_rate,
-            "steps": self.steps,
-            "label_smoothing": self.label_smoothing,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "adam_eps": self.adam_eps,
-            "seed": self.seed,
-            "checkpoint_every": self.checkpoint_every,
-        }
+        return asdict(self)
 
 
 def label_smoothing_ce(logits: Tensor, labels, smoothing: float) -> Tensor:
@@ -103,6 +93,12 @@ def init_adam_state(named) -> OptimizerState:
     return state
 
 
+# Rows of a parameter updated together: the update is elementwise, so
+# running it over slices of about this many entries keeps its temporaries
+# in cache without changing any result bit.
+_ADAM_CHUNK = 1 << 14
+
+
 def adam_step(
     named,
     state: OptimizerState,
@@ -111,7 +107,12 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> None:
-    """One bias-corrected Adam update, in place. Missing grads count as zero."""
+    """One bias-corrected Adam update, in place. Missing grads count as zero.
+
+    Moments and ``p.data`` are updated in their own buffers, with the
+    arithmetic in the order of ``p - lr * (m / bc1) / (sqrt(v / bc2) + eps)``,
+    so the result is bitwise that formula's.
+    """
     state.step += 1
     t = state.step
     bc1 = 1.0 - beta1**t
@@ -122,13 +123,28 @@ def adam_step(
             g = np.zeros_like(p.data)
         if g.shape != p.data.shape:
             raise ValueError(f"gradient shape {g.shape} does not match param {name!r} {p.data.shape}")
-        m = state.m[name]
-        v = state.v[name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        p.data = p.data - lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+        data, g, m, v = (np.atleast_1d(a) for a in (p.data, g, state.m[name], state.v[name]))
+        rows = max(1, _ADAM_CHUNK * data.shape[0] // max(data.size, 1))
+        for lo in range(0, data.shape[0], rows):
+            s = slice(lo, lo + rows)
+            _adam_update(data[s], g[s], m[s], v[s], lr, beta1, beta2, eps, bc1, bc2)
+
+
+def _adam_update(p, g, m, v, lr, beta1, beta2, eps, bc1, bc2) -> None:
+    step = np.multiply(g, 1.0 - beta1)
+    m *= beta1
+    m += step
+    np.multiply(g, 1.0 - beta2, out=step)
+    step *= g
+    v *= beta2
+    v += step
+    denom = np.divide(v, bc2)
+    np.sqrt(denom, out=denom)
+    denom += eps
+    np.divide(m, bc1, out=step)
+    step *= lr
+    step /= denom
+    p -= step
 
 
 @dataclass

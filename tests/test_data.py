@@ -1,3 +1,6 @@
+import os
+import threading
+
 import numpy as np
 import pytest
 
@@ -214,6 +217,36 @@ class TestFeatureFiles:
         path.write_bytes(raw[:-10])
         with pytest.raises(TruncatedFileError):
             read_features(path)
+
+    @pytest.mark.parametrize(
+        "patches,dim,count",
+        [
+            (0xFFFFFFFF, 0xFFFFFFFF, 0xFFFFFFFF),  # beyond what numpy can allocate
+            (68, 512, 100000),  # 25.9 GiB of f64 with no payload behind it
+        ],
+    )
+    def test_header_larger_than_file(self, tmp_path, patches, dim, count):
+        path = tmp_path / "hostile.pfer"
+        fields = (1, patches, dim, 7, count)
+        path.write_bytes(b"PFER" + b"".join(v.to_bytes(4, "little") for v in fields))
+        with pytest.raises(TruncatedFileError):
+            read_features(path)
+
+    def test_reads_from_a_pipe(self, tmp_path):
+        # A pipe has no size to check a header against; it is read as before.
+        ds = self._small()
+        path = tmp_path / "a.pfer"
+        write_features(ds, path)
+        fifo = tmp_path / "pipe.pfer"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=lambda: fifo.write_bytes(path.read_bytes()), daemon=True)
+        writer.start()
+        try:
+            got = read_features(fifo)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert np.array_equal(got.x_img, read_features(path).x_img)
 
     def test_dataset_validation(self):
         with pytest.raises(ValueError):

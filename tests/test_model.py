@@ -488,6 +488,13 @@ class TestCheckpoint:
         with pytest.raises(FormatVersionError):
             load_checkpoint(path)
 
+    def test_extents_larger_than_file(self, tmp_path):
+        path = tmp_path / "model.pckpt"
+        u32 = lambda v: v.to_bytes(4, "little")  # noqa: E731
+        path.write_bytes(b"PCKPT" + u32(1) + u32(1) + u32(1) + b"w" + u32(2) + u32(0xFFFFFFF) * 2)
+        with pytest.raises(TruncatedFileError):
+            load_checkpoint(path)
+
     def test_truncated_payload(self, tmp_path):
         path = tmp_path / "model.pckpt"
         save_checkpoint(path, build_params(desk_config(depth=0)).named)

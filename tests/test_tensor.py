@@ -96,6 +96,69 @@ class TestMatmul:
         assert finite_diff_check(f, {"a": a, "b": b}).passed
 
 
+class TestFoldedMatmul:
+    """A stack times a 2-D matrix folds into one GEMM; other stacks do not."""
+
+    @pytest.mark.parametrize("shape", [(2, 3, 4), (2, 2, 3, 4)])
+    def test_stack_times_matrix_matches_oracle(self, shape):
+        rng = np.random.default_rng(21)
+        a = rng.standard_normal(shape)
+        b = rng.standard_normal((4, 5))
+        got = matmul(Tensor(a), Tensor(b)).data
+        assert got.shape == shape[:-1] + (5,)
+        for idx in np.ndindex(*shape[:-2]):
+            assert np.max(np.abs(got[idx] - naive_matmul(a[idx], b))) < 1e-12
+
+    @pytest.mark.parametrize(
+        "a_shape,b_shape",
+        [
+            ((2, 3, 4), (4, 5)),  # folded
+            ((2, 2, 3, 4), (4, 5)),  # folded
+            ((2, 2, 3, 4), (2, 2, 4, 5)),  # stacked, equal leading axes
+            ((3, 4), (2, 4, 5)),  # 2-D broadcast across a stack
+        ],
+    )
+    def test_gradients(self, a_shape, b_shape):
+        rng = np.random.default_rng(22)
+        a = Tensor(rng.standard_normal(a_shape), requires_grad=True)
+        b = Tensor(rng.standard_normal(b_shape), requires_grad=True)
+
+        def f():
+            y = matmul(a, b)
+            return sum_all(mul(y, y))
+
+        assert finite_diff_check(f, {"a": a, "b": b}).passed
+
+    def test_stack_of_small_products_keeps_stacked_forward(self):
+        # Each 1x30 @ 30x31 product is small, their fold is over a million
+        # multiply-adds, so the forward runs as a stack; the grads still fold.
+        rng = np.random.default_rng(24)
+        a = Tensor(rng.standard_normal((1100, 1, 30)), requires_grad=True)
+        b = Tensor(rng.standard_normal((30, 31)), requires_grad=True)
+        got = matmul(a, b).data
+        for i in range(0, 1100, 157):
+            assert np.max(np.abs(got[i] - naive_matmul(a.data[i], b.data))) < 1e-12
+
+        def f():
+            y = matmul(a, b)
+            return sum_all(mul(y, y))
+
+        report = finite_diff_check(f, {"a": a, "b": b}, samples_per_param=10, rng=np.random.default_rng(0))
+        assert report.passed
+
+    @pytest.mark.parametrize("a_shape,b_shape", [((2, 3, 4), (4, 5)), ((3, 4), (4, 5)), ((3, 4), (2, 4, 5))])
+    def test_vjp_skips_operands_without_grad(self, a_shape, b_shape):
+        rng = np.random.default_rng(23)
+        for a_grad, b_grad in ((True, False), (False, True)):
+            a = Tensor(rng.standard_normal(a_shape), requires_grad=a_grad)
+            b = Tensor(rng.standard_normal(b_shape), requires_grad=b_grad)
+            y = matmul(a, b)
+            ga, gb = y.creator.vjp(np.ones(y.shape))
+            assert (ga is None) != a_grad and (gb is None) != b_grad
+            grad = ga if a_grad else gb
+            assert grad.shape == (a_shape if a_grad else b_shape)
+
+
 class TestSoftmax:
     def test_single_element_row(self):
         assert softmax_rows(Tensor([[3.7]])).data[0, 0] == pytest.approx(1.0, abs=1e-15)
@@ -341,6 +404,30 @@ class TestBackward:
         backward(sum_all(mul(x, y)))
         assert y.grad is None
         assert x.grad is not None
+
+    def test_intermediate_grads_freed_unless_retained(self):
+        rng = np.random.default_rng(31)
+        x = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
+        w = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
+        kept = matmul(x, w)
+        kept.retain_grad = True
+        dropped = gelu(kept)
+        loss = sum_all(mul(dropped, dropped))
+        backward(loss)
+        assert dropped.grad is None and loss.grad is None
+        assert w.grad is not None and x.grad is not None
+        # The retained grad is the one a leaf in the same place receives.
+        leaf = Tensor(kept.data, requires_grad=True)
+        h = gelu(leaf)
+        backward(sum_all(mul(h, h)))
+        assert np.array_equal(kept.grad, leaf.grad)
+        backward(loss)
+        assert np.array_equal(kept.grad, 2 * leaf.grad)
+
+    def test_leaf_loss_gets_unit_grad(self):
+        x = Tensor(np.array(3.0), requires_grad=True)
+        backward(x)
+        assert np.array_equal(x.grad, np.ones(()))
 
     def test_diamond_graph_counts_both_paths(self):
         # y = x + x, loss = sum(y*y) = 4*sum(x^2), so grad must be 8x

@@ -127,6 +127,25 @@ class TestAdam:
         diffs = np.diff(losses)
         assert np.all(diffs < 0)
 
+    @pytest.mark.parametrize("shape", [(3, 4), (5, 7000), ()])  # (5, 7000) spans several slices
+    def test_in_place_update_matches_formula_bitwise(self, shape):
+        rng = np.random.default_rng(41)
+        t = Tensor(rng.standard_normal(shape), requires_grad=True)
+        named = {"t": t}
+        state = init_adam_state(named)
+        data = t.data
+        p, m, v = t.data.copy(), np.zeros(shape), np.zeros(shape)
+        lr, b1, b2, eps = 1e-3, 0.9, 0.999, 1e-8
+        for step in range(1, 6):
+            g = rng.standard_normal(shape)
+            t.grad = g
+            adam_step(named, state, lr, b1, b2, eps)
+            m = b1 * m + (1.0 - b1) * g
+            v = b2 * v + (1.0 - b2) * g * g
+            p = p - lr * (m / (1.0 - b1**step)) / (np.sqrt(v / (1.0 - b2**step)) + eps)
+            assert np.array_equal(t.data, p)
+            assert t.data is data
+
     def test_moment_shapes_mirror_params(self):
         t = Tensor(np.zeros((2, 3)), requires_grad=True)
         state = init_adam_state({"t": t})
