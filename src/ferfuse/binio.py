@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import math
 import os
 import stat
 import struct
+import sys
 
 
 class FileFormatError(ValueError):
@@ -21,6 +23,10 @@ class FormatVersionError(FileFormatError):
 
 class TruncatedFileError(FileFormatError):
     """File ended before the payload it promised."""
+
+
+class BadFieldError(FileFormatError):
+    """A header or record field holds a value the format does not allow."""
 
 
 def read_exact(f, n: int, what: str) -> bytes:
@@ -43,6 +49,17 @@ def expect_bytes(f, n: int, what: str) -> None:
     left = st.st_size - f.tell()
     if n > left:
         raise TruncatedFileError(f"{what} needs {n} bytes but only {left} remain in the file")
+
+
+def check_shape(shape: tuple, what: str) -> None:
+    """Raise BadFieldError unless numpy can build a float64 array of ``shape``.
+
+    numpy multiplies the nonzero extents and rejects the shape if the byte
+    count passes the largest it can index, even when another extent is 0
+    and the array would be empty.
+    """
+    if 8 * math.prod(d for d in shape if d) > sys.maxsize:
+        raise BadFieldError(f"{what} has shape {shape}, larger than any array can be")
 
 
 def read_u32(f, what: str) -> int:

@@ -8,8 +8,9 @@
         u32 LE        rank, then one u32 LE extent per axis
         f64 LE        row-major data
 
-Round trips are bitwise lossless. Loading into an existing parameter set
-checks names and shapes and reports the first mismatch by name.
+Names are unique. Round trips are bitwise lossless. Loading into an
+existing parameter set checks names and shapes and reports the first
+mismatch by name.
 """
 
 from __future__ import annotations
@@ -20,11 +21,13 @@ from collections import OrderedDict
 import numpy as np
 
 from .binio import (
+    BadFieldError,
     BadMagicError,
     FileFormatError,
     FormatVersionError,
     TruncatedFileError,
     check_magic,
+    check_shape,
     expect_bytes,
     read_exact,
     read_u32,
@@ -65,10 +68,16 @@ def load_checkpoint(path) -> "OrderedDict[str, np.ndarray]":
         for i in range(count):
             name_len = read_u32(f, f"name length of tensor {i}")
             expect_bytes(f, name_len, f"name of tensor {i}")
-            name = read_exact(f, name_len, f"name of tensor {i}").decode("utf-8")
+            try:
+                name = read_exact(f, name_len, f"name of tensor {i}").decode("utf-8")
+            except UnicodeDecodeError:
+                raise BadFieldError(f"{path}: name of tensor {i} is not valid UTF-8") from None
+            if name in out:
+                raise BadFieldError(f"{path}: tensor {i} repeats the name {name!r}")
             rank = read_u32(f, f"rank of {name}")
             expect_bytes(f, 4 * rank, f"extents of {name}")
             shape = tuple(read_u32(f, f"extent of {name}") for _ in range(rank))
+            check_shape(shape, f"tensor {i} ({name})")
             n = math.prod(shape)
             expect_bytes(f, 8 * n, f"data of {name} {shape}")
             raw = read_exact(f, 8 * n, f"data of {name}")
@@ -107,5 +116,6 @@ __all__ = [
     "BadMagicError",
     "FormatVersionError",
     "TruncatedFileError",
+    "BadFieldError",
     "FileFormatError",
 ]

@@ -14,7 +14,7 @@ import hashlib
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import field, fields, make_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -23,15 +23,7 @@ from .binio import FileFormatError
 from .checkpoint import load_into
 from .data import FeatureDataset, gen_clusters, gen_xor, read_features, split_dataset, write_features
 from .metrics import round_percent, write_confusion_csv, write_metrics_csv
-from .model import (
-    TWO_STREAM_VARIANTS,
-    VARIANTS,
-    ModelConfig,
-    build_params,
-    count_params,
-    estimate_flops,
-    forward,
-)
+from .model import VARIANTS, ModelConfig, build_params, count_params, estimate_flops, forward
 from .relevance import (
     capture_attention,
     near_square_layout,
@@ -44,68 +36,20 @@ from .tensor import ShapeError, Tensor, finite_diff_check
 from .training import TrainConfig, evaluate, label_smoothing_ce, train_loop
 
 
-@dataclass
-class RunConfig:
-    """Flat union of the model and training knobs, one JSON key per field."""
+_MODEL_KEYS = tuple(f.name for f in fields(ModelConfig))
+# label_smoothing is left to TrainConfig's default, None, which defers to
+# the model config's value; seed is shared by both configs.
+_TRAIN_KEYS = tuple(f.name for f in fields(TrainConfig) if f.name != "label_smoothing")
 
-    patches: int = 68
-    base_dim: int = 512
-    pyramid_dims: tuple = (512, 256, 128)
-    depth: int = 8
-    mlp_ratio: int = 2
-    drop_path: float = 0.01
-    heads_divisor: int = 64
-    swap_depth: int | None = None
-    num_classes: int = 7
-    variant: str = "poster"
-    label_smoothing: float = 0.1
-    qkv_bias: bool = True
-    pre_msa_norm: bool = False
-    share_unswapped: bool = False
-    head_hidden: int | None = None
-    seed: int = 0
-    batch_size: int = 100
-    learning_rate: float = 4e-5
-    steps: int = 500
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
-    checkpoint_every: int = 0
 
+class _RunConfigMethods:
     def model_config(self, **overrides) -> ModelConfig:
-        d = {
-            "patches": self.patches,
-            "base_dim": self.base_dim,
-            "pyramid_dims": self.pyramid_dims,
-            "depth": self.depth,
-            "mlp_ratio": self.mlp_ratio,
-            "drop_path": self.drop_path,
-            "heads_divisor": self.heads_divisor,
-            "swap_depth": self.swap_depth,
-            "num_classes": self.num_classes,
-            "variant": self.variant,
-            "label_smoothing": self.label_smoothing,
-            "qkv_bias": self.qkv_bias,
-            "pre_msa_norm": self.pre_msa_norm,
-            "share_unswapped": self.share_unswapped,
-            "head_hidden": self.head_hidden,
-            "seed": self.seed,
-        }
+        d = {k: getattr(self, k) for k in _MODEL_KEYS}
         d.update(overrides)
         return ModelConfig.from_dict(d)
 
     def train_config(self, **overrides) -> TrainConfig:
-        d = {
-            "batch_size": self.batch_size,
-            "learning_rate": self.learning_rate,
-            "steps": self.steps,
-            "label_smoothing": None,  # fall through to the model config value
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "adam_eps": self.adam_eps,
-            "seed": self.seed,
-            "checkpoint_every": self.checkpoint_every,
-        }
+        d = {k: getattr(self, k) for k in _TRAIN_KEYS}
         d.update(overrides)
         return TrainConfig(**d)
 
@@ -114,6 +58,20 @@ class RunConfig:
         out["pyramid_dims"] = list(self.pyramid_dims)
         return out
 
+
+# Every ModelConfig field, then the TrainConfig fields the model config lacks.
+RunConfig = make_dataclass(
+    "RunConfig",
+    [
+        (f.name, f.type, field(default=f.default))
+        for f in fields(ModelConfig) + tuple(f for f in fields(TrainConfig) if f.name not in _MODEL_KEYS)
+    ],
+    bases=(_RunConfigMethods,),
+    namespace={
+        "__module__": __name__,
+        "__doc__": "Flat union of the model and training knobs, one JSON key per field.",
+    },
+)
 
 _CONFIG_KEYS = tuple(f.name for f in fields(RunConfig))
 
@@ -451,7 +409,7 @@ def cmd_params(args) -> int:
 
 def cmd_visualize(args) -> int:
     params, mcfg = _load_model_from_checkpoint(args.checkpoint)
-    if mcfg.variant not in TWO_STREAM_VARIANTS:
+    if not mcfg.layout.two_stream:
         raise CliError(f"visualize needs a two-stream variant checkpoint, got {mcfg.variant!r}")
     ds = _load_features(args.data)
     if not 0 <= args.sample < len(ds):

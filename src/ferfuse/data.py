@@ -17,6 +17,7 @@ PFER file layout (all little-endian):
     magic  b"PFER"
     u32    version (1), u32 P, u32 D, u32 class count, u32 sample count
     per sample: P*D f32 image stream, P*D f32 landmark stream, u32 label
+                (below the class count)
 
 f32 on disk, widened to f64 in memory.
 """
@@ -29,8 +30,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .binio import (
+    BadFieldError,
     FormatVersionError,
     check_magic,
+    check_shape,
     expect_bytes,
     read_exact,
     read_u32,
@@ -224,6 +227,7 @@ def read_features(path) -> FeatureDataset:
         count = read_u32(f, "sample count")
         plane = patches * dim
         expect_bytes(f, count * (8 * plane + 4), f"{count} samples of {patches}x{dim} features")
+        check_shape((count, patches, dim), "the feature stack")
         x_img = np.empty((count, patches, dim), dtype=np.float64)
         x_lm = np.empty((count, patches, dim), dtype=np.float64)
         labels = np.empty(count, dtype=np.int64)
@@ -233,6 +237,10 @@ def read_features(path) -> FeatureDataset:
             raw = read_exact(f, 4 * plane, f"landmark stream of sample {i}")
             x_lm[i] = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(patches, dim)
             labels[i] = read_u32(f, f"label of sample {i}")
+    bad = np.flatnonzero(labels >= num_classes)
+    if bad.size:
+        i = int(bad[0])
+        raise BadFieldError(f"{path}: label {labels[i]} of sample {i} is not below the class count {num_classes}")
     metadata = {"source": str(path)}
     return FeatureDataset(x_img=x_img, x_lm=x_lm, labels=labels, num_classes=num_classes, metadata=metadata)
 

@@ -1,6 +1,7 @@
-"""Transformer encoder blocks, drop-path, and two-stream stacks.
+"""Transformer encoder blocks, drop-path, and the encoder stack.
 
-Block topology, in both the fused and cross-fusion forms:
+Every variant runs the same stack over a list of one or two token
+streams. Each block computes, stream by stream,
 
     x'  = drop_path(attention(x)) + x
     out = drop_path(mlp(norm(x'))) + x'
@@ -11,8 +12,9 @@ flag turns on a conventional pre-attention norm for experiments; its
 gamma/beta are allocated either way so parameter layouts do not depend on
 the flag.
 
-A two-stream stack applies cross-fusion (query-swapped) blocks for the
-first ``swap_depth`` blocks and per-stream self-attention for the rest.
+The attention is per-stream self-attention, except in the first
+``swap_depth`` blocks of a two-stream stack, where the streams exchange
+queries (cross-fusion). A one-stream stack has ``swap_depth`` 0.
 """
 
 from __future__ import annotations
@@ -103,102 +105,58 @@ def _residual_tail(x: Tensor, attn_out: Tensor, s: StreamBlockParams, rate, trai
     return add(drop_path(m, rate, training, rng), x1)
 
 
-def vanilla_block(
-    x: Tensor,
+def block(
+    xs: list,
     p: EncoderParams,
     training: bool,
     rng=None,
+    swapped: bool = False,
     pre_msa_norm: bool = False,
-    attn_sink: list | None = None,
-) -> Tensor:
-    """Self-attention encoder block on one token matrix (fused or single stream)."""
-    s = p.streams[0]
-    h = layer_norm(x, s.norm1_gamma, s.norm1_beta, LN_EPS) if pre_msa_norm else x
-    a = mhsa(h, p.msa, attn_sink)
-    return _residual_tail(x, a, s, p.drop_path_rate, training, rng)
+    sinks: list | None = None,
+) -> list:
+    """One encoder block over a list of one or two token streams.
 
-
-def cross_fusion_block(
-    x_img: Tensor,
-    x_lm: Tensor,
-    p: EncoderParams,
-    training: bool,
-    rng=None,
-    swapped: bool = True,
-    pre_msa_norm: bool = False,
-    attn_sink_img: list | None = None,
-    attn_sink_lm: list | None = None,
-) -> tuple[Tensor, Tensor]:
-    """Two-stream encoder block.
-
-    With ``swapped`` the attention queries are exchanged between streams;
-    without it each stream self-attends with its own weights. Residual and
-    MLP structure is identical either way, with independent per-stream
-    parameters (or a single shared set when ``p.streams`` has one entry).
+    With ``swapped`` the two streams exchange attention queries;
+    otherwise each stream self-attends with its own weights (``p.msa`` for
+    one stream, ``p.msa.img`` / ``p.msa.lm`` for two). The residual and
+    MLP tail then runs stream by stream, each with its own norm/MLP set,
+    or the single shared set when ``p.streams`` has one entry. ``sinks``
+    holds one attention-weight list per stream.
     """
-    msa_p: CrossFusionMsaParams = p.msa
-    s_img = p.streams[0]
-    s_lm = p.streams[-1]
-    h_img = layer_norm(x_img, s_img.norm1_gamma, s_img.norm1_beta, LN_EPS) if pre_msa_norm else x_img
-    h_lm = layer_norm(x_lm, s_lm.norm1_gamma, s_lm.norm1_beta, LN_EPS) if pre_msa_norm else x_lm
+    if len(xs) not in (1, 2) or (swapped and len(xs) != 2):
+        raise ValueError(f"a block runs 1 or 2 streams and swaps only 2, got {len(xs)} (swapped={swapped})")
+    sinks = sinks if sinks is not None else [None] * len(xs)
+    owned = [p.streams[min(k, len(p.streams) - 1)] for k in range(len(xs))]
+    hs = [layer_norm(x, s.norm1_gamma, s.norm1_beta, LN_EPS) if pre_msa_norm else x for x, s in zip(xs, owned)]
     if swapped:
-        a_img, a_lm = cross_fusion_mhsa(h_img, h_lm, msa_p, attn_sink_img, attn_sink_lm)
+        attn = cross_fusion_mhsa(hs[0], hs[1], p.msa, sinks[0], sinks[1])
     else:
-        a_img = mhsa(h_img, msa_p.img, attn_sink_img)
-        a_lm = mhsa(h_lm, msa_p.lm, attn_sink_lm)
-    out_img = _residual_tail(x_img, a_img, s_img, p.drop_path_rate, training, rng)
-    out_lm = _residual_tail(x_lm, a_lm, s_lm, p.drop_path_rate, training, rng)
-    return out_img, out_lm
+        msas = [p.msa] if len(xs) == 1 else [p.msa.img, p.msa.lm]
+        attn = [mhsa(h, m, sink) for h, m, sink in zip(hs, msas, sinks)]
+    return [_residual_tail(x, a, s, p.drop_path_rate, training, rng) for x, a, s in zip(xs, attn, owned)]
 
 
 def stack_forward(
-    x_img: Tensor,
-    x_lm: Tensor,
-    s: StackParams,
+    xs: list,
+    stack: StackParams,
     training: bool,
     rng=None,
     pre_msa_norm: bool = False,
     trace: AttentionTrace | None = None,
     level: int = 0,
-) -> tuple[Tensor, Tensor]:
-    """Run a two-stream stack: cross-fusion for the first ``swap_depth``
-    blocks, per-stream self-attention after that."""
-    for i, block in enumerate(s.blocks):
-        sink_img: list | None = [] if trace is not None else None
-        sink_lm: list | None = [] if trace is not None else None
-        x_img, x_lm = cross_fusion_block(
-            x_img,
-            x_lm,
-            block,
-            training,
-            rng,
-            swapped=i < s.swap_depth,
-            pre_msa_norm=pre_msa_norm,
-            attn_sink_img=sink_img,
-            attn_sink_lm=sink_lm,
-        )
-        if trace is not None:
-            for w in sink_img:
-                trace.add(level, i, "img", w)
-            for w in sink_lm:
-                trace.add(level, i, "lm", w)
-    return x_img, x_lm
+) -> list:
+    """Run a stack over one or two token streams: blocks below
+    ``stack.swap_depth`` swap queries, the rest self-attend per stream.
 
-
-def fused_stack_forward(
-    x: Tensor,
-    blocks: list,
-    training: bool,
-    rng=None,
-    pre_msa_norm: bool = False,
-    trace: AttentionTrace | None = None,
-    level: int = 0,
-) -> Tensor:
-    """Run a plain self-attention stack on one token matrix."""
-    for i, block in enumerate(blocks):
-        sink: list | None = [] if trace is not None else None
-        x = vanilla_block(x, block, training, rng, pre_msa_norm=pre_msa_norm, attn_sink=sink)
+    Attention weights go to ``trace`` under the stream label ``"fused"``
+    for a one-stream stack and ``"img"`` / ``"lm"`` for a two-stream one.
+    """
+    labels = ("fused",) if len(xs) == 1 else ("img", "lm")
+    for i, p in enumerate(stack.blocks):
+        sinks = [[] for _ in xs] if trace is not None else None
+        xs = block(xs, p, training, rng, i < stack.swap_depth, pre_msa_norm, sinks)
         if trace is not None:
-            for w in sink:
-                trace.add(level, i, "fused", w)
-    return x
+            for label, sink in zip(labels, sinks):
+                for w in sink:
+                    trace.add(level, i, label, w)
+    return xs

@@ -1,13 +1,20 @@
-"""Model assembly: pyramid projections, the six architecture variants,
+"""Model assembly: the six architecture variants as one computation,
 parameter registration, and analytic parameter/FLOP accounting.
 
-Variants:
+Every variant is ``levels x stack_forward(streams, swap prefix)``: per
+pyramid level, each stream is projected to the level width, runs one
+encoder stack, and is mean-pooled; the pooled features of all levels and
+streams are concatenated into a small MLP head. Variants differ only in
+the streams they feed the stack and in whether they have a pyramid:
 
-    landmark_only / image_only   one stream -> self-attention stack -> head
-    baseline                     patch-concat both streams -> one stack -> head
-    baseline_pyramid             patch-concat -> one stack per pyramid level
-    baseline_crossfusion         two streams, single level, query-swap stack
-    poster                       two streams, query-swap stack per pyramid level
+    streams                  attention                           variants
+    [x]                      self-attention                      landmark_only ([x_lm]), image_only ([x_img])
+    [concat(x_img, x_lm)]    self-attention over 2P rows         baseline, baseline_pyramid
+    [x_img, x_lm]            query swap in the first swap_depth  baseline_crossfusion, poster
+                             blocks, then self-attention
+
+``baseline_pyramid`` and ``poster`` run one level per ``pyramid_dims``
+entry; the others run a single level at ``base_dim``.
 
 Every learnable tensor is registered under a hierarchical dotted name
 (level0.block1.img.attn.w_q, head.w2, ...); the name -> shape map is stable
@@ -22,27 +29,32 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .attention import AttentionTrace, CrossFusionMsaParams, MsaParams
-from .encoder import (
-    EncoderParams,
-    StackParams,
-    StreamBlockParams,
-    fused_stack_forward,
-    stack_forward,
-)
+from .encoder import EncoderParams, StackParams, StreamBlockParams, stack_forward
 from .tensor import Tensor, concat, concat_patches, gelu, linear, mean_pool_patches
 
-VARIANTS = (
-    "landmark_only",
-    "image_only",
-    "baseline",
-    "baseline_pyramid",
-    "baseline_crossfusion",
-    "poster",
-)
-TWO_STREAM_VARIANTS = ("baseline_crossfusion", "poster")
-FUSED_VARIANTS = ("baseline", "baseline_pyramid")
-SINGLE_VARIANTS = ("landmark_only", "image_only")
-PYRAMID_VARIANTS = ("baseline_pyramid", "poster")
+
+@dataclass(frozen=True)
+class Layout:
+    """A variant's token streams (``"fused"``: both streams patch-concatenated)
+    and whether it runs one level per ``pyramid_dims`` entry."""
+
+    streams: tuple
+    pyramid: bool
+
+    @property
+    def two_stream(self) -> bool:
+        return len(self.streams) == 2
+
+
+LAYOUTS = {
+    "landmark_only": Layout(("lm",), pyramid=False),
+    "image_only": Layout(("img",), pyramid=False),
+    "baseline": Layout(("fused",), pyramid=False),
+    "baseline_pyramid": Layout(("fused",), pyramid=True),
+    "baseline_crossfusion": Layout(("img", "lm"), pyramid=False),
+    "poster": Layout(("img", "lm"), pyramid=True),
+}
+VARIANTS = tuple(LAYOUTS)
 
 
 @dataclass
@@ -99,17 +111,18 @@ class ModelConfig:
     def heads_for(self, dim: int) -> int:
         return max(1, dim // self.heads_divisor)
 
+    @property
+    def layout(self) -> Layout:
+        return LAYOUTS[self.variant]
+
     def level_dims(self) -> tuple:
-        if self.variant in PYRAMID_VARIANTS:
-            return self.pyramid_dims
-        return (self.base_dim,)
+        return self.pyramid_dims if self.layout.pyramid else (self.base_dim,)
 
     def effective_swap_depth(self) -> int:
         return self.depth if self.swap_depth is None else self.swap_depth
 
     def feature_dim(self) -> int:
-        per = 2 if self.variant in TWO_STREAM_VARIANTS else 1
-        return per * sum(self.level_dims())
+        return len(self.layout.streams) * sum(self.level_dims())
 
     def head_hidden_dim(self) -> int:
         if self.head_hidden is not None:
@@ -251,8 +264,8 @@ def build_params(cfg: ModelConfig) -> ModelParams:
     """
     rng = np.random.default_rng([cfg.seed, 1])
     reg = _Registry()
-    two_stream = cfg.variant in TWO_STREAM_VARIANTS
-    swap = cfg.effective_swap_depth()
+    two_stream = cfg.layout.two_stream
+    swap = cfg.effective_swap_depth() if two_stream else 0
     levels = []
     for i, dim in enumerate(cfg.level_dims()):
         prefix = f"level{i}"
@@ -270,7 +283,7 @@ def build_params(cfg: ModelConfig) -> ModelParams:
         levels.append(
             LevelParams(
                 dim=dim,
-                stack=StackParams(blocks=blocks, swap_depth=min(swap, cfg.depth)),
+                stack=StackParams(blocks=blocks, swap_depth=swap),
                 proj_img=proj_img,
                 proj_lm=proj_lm,
                 proj=proj,
@@ -288,86 +301,7 @@ def build_params(cfg: ModelConfig) -> ModelParams:
 
 
 # ---------------------------------------------------------------------------
-# forward passes
-
-
-def project_levels(x: Tensor, projections) -> list:
-    """Apply one learned projection per pyramid level to (.., P, base_dim)."""
-    return [linear(x, p.w, p.b) for p in projections]
-
-
-def _head_forward(feat: Tensor, head: HeadParams) -> Tensor:
-    return linear(gelu(linear(feat, head.w1, head.b1)), head.w2, head.b2)
-
-
-def poster_forward(
-    x_img: Tensor,
-    x_lm: Tensor,
-    params: ModelParams,
-    cfg: ModelConfig,
-    training: bool,
-    rng=None,
-    trace: AttentionTrace | None = None,
-) -> Tensor:
-    """Two-stream forward: per level, a query-swap stack, then mean-pool
-    each stream and concatenate everything into the classifier head."""
-    if cfg.variant not in TWO_STREAM_VARIANTS:
-        raise ValueError(f"poster_forward needs a two-stream variant, got {cfg.variant!r}")
-    pooled = []
-    for i, lvl in enumerate(params.levels):
-        xi = linear(x_img, lvl.proj_img.w, lvl.proj_img.b)
-        xl = linear(x_lm, lvl.proj_lm.w, lvl.proj_lm.b)
-        yi, yl = stack_forward(
-            xi, xl, lvl.stack, training, rng, pre_msa_norm=cfg.pre_msa_norm, trace=trace, level=i
-        )
-        pooled.append(mean_pool_patches(yi))
-        pooled.append(mean_pool_patches(yl))
-    return _head_forward(concat(pooled, axis=-1), params.head)
-
-
-def baseline_forward(
-    x_img: Tensor,
-    x_lm: Tensor,
-    params: ModelParams,
-    cfg: ModelConfig,
-    training: bool,
-    rng=None,
-    trace: AttentionTrace | None = None,
-) -> Tensor:
-    """Patch-concatenate the streams into a 2P x D matrix, then run plain
-    self-attention stacks (one per level) and pool."""
-    if cfg.variant not in FUSED_VARIANTS:
-        raise ValueError(f"baseline_forward needs a fused variant, got {cfg.variant!r}")
-    fused = concat_patches(x_img, x_lm)
-    pooled = []
-    for i, lvl in enumerate(params.levels):
-        x = linear(fused, lvl.proj.w, lvl.proj.b)
-        y = fused_stack_forward(
-            x, lvl.stack.blocks, training, rng, pre_msa_norm=cfg.pre_msa_norm, trace=trace, level=i
-        )
-        pooled.append(mean_pool_patches(y))
-    return _head_forward(concat(pooled, axis=-1), params.head)
-
-
-def single_stream_forward(
-    x: Tensor,
-    params: ModelParams,
-    cfg: ModelConfig,
-    training: bool,
-    rng=None,
-    trace: AttentionTrace | None = None,
-) -> Tensor:
-    """One stream through plain self-attention stacks, pooled into the head."""
-    if cfg.variant not in SINGLE_VARIANTS:
-        raise ValueError(f"single_stream_forward needs a single-stream variant, got {cfg.variant!r}")
-    pooled = []
-    for i, lvl in enumerate(params.levels):
-        z = linear(x, lvl.proj.w, lvl.proj.b)
-        y = fused_stack_forward(
-            z, lvl.stack.blocks, training, rng, pre_msa_norm=cfg.pre_msa_norm, trace=trace, level=i
-        )
-        pooled.append(mean_pool_patches(y))
-    return _head_forward(concat(pooled, axis=-1), params.head)
+# forward pass
 
 
 def forward(
@@ -379,15 +313,19 @@ def forward(
     rng=None,
     trace: AttentionTrace | None = None,
 ) -> Tensor:
-    """Variant dispatch. Inputs are (.., P, base_dim) per stream; output is
-    (.., num_classes) logits."""
-    if cfg.variant == "landmark_only":
-        return single_stream_forward(x_lm, params, cfg, training, rng, trace)
-    if cfg.variant == "image_only":
-        return single_stream_forward(x_img, params, cfg, training, rng, trace)
-    if cfg.variant in FUSED_VARIANTS:
-        return baseline_forward(x_img, x_lm, params, cfg, training, rng, trace)
-    return poster_forward(x_img, x_lm, params, cfg, training, rng, trace)
+    """Inputs are (.., P, base_dim) per stream; output is (.., num_classes)
+    logits. Per level: project each stream, run the stack, mean-pool every
+    output stream into the head's feature vector."""
+    inputs = {"img": x_img, "lm": x_lm}
+    xs = [concat_patches(x_img, x_lm) if s == "fused" else inputs[s] for s in cfg.layout.streams]
+    pooled = []
+    for i, lvl in enumerate(params.levels):
+        projs = [lvl.proj] if lvl.proj is not None else [lvl.proj_img, lvl.proj_lm]
+        zs = [linear(x, proj.w, proj.b) for x, proj in zip(xs, projs)]
+        ys = stack_forward(zs, lvl.stack, training, rng, pre_msa_norm=cfg.pre_msa_norm, trace=trace, level=i)
+        pooled.extend(mean_pool_patches(y) for y in ys)
+    h = params.head
+    return linear(gelu(linear(concat(pooled, axis=-1), h.w1, h.b1)), h.w2, h.b2)
 
 
 # ---------------------------------------------------------------------------
@@ -411,23 +349,18 @@ def count_params(cfg: ModelConfig) -> dict:
     ``projections``, ``blocks``, ``head``, ``total``, and ``per_level``
     with one entry per pyramid level.
     """
-    two_stream = cfg.variant in TWO_STREAM_VARIANTS
+    two_stream = cfg.layout.two_stream
     swap = cfg.effective_swap_depth()
     per_level = []
     proj_total = 0
     block_total = 0
     for dim in cfg.level_dims():
-        n_proj_sets = 2 if two_stream else 1
-        proj = n_proj_sets * (cfg.base_dim * dim + dim)
+        proj = len(cfg.layout.streams) * (cfg.base_dim * dim + dim)
         one_stream = _msa_param_count(dim, cfg.qkv_bias) + _stream_param_count(dim, cfg.mlp_ratio)
         blocks = 0
         for j in range(cfg.depth):
-            if not two_stream:
-                blocks += one_stream
-            elif cfg.share_unswapped and j >= swap:
-                blocks += one_stream
-            else:
-                blocks += 2 * one_stream
+            shared = not two_stream or (cfg.share_unswapped and j >= swap)
+            blocks += one_stream if shared else 2 * one_stream
         per_level.append({"dim": dim, "projections": proj, "blocks": blocks})
         proj_total += proj
         block_total += blocks
@@ -453,19 +386,12 @@ def estimate_flops(cfg: ModelConfig) -> dict:
     ``formula`` entry spells this out.
     """
     p = cfg.patches
-    two_stream = cfg.variant in TWO_STREAM_VARIANTS
-    fused = cfg.variant in FUSED_VARIANTS
+    stream_rows = [2 * p if s == "fused" else p for s in cfg.layout.streams]
     projections = 0
     attn_linear = 0
     attn_scores = 0
     mlp = 0
     for dim in cfg.level_dims():
-        if two_stream:
-            stream_rows = [p, p]
-        elif fused:
-            stream_rows = [2 * p]
-        else:
-            stream_rows = [p]
         for rows in stream_rows:
             projections += rows * cfg.base_dim * dim
             attn_linear += cfg.depth * 4 * rows * dim * dim

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -50,9 +50,6 @@ class TrainConfig:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
         if self.label_smoothing is not None and not 0.0 <= self.label_smoothing < 1.0:
             raise ValueError(f"label_smoothing must be in [0, 1), got {self.label_smoothing}")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def label_smoothing_ce(logits: Tensor, labels, smoothing: float) -> Tensor:

@@ -20,10 +20,8 @@ from ferfuse.encoder import (
     LN_EPS,
     EncoderParams,
     StackParams,
-    cross_fusion_block,
-    fused_stack_forward,
+    block,
     stack_forward,
-    vanilla_block,
 )
 from ferfuse.metrics import ConfusionMatrix, mean_class_accuracy, prediction_percentage_table, round_percent
 from ferfuse.model import ModelConfig, build_params, count_params, forward
@@ -154,7 +152,7 @@ class TestCriterion01GradientSuite:
         worst = max(
             worst,
             self._check_op(
-                "vanilla_block", lambda: sum_all(mul_const(vanilla_block(xa, vb, False), c34)), named
+                "vanilla_block", lambda: sum_all(mul_const(block([xa], vb, False)[0], c34)), named
             ),
         )
 
@@ -164,7 +162,7 @@ class TestCriterion01GradientSuite:
         named["lm.norm2_beta"] = cb.streams[1].norm2_beta
 
         def f_block():
-            oi, ol = cross_fusion_block(xi, xl, cb, False)
+            oi, ol = block([xi, xl], cb, False, swapped=True)
             return add(sum_all(mul_const(oi, ci)), sum_all(mul_const(ol, cl)))
 
         worst = max(worst, self._check_op("cross_fusion_block", f_block, named))
@@ -218,11 +216,11 @@ class TestCriterion02EquationLiteralOracles:
 
             vb = make_vanilla_block_params(4, heads, 2, rng)
             xv = rng.standard_normal((3, 4))
-            got = vanilla_block(Tensor(xv), vb, training=False).data
+            got = block([Tensor(xv)], vb, training=False)[0].data
             assert np.max(np.abs(got - oracle_vanilla_block(xv, vb, LN_EPS))) < 1e-10
 
             cb = make_cross_block_params(4, heads, 2, rng)
-            bi, bl = cross_fusion_block(Tensor(xi), Tensor(xl), cb, training=False)
+            bi, bl = block([Tensor(xi), Tensor(xl)], cb, training=False, swapped=True)
             qi, ql = oracle_cross_fusion_block(xi, xl, cb, LN_EPS)
             assert np.max(np.abs(bi.data - qi)) < 1e-10
             assert np.max(np.abs(bl.data - ql)) < 1e-10
@@ -244,8 +242,8 @@ class TestCriterion03TiedStreamReduction:
             ]
             stack = StackParams(blocks=cross_blocks, swap_depth=depth)
             x = Tensor(rng.standard_normal((5, 4)))
-            out_img, out_lm = stack_forward(x, x, stack, training=False)
-            want = fused_stack_forward(x, vanilla_blocks, training=False).data
+            out_img, out_lm = stack_forward([x, x], stack, training=False)
+            want = stack_forward([x], StackParams(vanilla_blocks, 0), training=False)[0].data
             assert np.max(np.abs(out_img.data - want)) < 1e-12
             assert np.max(np.abs(out_lm.data - want)) < 1e-12
         _report(3, "(depths 1, 3, 5 at 1e-12)")

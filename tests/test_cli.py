@@ -1,11 +1,15 @@
+import argparse
 import csv
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from ferfuse.cli import main
+from ferfuse.cli import RunConfig, _add_config_flags, main
 from ferfuse.data import read_features
+from ferfuse.model import ModelConfig
+from ferfuse.training import TrainConfig
 
 
 def run(*argv):
@@ -214,6 +218,27 @@ class TestAblate:
         for variant in ("landmark_only", "image_only"):
             mean = np.mean(by_variant[variant])
             assert abs(mean - 50.0) <= 5.0, f"{variant} at {mean:.1f}%"
+
+
+class TestConfigMirror:
+    def test_run_config_is_model_then_train_fields(self):
+        model = [f.name for f in fields(ModelConfig)]
+        train = [f.name for f in fields(TrainConfig) if f.name not in model]
+        assert [f.name for f in fields(RunConfig)] == model + train
+        assert len(model + train) == 23
+
+    def test_every_field_has_a_flag_and_every_flag_a_field(self):
+        parser = argparse.ArgumentParser()
+        _add_config_flags(parser)
+        dests = {a.dest for a in parser._actions} - {"help", "config", "preset"}
+        assert dests == {f.name for f in fields(RunConfig)}
+
+    def test_split_keeps_model_label_smoothing_and_shared_seed(self):
+        cfg = RunConfig(label_smoothing=0.2, seed=5, steps=7)
+        assert cfg.model_config().label_smoothing == 0.2
+        assert cfg.train_config().label_smoothing is None
+        assert cfg.model_config().seed == cfg.train_config().seed == 5
+        assert cfg.train_config().steps == 7
 
 
 class TestGradcheckAndParams:

@@ -4,7 +4,7 @@ import threading
 import numpy as np
 import pytest
 
-from ferfuse.binio import BadMagicError, FormatVersionError, TruncatedFileError
+from ferfuse.binio import BadFieldError, BadMagicError, FormatVersionError, TruncatedFileError
 from ferfuse.data import (
     FeatureDataset,
     gen_clusters,
@@ -230,6 +230,27 @@ class TestFeatureFiles:
         fields = (1, patches, dim, 7, count)
         path.write_bytes(b"PFER" + b"".join(v.to_bytes(4, "little") for v in fields))
         with pytest.raises(TruncatedFileError):
+            read_features(path)
+
+    def test_zero_samples_of_unindexable_width(self, tmp_path):
+        # no payload is needed for 0 samples, but numpy rejects the empty
+        # (0, 2^32-1, 2^32-1) float64 stack all the same
+        path = tmp_path / "hostile.pfer"
+        fields = (1, 0xFFFFFFFF, 0xFFFFFFFF, 7, 0)
+        path.write_bytes(b"PFER" + b"".join(v.to_bytes(4, "little") for v in fields))
+        with pytest.raises(BadFieldError):
+            read_features(path)
+
+    @pytest.mark.parametrize("classes", [1, 0])
+    def test_label_not_below_class_count(self, tmp_path, classes):
+        ds = self._small()
+        path = tmp_path / "a.pfer"
+        write_features(ds, path)
+        raw = bytearray(path.read_bytes())
+        raw[16:20] = classes.to_bytes(4, "little")
+        path.write_bytes(bytes(raw))
+        first_bad = int(np.flatnonzero(ds.labels >= classes)[0])
+        with pytest.raises(BadFieldError, match=f"sample {first_bad} "):
             read_features(path)
 
     def test_reads_from_a_pipe(self, tmp_path):

@@ -5,11 +5,9 @@ from ferfuse.encoder import (
     LN_EPS,
     EncoderParams,
     StackParams,
-    cross_fusion_block,
+    block,
     drop_path,
-    fused_stack_forward,
     stack_forward,
-    vanilla_block,
 )
 from ferfuse.tensor import Tensor, add, finite_diff_check, mul_const, sum_all
 from helpers import (
@@ -79,7 +77,7 @@ class TestVanillaBlock:
         rng = np.random.default_rng(0)
         p = _zeroed(make_vanilla_block_params(4, 2, 2, rng))
         x = Tensor(rng.standard_normal((3, 4)))
-        out = vanilla_block(x, p, training=False)
+        out = block([x], p, training=False)[0]
         assert np.allclose(out.data, x.data, atol=1e-15)
 
     def test_matches_equation_literal_oracle(self):
@@ -87,7 +85,7 @@ class TestVanillaBlock:
             rng = np.random.default_rng(seed)
             p = make_vanilla_block_params(4, 2, 2, rng)
             x = rng.standard_normal((3, 4))
-            got = vanilla_block(Tensor(x), p, training=False).data
+            got = block([Tensor(x)], p, training=False)[0].data
             want = oracle_vanilla_block(x, p, LN_EPS)
             assert np.max(np.abs(got - want)) < 1e-10
 
@@ -103,13 +101,13 @@ class TestVanillaBlock:
         for attn_keep in (0, 1):
             for mlp_keep in (0, 1):
                 draws = [0.5 if attn_keep else 0.0, 0.5 if mlp_keep else 0.0]
-                out = vanilla_block(x, p, training=True, rng=FakeRng(draws))
+                out = block([x], p, training=True, rng=FakeRng(draws))[0]
                 candidates[(attn_keep, mlp_keep)] = out.data
         n = 10_000
         mc = np.random.default_rng(42)
         attn_drops = 0
         for _ in range(n):
-            out = vanilla_block(x, p, training=True, rng=mc).data
+            out = block([x], p, training=True, rng=mc)[0].data
             matches = [key for key, cand in candidates.items() if np.array_equal(out, cand)]
             assert len(matches) == 1
             if matches[0][0] == 0:
@@ -120,16 +118,16 @@ class TestVanillaBlock:
         rng = np.random.default_rng(2)
         p = make_vanilla_block_params(4, 2, 2, rng, drop_path_rate=0.5)
         x = Tensor(rng.standard_normal((3, 4)))
-        a = vanilla_block(x, p, training=False).data
-        b = vanilla_block(x, p, training=False).data
+        a = block([x], p, training=False)[0].data
+        b = block([x], p, training=False)[0].data
         assert np.array_equal(a, b)
 
     def test_pre_msa_norm_changes_output(self):
         rng = np.random.default_rng(3)
         p = make_vanilla_block_params(4, 2, 2, rng)
         x = Tensor(rng.standard_normal((3, 4)))
-        plain = vanilla_block(x, p, training=False).data
-        normed = vanilla_block(x, p, training=False, pre_msa_norm=True).data
+        plain = block([x], p, training=False)[0].data
+        normed = block([x], p, training=False, pre_msa_norm=True)[0].data
         assert not np.allclose(plain, normed)
 
 
@@ -139,7 +137,7 @@ class TestCrossFusionBlock:
         p = _zeroed(make_cross_block_params(4, 2, 2, rng))
         xi = Tensor(rng.standard_normal((3, 4)))
         xl = Tensor(rng.standard_normal((3, 4)))
-        oi, ol = cross_fusion_block(xi, xl, p, training=False)
+        oi, ol = block([xi, xl], p, training=False, swapped=True)
         assert np.allclose(oi.data, xi.data, atol=1e-15)
         assert np.allclose(ol.data, xl.data, atol=1e-15)
 
@@ -154,8 +152,8 @@ class TestCrossFusionBlock:
             drop_path_rate=0.0,
         )
         x = Tensor(rng.standard_normal((3, 4)))
-        want = vanilla_block(x, vp, training=False).data
-        oi, ol = cross_fusion_block(x, x, cp, training=False)
+        want = block([x], vp, training=False)[0].data
+        oi, ol = block([x, x], cp, training=False, swapped=True)
         assert np.array_equal(oi.data, want)
         assert np.array_equal(ol.data, want)
 
@@ -165,7 +163,7 @@ class TestCrossFusionBlock:
             p = make_cross_block_params(4, 1, 2, rng)
             xi = rng.standard_normal((3, 4))
             xl = rng.standard_normal((3, 4))
-            oi, ol = cross_fusion_block(Tensor(xi), Tensor(xl), p, training=False)
+            oi, ol = block([Tensor(xi), Tensor(xl)], p, training=False, swapped=True)
             wi, wl = oracle_cross_fusion_block(xi, xl, p, LN_EPS)
             assert np.max(np.abs(oi.data - wi)) < 1e-10
             assert np.max(np.abs(ol.data - wl)) < 1e-10
@@ -175,12 +173,12 @@ class TestCrossFusionBlock:
         p = make_cross_block_params(4, 2, 2, rng)
         xi = Tensor(rng.standard_normal((3, 4)))
         xl = Tensor(rng.standard_normal((3, 4)))
-        oi, ol = cross_fusion_block(xi, xl, p, training=False, swapped=False)
+        oi, ol = block([xi, xl], p, training=False, swapped=False)
         # image stream must equal a vanilla block built from its own pieces
         vp_img = EncoderParams(msa=p.msa.img, streams=(p.streams[0],), drop_path_rate=0.0)
         vp_lm = EncoderParams(msa=p.msa.lm, streams=(p.streams[1],), drop_path_rate=0.0)
-        assert np.array_equal(oi.data, vanilla_block(xi, vp_img, training=False).data)
-        assert np.array_equal(ol.data, vanilla_block(xl, vp_lm, training=False).data)
+        assert np.array_equal(oi.data, block([xi], vp_img, training=False)[0].data)
+        assert np.array_equal(ol.data, block([xl], vp_lm, training=False)[0].data)
 
     def test_stream_shape_mismatch(self):
         rng = np.random.default_rng(7)
@@ -188,7 +186,7 @@ class TestCrossFusionBlock:
         from ferfuse.tensor import ShapeError
 
         with pytest.raises(ShapeError):
-            cross_fusion_block(Tensor(np.zeros((2, 4))), Tensor(np.zeros((3, 4))), p, training=False)
+            block([Tensor(np.zeros((2, 4))), Tensor(np.zeros((3, 4)))], p, training=False, swapped=True)
 
 
 class TestStackForward:
@@ -214,10 +212,10 @@ class TestStackForward:
         s = StackParams(blocks=blocks, swap_depth=2)
         xi = Tensor(rng.standard_normal((3, 4)))
         xl = Tensor(rng.standard_normal((3, 4)))
-        oi, ol = stack_forward(xi, xl, s, training=False)
+        oi, ol = stack_forward([xi, xl], s, training=False)
         mi, ml = xi, xl
         for b in blocks:
-            mi, ml = cross_fusion_block(mi, ml, b, training=False, swapped=True)
+            mi, ml = block([mi, ml], b, training=False, swapped=True)
         assert np.max(np.abs(oi.data - mi.data)) < 1e-12
         assert np.max(np.abs(ol.data - ml.data)) < 1e-12
 
@@ -227,11 +225,11 @@ class TestStackForward:
         s = StackParams(blocks=blocks, swap_depth=0)
         xi = Tensor(rng.standard_normal((3, 4)))
         xl = Tensor(rng.standard_normal((3, 4)))
-        oi, ol = stack_forward(xi, xl, s, training=False)
+        oi, ol = stack_forward([xi, xl], s, training=False)
         img_blocks = [EncoderParams(msa=b.msa.img, streams=(b.streams[0],), drop_path_rate=0.0) for b in blocks]
         lm_blocks = [EncoderParams(msa=b.msa.lm, streams=(b.streams[1],), drop_path_rate=0.0) for b in blocks]
-        assert np.array_equal(oi.data, fused_stack_forward(xi, img_blocks, training=False).data)
-        assert np.array_equal(ol.data, fused_stack_forward(xl, lm_blocks, training=False).data)
+        assert np.array_equal(oi.data, stack_forward([xi], StackParams(img_blocks, 0), training=False)[0].data)
+        assert np.array_equal(ol.data, stack_forward([xl], StackParams(lm_blocks, 0), training=False)[0].data)
 
     def test_partial_swap_composition(self):
         rng = np.random.default_rng(10)
@@ -239,10 +237,10 @@ class TestStackForward:
         s = StackParams(blocks=blocks, swap_depth=1)
         xi = Tensor(rng.standard_normal((3, 4)))
         xl = Tensor(rng.standard_normal((3, 4)))
-        oi, ol = stack_forward(xi, xl, s, training=False)
-        mi, ml = cross_fusion_block(xi, xl, blocks[0], training=False, swapped=True)
+        oi, ol = stack_forward([xi, xl], s, training=False)
+        mi, ml = block([xi, xl], blocks[0], training=False, swapped=True)
         for b in blocks[1:]:
-            mi, ml = cross_fusion_block(mi, ml, b, training=False, swapped=False)
+            mi, ml = block([mi, ml], b, training=False, swapped=False)
         assert np.array_equal(oi.data, mi.data)
         assert np.array_equal(ol.data, ml.data)
 
@@ -251,8 +249,8 @@ class TestStackForward:
         vps, cps = self._tied_stack(rng, depth=3)
         s = StackParams(blocks=cps, swap_depth=3)
         x = Tensor(rng.standard_normal((4, 4)))
-        oi, ol = stack_forward(x, x, s, training=False)
-        want = fused_stack_forward(x, vps, training=False).data
+        oi, ol = stack_forward([x, x], s, training=False)
+        want = stack_forward([x], StackParams(vps, 0), training=False)[0].data
         assert np.max(np.abs(oi.data - want)) < 1e-12
         assert np.max(np.abs(ol.data - want)) < 1e-12
 
@@ -278,7 +276,7 @@ class TestStackForward:
             params[f"b{k}.lm.norm2_gamma"] = b.streams[1].norm2_gamma
 
         def f():
-            oi, ol = stack_forward(xi, xl, s, training=False)
+            oi, ol = stack_forward([xi, xl], s, training=False)
             return add(sum_all(mul_const(oi, ci)), sum_all(mul_const(ol, cl)))
 
         assert finite_diff_check(f, params).passed
@@ -297,7 +295,7 @@ class TestStackForward:
             named[f"stream.{tag}"] = getattr(s, tag)
 
         def f():
-            return sum_all(mul_const(vanilla_block(x, p, training=False), c))
+            return sum_all(mul_const(block([x], p, training=False)[0], c))
 
         report = finite_diff_check(f, named)
         assert report.passed

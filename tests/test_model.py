@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ferfuse.checkpoint import (
+    BadFieldError,
     BadMagicError,
     FormatVersionError,
     TruncatedFileError,
@@ -9,7 +10,7 @@ from ferfuse.checkpoint import (
     load_into,
     save_checkpoint,
 )
-from ferfuse.encoder import fused_stack_forward, stack_forward
+from ferfuse.encoder import stack_forward
 from ferfuse.model import (
     VARIANTS,
     ModelConfig,
@@ -17,7 +18,6 @@ from ferfuse.model import (
     count_params,
     estimate_flops,
     forward,
-    project_levels,
 )
 from ferfuse.tensor import ShapeError, Tensor, backward, concat, gelu, linear, mean_pool_patches, sum_all
 from ferfuse.training import label_smoothing_ce
@@ -87,14 +87,14 @@ class TestProjectLevels:
         proj.w.data = np.eye(32)
         proj.b.data = np.zeros(32)
         x = Tensor(np.random.default_rng(0).standard_normal((8, 32)))
-        (out,) = project_levels(x, [proj])
+        out = linear(x, proj.w, proj.b)
         assert np.allclose(out.data, x.data, atol=1e-15)
 
     def test_level_widths(self):
         cfg = desk_config()
         params = build_params(cfg)
         x = Tensor(np.random.default_rng(1).standard_normal((8, 32)))
-        outs = project_levels(x, [lvl.proj_img for lvl in params.levels])
+        outs = [linear(x, lvl.proj_img.w, lvl.proj_img.b) for lvl in params.levels]
         assert [o.shape for o in outs] == [(8, 32), (8, 16), (8, 8)]
 
     def test_projection_gradients(self):
@@ -172,7 +172,7 @@ class TestPosterForward:
         for lvl in params.levels:
             zi = linear(xi, lvl.proj_img.w, lvl.proj_img.b)
             zl = linear(xl, lvl.proj_lm.w, lvl.proj_lm.b)
-            yi, yl = stack_forward(zi, zl, lvl.stack, training=False)
+            yi, yl = stack_forward([zi, zl], lvl.stack, training=False)
             pooled.append(mean_pool_patches(yi))
             pooled.append(mean_pool_patches(yl))
         feat = concat(pooled, axis=-1)
@@ -297,7 +297,7 @@ class TestBaselineForward:
         pooled = []
         for lvl in params.levels:
             z = linear(fused, lvl.proj.w, lvl.proj.b)
-            y = fused_stack_forward(z, lvl.stack.blocks, training=False)
+            y = stack_forward([z], lvl.stack, training=False)[0]
             pooled.append(mean_pool_patches(y))
         h = params.head
         want = linear(gelu(linear(concat(pooled, axis=-1), h.w1, h.b1)), h.w2, h.b2).data
@@ -331,7 +331,7 @@ class TestSingleStreamForward:
         got = forward(xi, Tensor(np.zeros((8, 32))), params, cfg, False).data
         lvl = params.levels[0]
         z = linear(xi, lvl.proj.w, lvl.proj.b)
-        y = fused_stack_forward(z, lvl.stack.blocks, training=False)
+        y = stack_forward([z], lvl.stack, training=False)[0]
         h = params.head
         want = linear(gelu(linear(mean_pool_patches(y), h.w1, h.b1)), h.w2, h.b2).data
         assert np.max(np.abs(got - want)) < 1e-12
@@ -494,6 +494,41 @@ class TestCheckpoint:
         path.write_bytes(b"PCKPT" + u32(1) + u32(1) + u32(1) + b"w" + u32(2) + u32(0xFFFFFFF) * 2)
         with pytest.raises(TruncatedFileError):
             load_checkpoint(path)
+
+    def test_zero_extent_beside_unindexable_extents(self, tmp_path):
+        # 0 x 2^31 x 2^31 holds no data, but numpy rejects the shape
+        path = tmp_path / "model.pckpt"
+        u32 = lambda v: v.to_bytes(4, "little")  # noqa: E731
+        path.write_bytes(b"PCKPT" + u32(1) + u32(1) + u32(1) + b"w" + u32(3) + u32(0) + u32(2**31) * 2)
+        with pytest.raises(BadFieldError, match="tensor 0"):
+            load_checkpoint(path)
+
+    def test_name_not_utf8(self, tmp_path):
+        path = tmp_path / "model.pckpt"
+        save_checkpoint(path, {"a": np.zeros(2), "b": np.ones(3)})
+        raw = bytearray(path.read_bytes())
+        raw[raw.index(b"b")] = 0xFF  # a lone 0xFF never starts a UTF-8 sequence
+        path.write_bytes(bytes(raw))
+        with pytest.raises(BadFieldError, match="tensor 1"):
+            load_checkpoint(path)
+
+    def test_repeated_name(self, tmp_path):
+        # one extra copy of a tensor, appended with the count raised, must
+        # not load with the copy's values winning
+        cfg = desk_config(variant="baseline", depth=0)
+        params = build_params(cfg)
+        path = tmp_path / "model.pckpt"
+        save_checkpoint(path, params.named)
+        dup = tmp_path / "dup.pckpt"
+        save_checkpoint(dup, {"level0.proj.w": params.named["level0.proj.w"].data + 1.0})
+        raw = bytearray(path.read_bytes())
+        count = len(params.named)
+        raw[9:13] = (count + 1).to_bytes(4, "little")
+        path.write_bytes(bytes(raw) + dup.read_bytes()[13:])
+        with pytest.raises(BadFieldError, match=f"tensor {count} "):
+            load_checkpoint(path)
+        with pytest.raises(BadFieldError):
+            load_into(build_params(cfg), path)
 
     def test_truncated_payload(self, tmp_path):
         path = tmp_path / "model.pckpt"

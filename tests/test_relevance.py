@@ -124,7 +124,7 @@ class TestCaptureAttention:
         logits_full = forward(Tensor(xi_raw), Tensor(xl_raw), params, cfg, training=False)
         from ferfuse.encoder import stack_forward
 
-        _, lm_out = stack_forward(xi, xl, lvl.stack, training=False)
+        _, lm_out = stack_forward([xi, xl], lvl.stack, training=False)
         lm_pooled_const = Tensor(lm_out.data.mean(axis=0))
 
         a_leaf = Tensor(img_caps[0].weights, requires_grad=True)
