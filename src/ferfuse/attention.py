@@ -1,11 +1,12 @@
-"""Multi-head self-attention and the two-stream cross-fusion variant.
+"""Multi-head attention over one or two token streams, with query swap.
 
-Both ops project their input(s) to queries, keys and values with full
-D x D weights, split heads, score with softmax(QK^T / sqrt(d)) where d is
-the per-head width, and finish with an output projection. The cross-fusion
-op runs one attention per stream but exchanges the query matrices: the
-image stream is scored by the landmark queries and vice versa, so each
-stream mixes its own values under the other stream's addressing.
+Each stream projects its queries, keys and values with its own full D x D
+weights, splits heads, scores with softmax(QK^T / sqrt(d)) where d is the
+per-head width, and finishes with its own output projection. Self-attention
+scores each stream with its own queries. Cross-fusion swaps the two
+streams' query matrices: the image stream is scored by the landmark queries
+and vice versa, so each stream mixes its own values under the other
+stream's addressing. A tied pair passes the same weight set twice.
 
 Attention weight tensors stay alive in the graph and can be collected via
 an ``AttentionTrace`` for relevance analysis; mark them ``retain_grad``
@@ -53,21 +54,6 @@ class MsaParams:
 
 
 @dataclass
-class CrossFusionMsaParams:
-    """Independent per-stream attention weights sharing D and head count."""
-
-    img: MsaParams
-    lm: MsaParams
-
-    def __post_init__(self):
-        if self.img.dim != self.lm.dim or self.img.heads != self.lm.heads:
-            raise ShapeError(
-                f"cross-fusion streams must share dim/heads, got "
-                f"({self.img.dim}, {self.img.heads}) vs ({self.lm.dim}, {self.lm.heads})"
-            )
-
-
-@dataclass
 class AttentionRecord:
     """One attention-weight tensor captured during a forward pass."""
 
@@ -86,18 +72,8 @@ class AttentionTrace:
     def add(self, level: int, block: int, stream: str, weights: Tensor) -> None:
         self.records.append(AttentionRecord(level, block, stream, weights))
 
-    def for_stream(self, stream: str, level: int | None = None) -> list[AttentionRecord]:
-        return [
-            r
-            for r in self.records
-            if r.stream == stream and (level is None or r.level == level)
-        ]
 
-    def levels(self) -> list[int]:
-        return sorted({r.level for r in self.records})
-
-
-def _check_input(x: Tensor, p: MsaParams, label: str) -> tuple[int, int]:
+def _check_input(x: Tensor, p: MsaParams, label: str) -> None:
     if x.ndim < 2:
         raise ShapeError(f"{label} input must be (.., P, D), got {x.shape}")
     d = x.shape[-1]
@@ -105,7 +81,6 @@ def _check_input(x: Tensor, p: MsaParams, label: str) -> tuple[int, int]:
         raise ShapeError(f"{label}: weights {p.w_q.shape} do not match input {x.shape}")
     if d % p.heads != 0:
         raise ShapeError(f"{label}: dim {d} not divisible by heads {p.heads}")
-    return d, p.heads
 
 
 def _split_heads(t: Tensor, heads: int) -> Tensor:
@@ -135,48 +110,33 @@ def _attend(q: Tensor, k: Tensor, v: Tensor, heads: int, sink: list | None) -> T
     return _merge_heads(matmul(weights, vh))
 
 
-def mhsa(x: Tensor, p: MsaParams, attn_sink: list | None = None) -> Tensor:
-    """Multi-head self-attention over the patch rows of x (.., P, D).
+def mhsa(xs: list, ps: list, swapped: bool = False, sinks: list | None = None) -> list:
+    """Multi-head attention over a list of one or two token streams.
 
-    Output shape equals input shape. If ``attn_sink`` is given, the
-    (.., heads, P, P) softmax weight tensor is appended to it.
+    Stream k, of shape (.., P, D), projects Q, K and V with ``ps[k]`` and
+    applies ``ps[k]``'s output projection; each output keeps its input's
+    shape. With ``swapped`` the two streams exchange queries, so they must
+    share shape and head count. ``sinks``, if given, holds one list per
+    stream; each gets that stream's (.., heads, P, P) softmax weights.
     """
-    _check_input(x, p, "mhsa")
-    q = linear(x, p.w_q, p.b_q)
-    k = linear(x, p.w_k, p.b_k)
-    v = linear(x, p.w_v, p.b_v)
-    out = _attend(q, k, v, p.heads, attn_sink)
-    return linear(out, p.w_o, p.b_o)
-
-
-def cross_fusion_mhsa(
-    x_img: Tensor,
-    x_lm: Tensor,
-    p: CrossFusionMsaParams,
-    attn_sink_img: list | None = None,
-    attn_sink_lm: list | None = None,
-) -> tuple[Tensor, Tensor]:
-    """Two-stream attention with exchanged queries.
-
-    The image output attends over image keys/values under the landmark
-    queries; the landmark output attends over landmark keys/values under
-    the image queries. Each stream applies its own output projection.
-    Both outputs keep the (.., P, D) input shape.
-    """
-    _check_input(x_img, p.img, "cross_fusion_mhsa[img]")
-    _check_input(x_lm, p.lm, "cross_fusion_mhsa[lm]")
-    if x_img.shape != x_lm.shape:
-        raise ShapeError(f"stream shapes differ: img {x_img.shape} vs lm {x_lm.shape}")
-    q_img = linear(x_img, p.img.w_q, p.img.b_q)
-    k_img = linear(x_img, p.img.w_k, p.img.b_k)
-    v_img = linear(x_img, p.img.w_v, p.img.b_v)
-    q_lm = linear(x_lm, p.lm.w_q, p.lm.b_q)
-    k_lm = linear(x_lm, p.lm.w_k, p.lm.b_k)
-    v_lm = linear(x_lm, p.lm.w_v, p.lm.b_v)
-    # Query swap: each stream is addressed by the other stream's queries.
-    out_img = _attend(q_lm, k_img, v_img, p.img.heads, attn_sink_img)
-    out_lm = _attend(q_img, k_lm, v_lm, p.lm.heads, attn_sink_lm)
-    return (
-        linear(out_img, p.img.w_o, p.img.b_o),
-        linear(out_lm, p.lm.w_o, p.lm.b_o),
-    )
+    if len(ps) != len(xs):
+        raise ValueError(f"mhsa needs one weight set per stream, got {len(ps)} for {len(xs)} streams")
+    for k, (x, p) in enumerate(zip(xs, ps)):
+        _check_input(x, p, f"mhsa[{k}]")
+    if swapped:
+        if len(xs) != 2:
+            raise ValueError(f"a query swap needs 2 streams, got {len(xs)}")
+        if xs[0].shape != xs[1].shape or ps[0].heads != ps[1].heads:
+            raise ShapeError(
+                f"swapped streams must share shape and heads, got {xs[0].shape} with {ps[0].heads} heads "
+                f"vs {xs[1].shape} with {ps[1].heads}"
+            )
+    qs = [linear(x, p.w_q, p.b_q) for x, p in zip(xs, ps)]
+    if swapped:
+        qs.reverse()
+    outs = []
+    for x, p, q, sink in zip(xs, ps, qs, sinks if sinks is not None else [None] * len(xs)):
+        k = linear(x, p.w_k, p.b_k)
+        v = linear(x, p.w_v, p.b_v)
+        outs.append(linear(_attend(q, k, v, p.heads, sink), p.w_o, p.b_o))
+    return outs

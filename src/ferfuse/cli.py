@@ -53,10 +53,7 @@ class _RunConfigMethods:
         d.update(overrides)
         return TrainConfig(**d)
 
-    def to_dict(self) -> dict:
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
-        out["pyramid_dims"] = list(self.pyramid_dims)
-        return out
+    to_dict = ModelConfig.to_dict  # every field, pyramid_dims as a list
 
 
 # Every ModelConfig field, then the TrainConfig fields the model config lacks.

@@ -12,22 +12,18 @@ flag turns on a conventional pre-attention norm for experiments; its
 gamma/beta are allocated either way so parameter layouts do not depend on
 the flag.
 
-The attention is per-stream self-attention, except in the first
-``swap_depth`` blocks of a two-stream stack, where the streams exchange
-queries (cross-fusion). A one-stream stack has ``swap_depth`` 0.
+Each stream owns one weight set (``StreamBlockParams``: attention, norms
+and MLP); a tied two-stream block holds the same set twice. The attention
+is per-stream self-attention, except in the first ``swap_depth`` blocks of
+a two-stream stack, where the streams exchange queries (cross-fusion). A
+one-stream stack has ``swap_depth`` 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .attention import (
-    AttentionTrace,
-    CrossFusionMsaParams,
-    MsaParams,
-    cross_fusion_mhsa,
-    mhsa,
-)
+from .attention import AttentionTrace, MsaParams, mhsa
 from .tensor import Tensor, add, gelu, layer_norm, linear, scale
 
 LN_EPS = 1e-5
@@ -35,8 +31,9 @@ LN_EPS = 1e-5
 
 @dataclass
 class StreamBlockParams:
-    """Norm and MLP parameters owned by one stream of one block."""
+    """Attention, norm and MLP parameters owned by one stream of one block."""
 
+    msa: MsaParams
     norm1_gamma: Tensor  # pre-attention site, inert unless pre_msa_norm
     norm1_beta: Tensor
     norm2_gamma: Tensor  # pre-MLP site
@@ -49,14 +46,11 @@ class StreamBlockParams:
 
 @dataclass
 class EncoderParams:
-    """One encoder block: attention weights plus per-stream norm/MLP.
+    """One encoder block: one ``StreamBlockParams`` per input stream.
 
-    ``streams`` has one entry for fused/single-stream blocks and for
-    two-stream blocks with shared unswapped weights, two entries for
-    ordinary two-stream blocks.
+    A two-stream block with shared weights holds the same set twice.
     """
 
-    msa: MsaParams | CrossFusionMsaParams
     streams: tuple
     drop_path_rate: float = 0.0
 
@@ -82,7 +76,9 @@ def drop_path(branch: Tensor, rate: float, training: bool, rng=None) -> Tensor:
     training mode the whole branch is zeroed with probability ``rate`` and
     scaled by 1/(1-rate) otherwise, keeping the expectation equal to the
     branch itself. One Bernoulli draw per call, so a batched branch is
-    kept or dropped as a unit.
+    kept or dropped as a unit (stochastic depth as in Huang et al. 2016
+    draws per sample; per batch is kept so that training numbers stay
+    those of earlier builds).
     """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"drop_path rate must be in [0, 1), got {rate}")
@@ -116,24 +112,15 @@ def block(
 ) -> list:
     """One encoder block over a list of one or two token streams.
 
-    With ``swapped`` the two streams exchange attention queries;
-    otherwise each stream self-attends with its own weights (``p.msa`` for
-    one stream, ``p.msa.img`` / ``p.msa.lm`` for two). The residual and
-    MLP tail then runs stream by stream, each with its own norm/MLP set,
-    or the single shared set when ``p.streams`` has one entry. ``sinks``
-    holds one attention-weight list per stream.
+    Stream k runs with ``p.streams[k]``: attention (queries exchanged
+    between the two streams when ``swapped``), then the residual and MLP
+    tail. ``sinks`` holds one attention-weight list per stream.
     """
-    if len(xs) not in (1, 2) or (swapped and len(xs) != 2):
-        raise ValueError(f"a block runs 1 or 2 streams and swaps only 2, got {len(xs)} (swapped={swapped})")
-    sinks = sinks if sinks is not None else [None] * len(xs)
-    owned = [p.streams[min(k, len(p.streams) - 1)] for k in range(len(xs))]
-    hs = [layer_norm(x, s.norm1_gamma, s.norm1_beta, LN_EPS) if pre_msa_norm else x for x, s in zip(xs, owned)]
-    if swapped:
-        attn = cross_fusion_mhsa(hs[0], hs[1], p.msa, sinks[0], sinks[1])
-    else:
-        msas = [p.msa] if len(xs) == 1 else [p.msa.img, p.msa.lm]
-        attn = [mhsa(h, m, sink) for h, m, sink in zip(hs, msas, sinks)]
-    return [_residual_tail(x, a, s, p.drop_path_rate, training, rng) for x, a, s in zip(xs, attn, owned)]
+    if len(xs) != len(p.streams):
+        raise ValueError(f"block has {len(p.streams)} stream weight sets, got {len(xs)} inputs")
+    hs = [layer_norm(x, s.norm1_gamma, s.norm1_beta, LN_EPS) if pre_msa_norm else x for x, s in zip(xs, p.streams)]
+    attn = mhsa(hs, [s.msa for s in p.streams], swapped, sinks)
+    return [_residual_tail(x, a, s, p.drop_path_rate, training, rng) for x, a, s in zip(xs, attn, p.streams)]
 
 
 def stack_forward(

@@ -16,6 +16,11 @@ the streams they feed the stack and in whether they have a pyramid:
 ``baseline_pyramid`` and ``poster`` run one level per ``pyramid_dims``
 entry; the others run a single level at ``base_dim``.
 
+Each level holds one input projection per stream, and each block one
+weight set (attention, norms, MLP) per stream. ``ModelConfig.block_sets``
+names the distinct sets of a block; a two-stream block past the swap prefix
+with ``share_unswapped`` has one set, used by both streams.
+
 Every learnable tensor is registered under a hierarchical dotted name
 (level0.block1.img.attn.w_q, head.w2, ...); the name -> shape map is stable
 across runs for a fixed config and is the checkpoint addressing scheme.
@@ -28,7 +33,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .attention import AttentionTrace, CrossFusionMsaParams, MsaParams
+from .attention import AttentionTrace, MsaParams
 from .encoder import EncoderParams, StackParams, StreamBlockParams, stack_forward
 from .tensor import Tensor, concat, concat_patches, gelu, linear, mean_pool_patches
 
@@ -121,6 +126,17 @@ class ModelConfig:
     def effective_swap_depth(self) -> int:
         return self.depth if self.swap_depth is None else self.swap_depth
 
+    def block_sets(self, j: int) -> tuple:
+        """Name tags of block ``j``'s distinct per-stream weight sets:
+        ``("",)`` for a one-stream block, ``("shared",)`` for a two-stream
+        block past the swap prefix with ``share_unswapped``, else
+        ``("img", "lm")``."""
+        if not self.layout.two_stream:
+            return ("",)
+        if self.share_unswapped and j >= self.effective_swap_depth():
+            return ("shared",)
+        return ("img", "lm")
+
     def feature_dim(self) -> int:
         return len(self.layout.streams) * sum(self.level_dims())
 
@@ -152,10 +168,8 @@ class LinearParams:
 @dataclass
 class LevelParams:
     dim: int
+    projs: tuple  # one LinearParams per stream
     stack: StackParams
-    proj_img: LinearParams | None = None
-    proj_lm: LinearParams | None = None
-    proj: LinearParams | None = None  # fused / single-stream variants
 
 
 @dataclass
@@ -219,9 +233,10 @@ def _init_msa(reg, prefix, dim, heads, rng, qkv_bias) -> MsaParams:
     return MsaParams(heads=heads, w_q=w_q, w_k=w_k, w_v=w_v, w_o=w_o, b_q=b_q, b_k=b_k, b_v=b_v, b_o=b_o)
 
 
-def _init_stream(reg, prefix, dim, ratio, rng) -> StreamBlockParams:
+def _init_stream(reg, prefix, msa, dim, ratio, rng) -> StreamBlockParams:
     hidden = ratio * dim
     return StreamBlockParams(
+        msa=msa,
         norm1_gamma=reg.add(f"{prefix}.norm1.gamma", np.ones(dim)),
         norm1_beta=reg.add(f"{prefix}.norm1.beta", np.zeros(dim)),
         norm2_gamma=reg.add(f"{prefix}.norm2.gamma", np.ones(dim)),
@@ -233,25 +248,13 @@ def _init_stream(reg, prefix, dim, ratio, rng) -> StreamBlockParams:
     )
 
 
-def _init_block(reg, prefix, cfg, dim, two_stream, shared, rng) -> EncoderParams:
-    heads = cfg.heads_for(dim)
-    if not two_stream:
-        msa = _init_msa(reg, f"{prefix}.attn", dim, heads, rng, cfg.qkv_bias)
-        streams = (_init_stream(reg, prefix, dim, cfg.mlp_ratio, rng),)
-    elif shared:
-        msa_shared = _init_msa(reg, f"{prefix}.shared.attn", dim, heads, rng, cfg.qkv_bias)
-        msa = CrossFusionMsaParams(img=msa_shared, lm=msa_shared)
-        streams = (_init_stream(reg, f"{prefix}.shared", dim, cfg.mlp_ratio, rng),)
-    else:
-        msa = CrossFusionMsaParams(
-            img=_init_msa(reg, f"{prefix}.img.attn", dim, heads, rng, cfg.qkv_bias),
-            lm=_init_msa(reg, f"{prefix}.lm.attn", dim, heads, rng, cfg.qkv_bias),
-        )
-        streams = (
-            _init_stream(reg, f"{prefix}.img", dim, cfg.mlp_ratio, rng),
-            _init_stream(reg, f"{prefix}.lm", dim, cfg.mlp_ratio, rng),
-        )
-    return EncoderParams(msa=msa, streams=streams, drop_path_rate=cfg.drop_path)
+def _init_block(reg, prefix, cfg, dim, j, rng) -> EncoderParams:
+    # All attention sets are registered before the norm/MLP sets.
+    prefixes = [f"{prefix}.{tag}" if tag else prefix for tag in cfg.block_sets(j)]
+    msas = [_init_msa(reg, f"{pre}.attn", dim, cfg.heads_for(dim), rng, cfg.qkv_bias) for pre in prefixes]
+    sets = tuple(_init_stream(reg, pre, msa, dim, cfg.mlp_ratio, rng) for pre, msa in zip(prefixes, msas))
+    streams = sets * (len(cfg.layout.streams) // len(sets))  # a shared set serves both streams
+    return EncoderParams(streams=streams, drop_path_rate=cfg.drop_path)
 
 
 def build_params(cfg: ModelConfig) -> ModelParams:
@@ -264,31 +267,14 @@ def build_params(cfg: ModelConfig) -> ModelParams:
     """
     rng = np.random.default_rng([cfg.seed, 1])
     reg = _Registry()
-    two_stream = cfg.layout.two_stream
-    swap = cfg.effective_swap_depth() if two_stream else 0
+    streams = cfg.layout.streams
+    proj_names = ["proj"] if len(streams) == 1 else [f"proj_{s}" for s in streams]
+    swap = cfg.effective_swap_depth() if cfg.layout.two_stream else 0
     levels = []
     for i, dim in enumerate(cfg.level_dims()):
-        prefix = f"level{i}"
-        if two_stream:
-            proj_img = _init_linear(reg, f"{prefix}.proj_img", cfg.base_dim, dim, rng)
-            proj_lm = _init_linear(reg, f"{prefix}.proj_lm", cfg.base_dim, dim, rng)
-            proj = None
-        else:
-            proj_img = proj_lm = None
-            proj = _init_linear(reg, f"{prefix}.proj", cfg.base_dim, dim, rng)
-        blocks = []
-        for j in range(cfg.depth):
-            shared = two_stream and cfg.share_unswapped and j >= swap
-            blocks.append(_init_block(reg, f"{prefix}.block{j}", cfg, dim, two_stream, shared, rng))
-        levels.append(
-            LevelParams(
-                dim=dim,
-                stack=StackParams(blocks=blocks, swap_depth=swap),
-                proj_img=proj_img,
-                proj_lm=proj_lm,
-                proj=proj,
-            )
-        )
+        projs = tuple(_init_linear(reg, f"level{i}.{name}", cfg.base_dim, dim, rng) for name in proj_names)
+        blocks = [_init_block(reg, f"level{i}.block{j}", cfg, dim, j, rng) for j in range(cfg.depth)]
+        levels.append(LevelParams(dim=dim, projs=projs, stack=StackParams(blocks=blocks, swap_depth=swap)))
     feat = cfg.feature_dim()
     hidden = cfg.head_hidden_dim()
     head = HeadParams(
@@ -320,8 +306,7 @@ def forward(
     xs = [concat_patches(x_img, x_lm) if s == "fused" else inputs[s] for s in cfg.layout.streams]
     pooled = []
     for i, lvl in enumerate(params.levels):
-        projs = [lvl.proj] if lvl.proj is not None else [lvl.proj_img, lvl.proj_lm]
-        zs = [linear(x, proj.w, proj.b) for x, proj in zip(xs, projs)]
+        zs = [linear(x, proj.w, proj.b) for x, proj in zip(xs, lvl.projs)]
         ys = stack_forward(zs, lvl.stack, training, rng, pre_msa_norm=cfg.pre_msa_norm, trace=trace, level=i)
         pooled.extend(mean_pool_patches(y) for y in ys)
     h = params.head
@@ -349,18 +334,13 @@ def count_params(cfg: ModelConfig) -> dict:
     ``projections``, ``blocks``, ``head``, ``total``, and ``per_level``
     with one entry per pyramid level.
     """
-    two_stream = cfg.layout.two_stream
-    swap = cfg.effective_swap_depth()
     per_level = []
     proj_total = 0
     block_total = 0
     for dim in cfg.level_dims():
         proj = len(cfg.layout.streams) * (cfg.base_dim * dim + dim)
         one_stream = _msa_param_count(dim, cfg.qkv_bias) + _stream_param_count(dim, cfg.mlp_ratio)
-        blocks = 0
-        for j in range(cfg.depth):
-            shared = not two_stream or (cfg.share_unswapped and j >= swap)
-            blocks += one_stream if shared else 2 * one_stream
+        blocks = sum(len(cfg.block_sets(j)) for j in range(cfg.depth)) * one_stream
         per_level.append({"dim": dim, "projections": proj, "blocks": blocks})
         proj_total += proj
         block_total += blocks

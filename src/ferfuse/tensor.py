@@ -75,10 +75,6 @@ class Tensor:
             raise ShapeError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def detach(self) -> "Tensor":
-        """Copy of the values, cut loose from the graph."""
-        return Tensor(self.data.copy())
-
     def zero_grad(self) -> None:
         self.grad = None
 

@@ -8,7 +8,7 @@ bug in the implementation cannot hide in its own oracle.
 
 import numpy as np
 
-from ferfuse.attention import CrossFusionMsaParams, MsaParams
+from ferfuse.attention import MsaParams
 from ferfuse.encoder import EncoderParams, StreamBlockParams
 from ferfuse.tensor import Tensor
 
@@ -24,15 +24,14 @@ def make_msa_params(dim, heads, rng, scale=0.3, bias=True):
 
 
 def make_cross_params(dim, heads, rng, scale=0.3, bias=True):
-    return CrossFusionMsaParams(
-        img=make_msa_params(dim, heads, rng, scale, bias),
-        lm=make_msa_params(dim, heads, rng, scale, bias),
-    )
+    """Independent [img, lm] attention weight sets."""
+    return [make_msa_params(dim, heads, rng, scale, bias), make_msa_params(dim, heads, rng, scale, bias)]
 
 
-def make_stream_params(dim, ratio, rng, scale=0.3):
+def make_stream_params(dim, ratio, rng, msa, scale=0.3):
     hidden = ratio * dim
     return StreamBlockParams(
+        msa=msa,
         norm1_gamma=Tensor(np.ones(dim), requires_grad=True),
         norm1_beta=Tensor(np.zeros(dim), requires_grad=True),
         norm2_gamma=Tensor(1.0 + 0.1 * rng.standard_normal(dim), requires_grad=True),
@@ -45,17 +44,14 @@ def make_stream_params(dim, ratio, rng, scale=0.3):
 
 
 def make_vanilla_block_params(dim, heads, ratio, rng, drop_path_rate=0.0):
-    return EncoderParams(
-        msa=make_msa_params(dim, heads, rng),
-        streams=(make_stream_params(dim, ratio, rng),),
-        drop_path_rate=drop_path_rate,
-    )
+    msa = make_msa_params(dim, heads, rng)
+    return EncoderParams(streams=(make_stream_params(dim, ratio, rng, msa),), drop_path_rate=drop_path_rate)
 
 
 def make_cross_block_params(dim, heads, ratio, rng, drop_path_rate=0.0):
+    msas = make_cross_params(dim, heads, rng)
     return EncoderParams(
-        msa=make_cross_params(dim, heads, rng),
-        streams=(make_stream_params(dim, ratio, rng), make_stream_params(dim, ratio, rng)),
+        streams=tuple(make_stream_params(dim, ratio, rng, msa) for msa in msas),
         drop_path_rate=drop_path_rate,
     )
 
@@ -134,20 +130,22 @@ def oracle_mhsa(x, p: MsaParams):
     return _proj(att, p.w_o.data, None if p.b_o is None else p.b_o.data)
 
 
-def oracle_cross_fusion_mhsa(x_img, x_lm, p: CrossFusionMsaParams):
+def oracle_query_swap_mhsa(x_img, x_lm, p):
     """Literal query swap: image output scored by landmark queries and
-    vice versa, each stream keeping its own keys, values, and output map."""
-    q_img = _proj(x_img, p.img.w_q.data, None if p.img.b_q is None else p.img.b_q.data)
-    k_img = _proj(x_img, p.img.w_k.data, None if p.img.b_k is None else p.img.b_k.data)
-    v_img = _proj(x_img, p.img.w_v.data, None if p.img.b_v is None else p.img.b_v.data)
-    q_lm = _proj(x_lm, p.lm.w_q.data, None if p.lm.b_q is None else p.lm.b_q.data)
-    k_lm = _proj(x_lm, p.lm.w_k.data, None if p.lm.b_k is None else p.lm.b_k.data)
-    v_lm = _proj(x_lm, p.lm.w_v.data, None if p.lm.b_v is None else p.lm.b_v.data)
-    out_img = oracle_attention(q_lm, k_img, v_img, p.img.heads)
-    out_lm = oracle_attention(q_img, k_lm, v_lm, p.lm.heads)
+    vice versa, each stream keeping its own keys, values, and output map.
+    ``p`` is the [img, lm] pair of MsaParams."""
+    p_img, p_lm = p
+    q_img = _proj(x_img, p_img.w_q.data, None if p_img.b_q is None else p_img.b_q.data)
+    k_img = _proj(x_img, p_img.w_k.data, None if p_img.b_k is None else p_img.b_k.data)
+    v_img = _proj(x_img, p_img.w_v.data, None if p_img.b_v is None else p_img.b_v.data)
+    q_lm = _proj(x_lm, p_lm.w_q.data, None if p_lm.b_q is None else p_lm.b_q.data)
+    k_lm = _proj(x_lm, p_lm.w_k.data, None if p_lm.b_k is None else p_lm.b_k.data)
+    v_lm = _proj(x_lm, p_lm.w_v.data, None if p_lm.b_v is None else p_lm.b_v.data)
+    out_img = oracle_attention(q_lm, k_img, v_img, p_img.heads)
+    out_lm = oracle_attention(q_img, k_lm, v_lm, p_lm.heads)
     return (
-        _proj(out_img, p.img.w_o.data, None if p.img.b_o is None else p.img.b_o.data),
-        _proj(out_lm, p.lm.w_o.data, None if p.lm.b_o is None else p.lm.b_o.data),
+        _proj(out_img, p_img.w_o.data, None if p_img.b_o is None else p_img.b_o.data),
+        _proj(out_lm, p_lm.w_o.data, None if p_lm.b_o is None else p_lm.b_o.data),
     )
 
 
@@ -167,11 +165,11 @@ def _oracle_stream_tail(x, attn_out, s: StreamBlockParams, eps):
 
 def oracle_vanilla_block(x, p: EncoderParams, eps):
     """Residual attention then residual MLP over a norm, written literally."""
-    return _oracle_stream_tail(x, oracle_mhsa(x, p.msa), p.streams[0], eps)
+    return _oracle_stream_tail(x, oracle_mhsa(x, p.streams[0].msa), p.streams[0], eps)
 
 
 def oracle_cross_fusion_block(x_img, x_lm, p: EncoderParams, eps):
-    a_img, a_lm = oracle_cross_fusion_mhsa(x_img, x_lm, p.msa)
+    a_img, a_lm = oracle_query_swap_mhsa(x_img, x_lm, [s.msa for s in p.streams])
     return (
         _oracle_stream_tail(x_img, a_img, p.streams[0], eps),
         _oracle_stream_tail(x_lm, a_lm, p.streams[-1], eps),

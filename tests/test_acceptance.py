@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from ferfuse.attention import CrossFusionMsaParams, cross_fusion_mhsa, mhsa
+from ferfuse.attention import mhsa
 from ferfuse.binio import BadMagicError, FormatVersionError, TruncatedFileError
 from ferfuse.checkpoint import load_checkpoint, save_checkpoint
 from ferfuse.cli import main as cli_main
@@ -51,8 +51,8 @@ from helpers import (
     make_msa_params,
     make_vanilla_block_params,
     oracle_cross_fusion_block,
-    oracle_cross_fusion_mhsa,
     oracle_mhsa,
+    oracle_query_swap_mhsa,
     oracle_vanilla_block,
 )
 
@@ -124,7 +124,7 @@ class TestCriterion01GradientSuite:
             named[tag] = getattr(p_msa, tag)
         worst = max(
             worst,
-            self._check_op("mhsa", lambda: sum_all(mul_const(mhsa(xa, p_msa), c34)), named),
+            self._check_op("mhsa", lambda: sum_all(mul_const(mhsa([xa], [p_msa])[0], c34)), named),
         )
 
         p_cross = make_cross_params(4, 2, rng)
@@ -133,20 +133,20 @@ class TestCriterion01GradientSuite:
         ci = rng.standard_normal((2, 4))
         cl = rng.standard_normal((2, 4))
         named = {"xi": xi, "xl": xl}
-        for stream, pp in (("img", p_cross.img), ("lm", p_cross.lm)):
+        for stream, pp in zip(("img", "lm"), p_cross):
             for tag in ("w_q", "w_k", "w_v", "w_o", "b_q", "b_k", "b_v", "b_o"):
                 named[f"{stream}.{tag}"] = getattr(pp, tag)
 
         def f_cross():
-            oi, ol = cross_fusion_mhsa(xi, xl, p_cross)
+            oi, ol = mhsa([xi, xl], p_cross, swapped=True)
             return add(sum_all(mul_const(oi, ci)), sum_all(mul_const(ol, cl)))
 
-        worst = max(worst, self._check_op("cross_fusion_mhsa", f_cross, named))
+        worst = max(worst, self._check_op("mhsa swapped", f_cross, named))
 
         vb = make_vanilla_block_params(4, 2, 2, rng)
         named = {"x": xa}
         for tag in ("w_q", "w_v", "w_o"):
-            named[tag] = getattr(vb.msa, tag)
+            named[tag] = getattr(vb.streams[0].msa, tag)
         named["mlp_w1"] = vb.streams[0].mlp_w1
         named["norm2_gamma"] = vb.streams[0].norm2_gamma
         worst = max(
@@ -157,7 +157,7 @@ class TestCriterion01GradientSuite:
         )
 
         cb = make_cross_block_params(4, 2, 2, rng)
-        named = {"xi": xi, "xl": xl, "img.w_q": cb.msa.img.w_q, "lm.w_k": cb.msa.lm.w_k}
+        named = {"xi": xi, "xl": xl, "img.w_q": cb.streams[0].msa.w_q, "lm.w_k": cb.streams[1].msa.w_k}
         named["img.mlp_w2"] = cb.streams[0].mlp_w2
         named["lm.norm2_beta"] = cb.streams[1].norm2_beta
 
@@ -204,13 +204,13 @@ class TestCriterion02EquationLiteralOracles:
 
             p = make_msa_params(4, heads, rng, bias=bias)
             x = rng.standard_normal((3, 4))
-            assert np.max(np.abs(mhsa(Tensor(x), p).data - oracle_mhsa(x, p))) < 1e-10
+            assert np.max(np.abs(mhsa([Tensor(x)], [p])[0].data - oracle_mhsa(x, p))) < 1e-10
 
             pc = make_cross_params(4, heads, rng, bias=bias)
             xi = rng.standard_normal((3, 4))
             xl = rng.standard_normal((3, 4))
-            oi, ol = cross_fusion_mhsa(Tensor(xi), Tensor(xl), pc)
-            wi, wl = oracle_cross_fusion_mhsa(xi, xl, pc)
+            oi, ol = mhsa([Tensor(xi), Tensor(xl)], pc, swapped=True)
+            wi, wl = oracle_query_swap_mhsa(xi, xl, pc)
             assert np.max(np.abs(oi.data - wi)) < 1e-10
             assert np.max(np.abs(ol.data - wl)) < 1e-10
 
@@ -224,7 +224,7 @@ class TestCriterion02EquationLiteralOracles:
             qi, ql = oracle_cross_fusion_block(xi, xl, cb, LN_EPS)
             assert np.max(np.abs(bi.data - qi)) < 1e-10
             assert np.max(np.abs(bl.data - ql)) < 1e-10
-        _report(2, "(mhsa, cross_fusion_mhsa, vanilla_block, cross_fusion_block x 100 seeds)")
+        _report(2, "(mhsa, swapped mhsa, vanilla_block, cross_fusion_block x 100 seeds)")
 
 
 class TestCriterion03TiedStreamReduction:
@@ -234,7 +234,6 @@ class TestCriterion03TiedStreamReduction:
             vanilla_blocks = [make_vanilla_block_params(4, 2, 2, rng) for _ in range(depth)]
             cross_blocks = [
                 EncoderParams(
-                    msa=CrossFusionMsaParams(img=vb.msa, lm=vb.msa),
                     streams=(vb.streams[0], vb.streams[0]),
                     drop_path_rate=0.0,
                 )

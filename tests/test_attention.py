@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from ferfuse.attention import CrossFusionMsaParams, cross_fusion_mhsa, mhsa
+from ferfuse.attention import mhsa
 from ferfuse.tensor import ShapeError, Tensor, add, finite_diff_check, mul_const, sum_all
-from helpers import make_cross_params, make_msa_params, oracle_cross_fusion_mhsa, oracle_mhsa
+from helpers import make_cross_params, make_msa_params, oracle_mhsa, oracle_query_swap_mhsa
 
 
 def _named(prefix, p):
@@ -21,7 +21,7 @@ class TestMhsa:
         rng = np.random.default_rng(0)
         p = make_msa_params(4, 2, rng)
         x = Tensor(rng.standard_normal((1, 4)))
-        out = mhsa(x, p)
+        out = mhsa([x], [p])[0]
         v = x.data @ p.w_v.data + p.b_v.data
         want = v @ p.w_o.data + p.b_o.data
         assert np.allclose(out.data, want, atol=1e-12)
@@ -32,7 +32,7 @@ class TestMhsa:
         p.w_q.data[:] = 0.0
         p.b_q.data[:] = 0.0
         x = Tensor(rng.standard_normal((5, 4)))
-        out = mhsa(x, p)
+        out = mhsa([x], [p])[0]
         v = x.data @ p.w_v.data + p.b_v.data
         want = np.tile(v.mean(axis=0) @ p.w_o.data + p.b_o.data, (5, 1))
         assert np.allclose(out.data, want, atol=1e-12)
@@ -41,7 +41,7 @@ class TestMhsa:
         rng = np.random.default_rng(2)
         p = make_msa_params(4, 2, rng)
         x = rng.standard_normal((3, 4))
-        got = mhsa(Tensor(x), p).data
+        got = mhsa([Tensor(x)], [p])[0].data
         assert np.max(np.abs(got - oracle_mhsa(x, p))) < 1e-10
 
     def test_oracle_agreement_over_seeds(self):
@@ -50,22 +50,22 @@ class TestMhsa:
             heads = 1 if seed % 2 else 2
             p = make_msa_params(6, heads, rng, bias=bool(seed % 3))
             x = rng.standard_normal((4, 6))
-            got = mhsa(Tensor(x), p).data
+            got = mhsa([Tensor(x)], [p])[0].data
             assert np.max(np.abs(got - oracle_mhsa(x, p))) < 1e-10
 
     def test_shape_preserved_including_batch(self):
         rng = np.random.default_rng(3)
         p = make_msa_params(4, 2, rng)
-        out = mhsa(Tensor(rng.standard_normal((7, 5, 4))), p)
+        out = mhsa([Tensor(rng.standard_normal((7, 5, 4)))], [p])[0]
         assert out.shape == (7, 5, 4)
 
     def test_batched_rows_match_unbatched(self):
         rng = np.random.default_rng(4)
         p = make_msa_params(4, 2, rng)
         xs = rng.standard_normal((3, 5, 4))
-        batched = mhsa(Tensor(xs), p).data
+        batched = mhsa([Tensor(xs)], [p])[0].data
         for i in range(3):
-            single = mhsa(Tensor(xs[i]), p).data
+            single = mhsa([Tensor(xs[i])], [p])[0].data
             assert np.allclose(batched[i], single, atol=1e-12)
 
     def test_heads_must_divide_dim(self):
@@ -73,13 +73,13 @@ class TestMhsa:
         p = make_msa_params(4, 2, rng)
         p.heads = 3
         with pytest.raises(ShapeError):
-            mhsa(Tensor(rng.standard_normal((2, 4))), p)
+            mhsa([Tensor(rng.standard_normal((2, 4)))], [p])
 
     def test_attention_rows_sum_to_one(self):
         rng = np.random.default_rng(6)
         p = make_msa_params(4, 2, rng)
         sink = []
-        mhsa(Tensor(rng.standard_normal((5, 4))), p, attn_sink=sink)
+        mhsa([Tensor(rng.standard_normal((5, 4)))], [p], sinks=[sink])
         (weights,) = sink
         assert weights.shape == (2, 5, 5)
         assert np.max(np.abs(weights.data.sum(axis=-1) - 1.0)) < 1e-12
@@ -89,8 +89,8 @@ class TestMhsa:
         p = make_msa_params(6, 2, rng)
         x = rng.standard_normal((5, 6))
         perm = rng.permutation(5)
-        direct = mhsa(Tensor(x[perm]), p).data
-        permuted = mhsa(Tensor(x), p).data[perm]
+        direct = mhsa([Tensor(x[perm])], [p])[0].data
+        permuted = mhsa([Tensor(x)], [p])[0].data[perm]
         assert np.max(np.abs(direct - permuted)) < 1e-12
 
     def test_gradients(self):
@@ -100,7 +100,7 @@ class TestMhsa:
         c = rng.standard_normal((3, 4))
 
         def f():
-            return sum_all(mul_const(mhsa(x, p), c))
+            return sum_all(mul_const(mhsa([x], [p])[0], c))
 
         params = {"x": x, **_named("p", p)}
         assert finite_diff_check(f, params).passed
@@ -110,10 +110,10 @@ class TestCrossFusionMhsa:
     def test_tied_streams_reduce_to_self_attention(self):
         rng = np.random.default_rng(10)
         p = make_msa_params(4, 2, rng)
-        tied = CrossFusionMsaParams(img=p, lm=p)
+        tied = [p, p]
         x = Tensor(rng.standard_normal((5, 4)))
-        want = mhsa(x, p).data
-        out_img, out_lm = cross_fusion_mhsa(x, x, tied)
+        want = mhsa([x], [p])[0].data
+        out_img, out_lm = mhsa([x, x], tied, swapped=True)
         assert np.array_equal(out_img.data, want)
         assert np.array_equal(out_lm.data, want)
 
@@ -122,9 +122,9 @@ class TestCrossFusionMhsa:
         p = make_cross_params(4, 1, rng)
         xi = Tensor(rng.standard_normal((1, 4)))
         xl = Tensor(rng.standard_normal((1, 4)))
-        out_img, out_lm = cross_fusion_mhsa(xi, xl, p)
-        want_img = (xi.data @ p.img.w_v.data + p.img.b_v.data) @ p.img.w_o.data + p.img.b_o.data
-        want_lm = (xl.data @ p.lm.w_v.data + p.lm.b_v.data) @ p.lm.w_o.data + p.lm.b_o.data
+        out_img, out_lm = mhsa([xi, xl], p, swapped=True)
+        want_img = (xi.data @ p[0].w_v.data + p[0].b_v.data) @ p[0].w_o.data + p[0].b_o.data
+        want_lm = (xl.data @ p[1].w_v.data + p[1].b_v.data) @ p[1].w_o.data + p[1].b_o.data
         assert np.allclose(out_img.data, want_img, atol=1e-12)
         assert np.allclose(out_lm.data, want_lm, atol=1e-12)
 
@@ -133,8 +133,8 @@ class TestCrossFusionMhsa:
         p = make_cross_params(4, 1, rng)
         xi = rng.standard_normal((2, 4))
         xl = rng.standard_normal((2, 4))
-        out_img, out_lm = cross_fusion_mhsa(Tensor(xi), Tensor(xl), p)
-        want_img, want_lm = oracle_cross_fusion_mhsa(xi, xl, p)
+        out_img, out_lm = mhsa([Tensor(xi), Tensor(xl)], p, swapped=True)
+        want_img, want_lm = oracle_query_swap_mhsa(xi, xl, p)
         assert np.max(np.abs(out_img.data - want_img)) < 1e-10
         assert np.max(np.abs(out_lm.data - want_lm)) < 1e-10
 
@@ -145,8 +145,8 @@ class TestCrossFusionMhsa:
             p = make_cross_params(4, heads, rng)
             xi = rng.standard_normal((3, 4))
             xl = rng.standard_normal((3, 4))
-            out_img, out_lm = cross_fusion_mhsa(Tensor(xi), Tensor(xl), p)
-            want_img, want_lm = oracle_cross_fusion_mhsa(xi, xl, p)
+            out_img, out_lm = mhsa([Tensor(xi), Tensor(xl)], p, swapped=True)
+            want_img, want_lm = oracle_query_swap_mhsa(xi, xl, p)
             assert np.max(np.abs(out_img.data - want_img)) < 1e-10
             assert np.max(np.abs(out_lm.data - want_lm)) < 1e-10
 
@@ -154,18 +154,40 @@ class TestCrossFusionMhsa:
         rng = np.random.default_rng(13)
         p = make_cross_params(4, 1, rng)
         with pytest.raises(ShapeError):
-            cross_fusion_mhsa(Tensor(np.zeros((2, 4))), Tensor(np.zeros((3, 4))), p)
+            mhsa([Tensor(np.zeros((2, 4))), Tensor(np.zeros((3, 4)))], p, swapped=True)
 
     def test_mismatched_stream_dims_rejected_at_construction(self):
         rng = np.random.default_rng(14)
         with pytest.raises(ShapeError):
-            CrossFusionMsaParams(img=make_msa_params(4, 1, rng), lm=make_msa_params(6, 1, rng))
+            ps = [make_msa_params(4, 1, rng), make_msa_params(6, 1, rng)]
+            mhsa([Tensor(np.zeros((2, 4))), Tensor(np.zeros((2, 6)))], ps, swapped=True)
+
+    def test_swapped_streams_must_share_heads(self):
+        rng = np.random.default_rng(18)
+        ps = [make_msa_params(4, 1, rng), make_msa_params(4, 2, rng)]
+        xs = [Tensor(rng.standard_normal((3, 4))), Tensor(rng.standard_normal((3, 4)))]
+        mhsa(xs, ps)  # unswapped, each stream may keep its own head count
+        with pytest.raises(ShapeError):
+            mhsa(xs, ps, swapped=True)
+
+    def test_swap_needs_two_streams(self):
+        rng = np.random.default_rng(19)
+        p = make_msa_params(4, 2, rng)
+        with pytest.raises(ValueError):
+            mhsa([Tensor(rng.standard_normal((3, 4)))], [p], swapped=True)
+
+    def test_one_weight_set_per_stream(self):
+        rng = np.random.default_rng(20)
+        p = make_msa_params(4, 2, rng)
+        x = Tensor(rng.standard_normal((3, 4)))
+        with pytest.raises(ValueError):
+            mhsa([x, x], [p])
 
     def test_shapes_preserved(self):
         rng = np.random.default_rng(15)
         p = make_cross_params(4, 2, rng)
-        out_img, out_lm = cross_fusion_mhsa(
-            Tensor(rng.standard_normal((6, 4))), Tensor(rng.standard_normal((6, 4))), p
+        out_img, out_lm = mhsa(
+            [Tensor(rng.standard_normal((6, 4))), Tensor(rng.standard_normal((6, 4)))], p, swapped=True
         )
         assert out_img.shape == (6, 4)
         assert out_lm.shape == (6, 4)
@@ -176,8 +198,8 @@ class TestCrossFusionMhsa:
         xi = rng.standard_normal((5, 4))
         xl = rng.standard_normal((5, 4))
         perm = rng.permutation(5)
-        oi, ol = cross_fusion_mhsa(Tensor(xi), Tensor(xl), p)
-        pi, pl = cross_fusion_mhsa(Tensor(xi[perm]), Tensor(xl[perm]), p)
+        oi, ol = mhsa([Tensor(xi), Tensor(xl)], p, swapped=True)
+        pi, pl = mhsa([Tensor(xi[perm]), Tensor(xl[perm])], p, swapped=True)
         assert np.max(np.abs(pi.data - oi.data[perm])) < 1e-12
         assert np.max(np.abs(pl.data - ol.data[perm])) < 1e-12
 
@@ -188,10 +210,10 @@ class TestCrossFusionMhsa:
         xl = Tensor(rng.standard_normal((2, 4)), requires_grad=True)
         ci = rng.standard_normal((2, 4))
         cl = rng.standard_normal((2, 4))
-        params = {"xi": xi, "xl": xl, **_named("img", p.img), **_named("lm", p.lm)}
+        params = {"xi": xi, "xl": xl, **_named("img", p[0]), **_named("lm", p[1])}
 
         def f():
-            oi, ol = cross_fusion_mhsa(xi, xl, p)
+            oi, ol = mhsa([xi, xl], p, swapped=True)
             return add(sum_all(mul_const(oi, ci)), sum_all(mul_const(ol, cl)))
 
         assert finite_diff_check(f, params).passed

@@ -20,7 +20,7 @@ from helpers import (
 
 
 def _zeroed(params: EncoderParams) -> EncoderParams:
-    for p in (params.msa.img, params.msa.lm) if hasattr(params.msa, "img") else (params.msa,):
+    for p in (s.msa for s in params.streams):
         for tag in ("w_q", "w_k", "w_v", "w_o", "b_q", "b_k", "b_v", "b_o"):
             t = getattr(p, tag)
             if t is not None:
@@ -144,10 +144,7 @@ class TestCrossFusionBlock:
     def test_tied_streams_reduce_to_vanilla_block(self):
         rng = np.random.default_rng(5)
         vp = make_vanilla_block_params(4, 2, 2, rng)
-        from ferfuse.attention import CrossFusionMsaParams
-
         cp = EncoderParams(
-            msa=CrossFusionMsaParams(img=vp.msa, lm=vp.msa),
             streams=(vp.streams[0], vp.streams[0]),
             drop_path_rate=0.0,
         )
@@ -175,10 +172,18 @@ class TestCrossFusionBlock:
         xl = Tensor(rng.standard_normal((3, 4)))
         oi, ol = block([xi, xl], p, training=False, swapped=False)
         # image stream must equal a vanilla block built from its own pieces
-        vp_img = EncoderParams(msa=p.msa.img, streams=(p.streams[0],), drop_path_rate=0.0)
-        vp_lm = EncoderParams(msa=p.msa.lm, streams=(p.streams[1],), drop_path_rate=0.0)
+        vp_img = EncoderParams(streams=(p.streams[0],), drop_path_rate=0.0)
+        vp_lm = EncoderParams(streams=(p.streams[1],), drop_path_rate=0.0)
         assert np.array_equal(oi.data, block([xi], vp_img, training=False)[0].data)
         assert np.array_equal(ol.data, block([xl], vp_lm, training=False)[0].data)
+
+    def test_input_count_must_match_weight_sets(self):
+        rng = np.random.default_rng(15)
+        x = Tensor(rng.standard_normal((3, 4)))
+        with pytest.raises(ValueError):
+            block([x], make_cross_block_params(4, 2, 2, rng), training=False)
+        with pytest.raises(ValueError):
+            block([x, x], make_vanilla_block_params(4, 2, 2, rng), training=False)
 
     def test_stream_shape_mismatch(self):
         rng = np.random.default_rng(7)
@@ -193,12 +198,9 @@ class TestStackForward:
     def _tied_stack(self, rng, depth, dim=4, heads=2):
         """A cross-fusion stack whose streams share every tensor, plus the
         matching single-stream blocks."""
-        from ferfuse.attention import CrossFusionMsaParams
-
         vps = [make_vanilla_block_params(dim, heads, 2, rng) for _ in range(depth)]
         cps = [
             EncoderParams(
-                msa=CrossFusionMsaParams(img=vp.msa, lm=vp.msa),
                 streams=(vp.streams[0], vp.streams[0]),
                 drop_path_rate=0.0,
             )
@@ -226,8 +228,8 @@ class TestStackForward:
         xi = Tensor(rng.standard_normal((3, 4)))
         xl = Tensor(rng.standard_normal((3, 4)))
         oi, ol = stack_forward([xi, xl], s, training=False)
-        img_blocks = [EncoderParams(msa=b.msa.img, streams=(b.streams[0],), drop_path_rate=0.0) for b in blocks]
-        lm_blocks = [EncoderParams(msa=b.msa.lm, streams=(b.streams[1],), drop_path_rate=0.0) for b in blocks]
+        img_blocks = [EncoderParams(streams=(b.streams[0],), drop_path_rate=0.0) for b in blocks]
+        lm_blocks = [EncoderParams(streams=(b.streams[1],), drop_path_rate=0.0) for b in blocks]
         assert np.array_equal(oi.data, stack_forward([xi], StackParams(img_blocks, 0), training=False)[0].data)
         assert np.array_equal(ol.data, stack_forward([xl], StackParams(lm_blocks, 0), training=False)[0].data)
 
@@ -270,8 +272,8 @@ class TestStackForward:
         cl = rng.standard_normal((2, 4))
         params = {"xi": xi, "xl": xl}
         for k, b in enumerate(blocks):
-            params[f"b{k}.img.w_q"] = b.msa.img.w_q
-            params[f"b{k}.lm.w_v"] = b.msa.lm.w_v
+            params[f"b{k}.img.w_q"] = b.streams[0].msa.w_q
+            params[f"b{k}.lm.w_v"] = b.streams[1].msa.w_v
             params[f"b{k}.img.mlp_w1"] = b.streams[0].mlp_w1
             params[f"b{k}.lm.norm2_gamma"] = b.streams[1].norm2_gamma
 
@@ -289,7 +291,7 @@ class TestStackForward:
         c = rng.standard_normal((3, 4))
         named = {"x": x}
         for tag in ("w_q", "w_k", "w_v", "w_o", "b_q", "b_k", "b_v", "b_o"):
-            named[f"msa.{tag}"] = getattr(p.msa, tag)
+            named[f"msa.{tag}"] = getattr(p.streams[0].msa, tag)
         s = p.streams[0]
         for tag in ("norm2_gamma", "norm2_beta", "mlp_w1", "mlp_b1", "mlp_w2", "mlp_b2"):
             named[f"stream.{tag}"] = getattr(s, tag)

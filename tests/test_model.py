@@ -83,7 +83,7 @@ class TestProjectLevels:
     def test_identity_square_projection(self):
         cfg = desk_config(pyramid_dims=(32,))
         params = build_params(cfg)
-        proj = params.levels[0].proj_img
+        proj = params.levels[0].projs[0]
         proj.w.data = np.eye(32)
         proj.b.data = np.zeros(32)
         x = Tensor(np.random.default_rng(0).standard_normal((8, 32)))
@@ -94,7 +94,7 @@ class TestProjectLevels:
         cfg = desk_config()
         params = build_params(cfg)
         x = Tensor(np.random.default_rng(1).standard_normal((8, 32)))
-        outs = [linear(x, lvl.proj_img.w, lvl.proj_img.b) for lvl in params.levels]
+        outs = [linear(x, lvl.projs[0].w, lvl.projs[0].b) for lvl in params.levels]
         assert [o.shape for o in outs] == [(8, 32), (8, 16), (8, 8)]
 
     def test_projection_gradients(self):
@@ -104,7 +104,7 @@ class TestProjectLevels:
         params = build_params(cfg)
         rng = np.random.default_rng(2)
         x = Tensor(rng.standard_normal((4, 32)))
-        proj = params.levels[1].proj_img
+        proj = params.levels[1].projs[0]
         c = rng.standard_normal((4, 16))
 
         def f():
@@ -170,8 +170,8 @@ class TestPosterForward:
 
         pooled = []
         for lvl in params.levels:
-            zi = linear(xi, lvl.proj_img.w, lvl.proj_img.b)
-            zl = linear(xl, lvl.proj_lm.w, lvl.proj_lm.b)
+            zi = linear(xi, lvl.projs[0].w, lvl.projs[0].b)
+            zl = linear(xl, lvl.projs[1].w, lvl.projs[1].b)
             yi, yl = stack_forward([zi, zl], lvl.stack, training=False)
             pooled.append(mean_pool_patches(yi))
             pooled.append(mean_pool_patches(yl))
@@ -192,11 +192,11 @@ class TestPosterForward:
         params_b = build_params(cfg_b)
 
         for lvl in params_p.levels:
-            lvl.proj_lm.w.data = lvl.proj_img.w.data.copy()
-            lvl.proj_lm.b.data = lvl.proj_img.b.data.copy()
+            lvl.projs[1].w.data = lvl.projs[0].w.data.copy()
+            lvl.projs[1].b.data = lvl.projs[0].b.data.copy()
             for block in lvl.stack.blocks:
                 for tag in ("w_q", "w_k", "w_v", "w_o", "b_q", "b_k", "b_v", "b_o"):
-                    getattr(block.msa.lm, tag).data = getattr(block.msa.img, tag).data.copy()
+                    getattr(block.streams[1].msa, tag).data = getattr(block.streams[0].msa, tag).data.copy()
                 img_s, lm_s = block.streams
                 for tag in (
                     "norm1_gamma",
@@ -211,11 +211,11 @@ class TestPosterForward:
                     getattr(lm_s, tag).data = getattr(img_s, tag).data.copy()
 
         for lvl_b, lvl_p in zip(params_b.levels, params_p.levels):
-            lvl_b.proj.w.data = lvl_p.proj_img.w.data.copy()
-            lvl_b.proj.b.data = lvl_p.proj_img.b.data.copy()
+            lvl_b.projs[0].w.data = lvl_p.projs[0].w.data.copy()
+            lvl_b.projs[0].b.data = lvl_p.projs[0].b.data.copy()
             for block_b, block_p in zip(lvl_b.stack.blocks, lvl_p.stack.blocks):
                 for tag in ("w_q", "w_k", "w_v", "w_o", "b_q", "b_k", "b_v", "b_o"):
-                    getattr(block_b.msa, tag).data = getattr(block_p.msa.img, tag).data.copy()
+                    getattr(block_b.streams[0].msa, tag).data = getattr(block_p.streams[0].msa, tag).data.copy()
                 s_b = block_b.streams[0]
                 s_p = block_p.streams[0]
                 for tag in (
@@ -261,7 +261,7 @@ class TestBaselineForward:
         got = forward(Tensor(xi), Tensor(xl), params, cfg, training=False).data
         fused = np.concatenate([xi, xl], axis=0)
         assert fused.shape == (16, 32)
-        proj = fused @ params.levels[0].proj.w.data + params.levels[0].proj.b.data
+        proj = fused @ params.levels[0].projs[0].w.data + params.levels[0].projs[0].b.data
         feat = Tensor(proj.mean(axis=0))
         h = params.head
         want = linear(gelu(linear(feat, h.w1, h.b1)), h.w2, h.b2).data
@@ -270,8 +270,8 @@ class TestBaselineForward:
     def test_zero_encoder_weights_give_head_of_mean_fused_input(self):
         cfg = desk_config(variant="baseline")
         params = build_params(cfg)
-        params.levels[0].proj.w.data = np.eye(32)
-        params.levels[0].proj.b.data = np.zeros(32)
+        params.levels[0].projs[0].w.data = np.eye(32)
+        params.levels[0].projs[0].b.data = np.zeros(32)
         for name, t in params.named.items():
             if ".block" in name:
                 t.data = np.zeros_like(t.data)
@@ -296,7 +296,7 @@ class TestBaselineForward:
         fused = concat_patches(xi, xl)
         pooled = []
         for lvl in params.levels:
-            z = linear(fused, lvl.proj.w, lvl.proj.b)
+            z = linear(fused, lvl.projs[0].w, lvl.projs[0].b)
             y = stack_forward([z], lvl.stack, training=False)[0]
             pooled.append(mean_pool_patches(y))
         h = params.head
@@ -330,7 +330,7 @@ class TestSingleStreamForward:
         xi = Tensor(rng.standard_normal((8, 32)))
         got = forward(xi, Tensor(np.zeros((8, 32))), params, cfg, False).data
         lvl = params.levels[0]
-        z = linear(xi, lvl.proj.w, lvl.proj.b)
+        z = linear(xi, lvl.projs[0].w, lvl.projs[0].b)
         y = stack_forward([z], lvl.stack, training=False)[0]
         h = params.head
         want = linear(gelu(linear(mean_pool_patches(y), h.w1, h.b1)), h.w2, h.b2).data
@@ -378,8 +378,7 @@ class TestCountParams:
         params = build_params(cfg)
         assert count_params(cfg)["total"] == params.scalar_count()
         shared_block = params.levels[0].stack.blocks[1]
-        assert shared_block.msa.img is shared_block.msa.lm
-        assert len(shared_block.streams) == 1
+        assert shared_block.streams[0] is shared_block.streams[1]
         rng = np.random.default_rng(14)
         logits = forward(
             Tensor(rng.standard_normal((8, 32))), Tensor(rng.standard_normal((8, 32))), params, cfg, False

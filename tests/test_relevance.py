@@ -114,9 +114,9 @@ class TestCaptureAttention:
 
         lvl = params.levels[0]
         block = lvl.stack.blocks[0]
-        xi = linear(Tensor(xi_raw), lvl.proj_img.w, lvl.proj_img.b)
-        xl = linear(Tensor(xl_raw), lvl.proj_lm.w, lvl.proj_lm.b)
-        v_img = linear(xi, block.msa.img.w_v, block.msa.img.b_v)
+        xi = linear(Tensor(xi_raw), lvl.projs[0].w, lvl.projs[0].b)
+        xl = linear(Tensor(xl_raw), lvl.projs[1].w, lvl.projs[1].b)
+        v_img = linear(xi, block.streams[0].msa.w_v, block.streams[0].msa.b_v)
         vh = swap_axes(reshape(v_img, (2, 1, 4)), -3, -2)  # one head
 
         # the landmark stream does not depend on the image attention weights,
@@ -132,7 +132,7 @@ class TestCaptureAttention:
 
         def f():
             mixed = reshape(swap_axes(matmul(a_leaf, vh), -3, -2), (2, 4))
-            att = linear(mixed, block.msa.img.w_o, block.msa.img.b_o)
+            att = linear(mixed, block.streams[0].msa.w_o, block.streams[0].msa.b_o)
             x1 = add(att, xi)
             m = linear(gelu(linear(layer_norm(x1, s.norm2_gamma, s.norm2_beta, LN_EPS), s.mlp_w1, s.mlp_b1)), s.mlp_w2, s.mlp_b2)
             out_img = add(m, x1)
