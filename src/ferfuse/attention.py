@@ -1,8 +1,9 @@
 """Multi-head attention over one or two token streams, with query swap.
 
-Each stream projects its queries, keys and values with its own full D x D
-weights, splits heads, scores with softmax(QK^T / sqrt(d)) where d is the
-per-head width, and finishes with its own output projection. Self-attention
+Each stream projects its queries, keys and values with its own D x D
+``LinearParams`` (the one weight unit of every affine map in the model),
+splits heads, scores with softmax(QK^T / sqrt(d)) where d is the per-head
+width, and finishes with its own output projection. Self-attention
 scores each stream with its own queries. Cross-fusion swaps the two
 streams' query matrices: the image stream is scored by the landmark queries
 and vice versa, so each stream mixes its own values under the other
@@ -19,6 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .tensor import (
+    LinearParams,
     ShapeError,
     Tensor,
     linear,
@@ -32,25 +34,16 @@ from .tensor import (
 
 @dataclass
 class MsaParams:
-    """Projection weights for one multi-head self-attention layer.
-
-    All four weights are D x D; biases are length D and optional.
+    """Query, key, value and output projections of one multi-head
+    attention layer, each a D x D ``LinearParams`` with an optional bias.
     ``heads`` must divide D; the scaled-dot scores use d = D / heads.
     """
 
     heads: int
-    w_q: Tensor
-    w_k: Tensor
-    w_v: Tensor
-    w_o: Tensor
-    b_q: Tensor | None = None
-    b_k: Tensor | None = None
-    b_v: Tensor | None = None
-    b_o: Tensor | None = None
-
-    @property
-    def dim(self) -> int:
-        return self.w_q.shape[0]
+    q: LinearParams
+    k: LinearParams
+    v: LinearParams
+    o: LinearParams
 
 
 @dataclass
@@ -77,8 +70,8 @@ def _check_input(x: Tensor, p: MsaParams, label: str) -> None:
     if x.ndim < 2:
         raise ShapeError(f"{label} input must be (.., P, D), got {x.shape}")
     d = x.shape[-1]
-    if p.w_q.shape != (d, d):
-        raise ShapeError(f"{label}: weights {p.w_q.shape} do not match input {x.shape}")
+    if p.q.w.shape != (d, d):
+        raise ShapeError(f"{label}: weights {p.q.w.shape} do not match input {x.shape}")
     if d % p.heads != 0:
         raise ShapeError(f"{label}: dim {d} not divisible by heads {p.heads}")
 
@@ -131,12 +124,12 @@ def mhsa(xs: list, ps: list, swapped: bool = False, sinks: list | None = None) -
                 f"swapped streams must share shape and heads, got {xs[0].shape} with {ps[0].heads} heads "
                 f"vs {xs[1].shape} with {ps[1].heads}"
             )
-    qs = [linear(x, p.w_q, p.b_q) for x, p in zip(xs, ps)]
+    qs = [linear(x, p.q.w, p.q.b) for x, p in zip(xs, ps)]
     if swapped:
         qs.reverse()
     outs = []
     for x, p, q, sink in zip(xs, ps, qs, sinks if sinks is not None else [None] * len(xs)):
-        k = linear(x, p.w_k, p.b_k)
-        v = linear(x, p.w_v, p.b_v)
-        outs.append(linear(_attend(q, k, v, p.heads, sink), p.w_o, p.b_o))
+        k = linear(x, p.k.w, p.k.b)
+        v = linear(x, p.v.w, p.v.b)
+        outs.append(linear(_attend(q, k, v, p.heads, sink), p.o.w, p.o.b))
     return outs

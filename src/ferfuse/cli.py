@@ -37,9 +37,7 @@ from .training import TrainConfig, evaluate, label_smoothing_ce, train_loop
 
 
 _MODEL_KEYS = tuple(f.name for f in fields(ModelConfig))
-# label_smoothing is left to TrainConfig's default, None, which defers to
-# the model config's value; seed is shared by both configs.
-_TRAIN_KEYS = tuple(f.name for f in fields(TrainConfig) if f.name != "label_smoothing")
+_TRAIN_KEYS = tuple(f.name for f in fields(TrainConfig))  # seed is shared by both configs
 
 
 class _RunConfigMethods:
@@ -285,6 +283,8 @@ def _run_cell(cfg: RunConfig, label: str, overrides: dict, seed_index: int, trai
 
 
 def cmd_ablate(args) -> int:
+    if args.workers < 1:
+        raise CliError(f"--workers must be >= 1, got {args.workers}")
     cfg = resolve_config(args)
     train_ds = _load_features(args.data)
     if args.test_data:
@@ -295,41 +295,30 @@ def cmd_ablate(args) -> int:
     write_effective_config(cfg, out_dir)
     cells = grid_cells(args.grid, cfg)
     jobs = [(label, overrides, s) for label, overrides in cells for s in range(args.seeds)]
-    rows: dict = {}
-    errors = []
 
     def run(job):
         label, overrides, s = job
         try:
-            return job, _run_cell(cfg, label, overrides, s, train_ds, test_ds), None
+            return _run_cell(cfg, label, overrides, s, train_ds, test_ds)
         except Exception as e:  # cell failures are recorded, the grid continues
-            return job, None, f"{type(e).__name__}: {e}"
+            return {"variant": label, "seed": s, "error": f"{type(e).__name__}: {e}"}
 
-    if args.workers > 1:
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            outcomes = list(pool.map(run, jobs))
-    else:
-        outcomes = [run(job) for job in jobs]
-    for job, row, err in outcomes:
-        if err is None:
-            rows[(job[0], job[2])] = row
-        else:
-            errors.append({"variant": job[0], "seed": job[2], "error": err})
+    with ThreadPoolExecutor(max_workers=args.workers) as pool:
+        outcomes = list(pool.map(run, jobs))  # in job order: by cell, then seed
+    rows = [r for r in outcomes if "error" not in r]
+    errors = [r for r in outcomes if "error" in r]
 
     with open(out_dir / "results.csv", "w", newline="") as f:
         writer = csv.DictWriter(f, fieldnames=["variant", "seed", "acc", "mean_acc", "params", "flops"])
         writer.writeheader()
-        for label, _ in cells:
-            for s in range(args.seeds):
-                if (label, s) in rows:
-                    writer.writerow(rows[(label, s)])
+        writer.writerows(rows)
     with open(out_dir / "summary.csv", "w", newline="") as f:
         writer = csv.DictWriter(
             f, fieldnames=["variant", "acc_mean", "acc_std", "mean_acc_mean", "mean_acc_std", "params", "flops"]
         )
         writer.writeheader()
         for label, _ in cells:
-            got = [rows[(label, s)] for s in range(args.seeds) if (label, s) in rows]
+            got = [r for r in rows if r["variant"] == label]
             if not got:
                 continue
             accs = np.array([r["acc"] for r in got])

@@ -13,10 +13,12 @@ gamma/beta are allocated either way so parameter layouts do not depend on
 the flag.
 
 Each stream owns one weight set (``StreamBlockParams``: attention, norms
-and MLP); a tied two-stream block holds the same set twice. The attention
-is per-stream self-attention, except in the first ``swap_depth`` blocks of
-a two-stream stack, where the streams exchange queries (cross-fusion). A
-one-stream stack has ``swap_depth`` 0.
+and MLP); a tied two-stream block holds the same set twice. Every affine
+map is a ``LinearParams``, and one ``mlp`` runs both the block MLP and the
+model's classifier head. The attention is per-stream self-attention,
+except in the first ``swap_depth`` blocks of a two-stream stack, where the
+streams exchange queries (cross-fusion). A one-stream stack has
+``swap_depth`` 0.
 """
 
 from __future__ import annotations
@@ -38,10 +40,7 @@ class StreamBlockParams:
     norm1_beta: Tensor
     norm2_gamma: Tensor  # pre-MLP site
     norm2_beta: Tensor
-    mlp_w1: Tensor
-    mlp_b1: Tensor
-    mlp_w2: Tensor
-    mlp_b2: Tensor
+    mlp: tuple  # (fc1, fc2) LinearParams: D -> ratio * D -> D
 
 
 @dataclass
@@ -91,13 +90,16 @@ def drop_path(branch: Tensor, rate: float, training: bool, rng=None) -> Tensor:
     return scale(branch, 1.0 / (1.0 - rate))
 
 
-def _mlp(x: Tensor, s: StreamBlockParams) -> Tensor:
-    return linear(gelu(linear(x, s.mlp_w1, s.mlp_b1)), s.mlp_w2, s.mlp_b2)
+def mlp(x: Tensor, layers: tuple) -> Tensor:
+    """Two-layer MLP along the last axis: ``fc1``, exact GELU, then ``fc2``,
+    for the ``(fc1, fc2)`` pair of ``LinearParams`` in ``layers``."""
+    fc1, fc2 = layers
+    return linear(gelu(linear(x, fc1.w, fc1.b)), fc2.w, fc2.b)
 
 
 def _residual_tail(x: Tensor, attn_out: Tensor, s: StreamBlockParams, rate, training, rng) -> Tensor:
     x1 = add(drop_path(attn_out, rate, training, rng), x)
-    m = _mlp(layer_norm(x1, s.norm2_gamma, s.norm2_beta, LN_EPS), s)
+    m = mlp(layer_norm(x1, s.norm2_gamma, s.norm2_beta, LN_EPS), s.mlp)
     return add(drop_path(m, rate, training, rng), x1)
 
 

@@ -4,7 +4,8 @@ parameter registration, and analytic parameter/FLOP accounting.
 Every variant is ``levels x stack_forward(streams, swap prefix)``: per
 pyramid level, each stream is projected to the level width, runs one
 encoder stack, and is mean-pooled; the pooled features of all levels and
-streams are concatenated into a small MLP head. Variants differ only in
+streams are concatenated into a two-layer MLP head, run by the same
+``encoder.mlp`` as the block MLPs. Variants differ only in
 the streams they feed the stack and in whether they have a pyramid:
 
     streams                  attention                           variants
@@ -17,9 +18,11 @@ the streams they feed the stack and in whether they have a pyramid:
 entry; the others run a single level at ``base_dim``.
 
 Each level holds one input projection per stream, and each block one
-weight set (attention, norms, MLP) per stream. ``ModelConfig.block_sets``
-names the distinct sets of a block; a two-stream block past the swap prefix
-with ``share_unswapped`` has one set, used by both streams.
+weight set (attention, norms, MLP) per stream. Every affine map, from the
+input projections to the head, is a ``tensor.LinearParams``.
+``ModelConfig.block_sets`` names the distinct sets of a block; a two-stream
+block past the swap prefix with ``share_unswapped`` has one set, used by
+both streams.
 
 Every learnable tensor is registered under a hierarchical dotted name
 (level0.block1.img.attn.w_q, head.w2, ...); the name -> shape map is stable
@@ -34,8 +37,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .attention import AttentionTrace, MsaParams
-from .encoder import EncoderParams, StackParams, StreamBlockParams, stack_forward
-from .tensor import Tensor, concat, concat_patches, gelu, linear, mean_pool_patches
+from .encoder import EncoderParams, StackParams, StreamBlockParams, mlp, stack_forward
+from .tensor import LinearParams, Tensor, concat, concat_patches, linear, mean_pool_patches
 
 
 @dataclass(frozen=True)
@@ -160,30 +163,15 @@ class ModelConfig:
 
 
 @dataclass
-class LinearParams:
-    w: Tensor
-    b: Tensor
-
-
-@dataclass
 class LevelParams:
-    dim: int
     projs: tuple  # one LinearParams per stream
     stack: StackParams
 
 
 @dataclass
-class HeadParams:
-    w1: Tensor
-    b1: Tensor
-    w2: Tensor
-    b2: Tensor
-
-
-@dataclass
 class ModelParams:
     levels: list
-    head: HeadParams
+    head: tuple  # (fc1, fc2) LinearParams: features -> hidden -> classes
     named: "OrderedDict[str, Tensor]" = field(default_factory=OrderedDict)
 
     def scalar_count(self) -> int:
@@ -212,39 +200,33 @@ class _Registry:
         return t
 
 
-def _init_linear(reg, prefix, din, dout, rng) -> LinearParams:
-    w = reg.add(f"{prefix}.w", trunc_normal(rng, (din, dout)))
-    b = reg.add(f"{prefix}.b", np.zeros(dout))
+def _init_linear(reg, prefix, din, dout, rng, tag="") -> LinearParams:
+    w = reg.add(f"{prefix}.w{tag}", trunc_normal(rng, (din, dout)))
+    b = reg.add(f"{prefix}.b{tag}", np.zeros(dout))
     return LinearParams(w, b)
 
 
+def _init_mlp(reg, prefix, din, hidden, dout, rng) -> tuple:
+    return _init_linear(reg, prefix, din, hidden, rng, "1"), _init_linear(reg, prefix, hidden, dout, rng, "2")
+
+
 def _init_msa(reg, prefix, dim, heads, rng, qkv_bias) -> MsaParams:
-    def weight(tag):
-        return reg.add(f"{prefix}.w_{tag}", trunc_normal(rng, (dim, dim)))
-
-    def bias(tag):
-        return reg.add(f"{prefix}.b_{tag}", np.zeros(dim))
-
-    w_q, w_k, w_v, w_o = weight("q"), weight("k"), weight("v"), weight("o")
-    b_q = bias("q") if qkv_bias else None
-    b_k = bias("k") if qkv_bias else None
-    b_v = bias("v") if qkv_bias else None
-    b_o = bias("o")  # output projection always carries a bias
-    return MsaParams(heads=heads, w_q=w_q, w_k=w_k, w_v=w_v, w_o=w_o, b_q=b_q, b_k=b_k, b_v=b_v, b_o=b_o)
+    # All four weights are registered (and drawn) before the biases; the
+    # output projection always carries a bias.
+    tags = ("q", "k", "v", "o")
+    ws = [reg.add(f"{prefix}.w_{t}", trunc_normal(rng, (dim, dim))) for t in tags]
+    bs = [reg.add(f"{prefix}.b_{t}", np.zeros(dim)) if qkv_bias or t == "o" else None for t in tags]
+    return MsaParams(heads, *(LinearParams(w, b) for w, b in zip(ws, bs)))
 
 
 def _init_stream(reg, prefix, msa, dim, ratio, rng) -> StreamBlockParams:
-    hidden = ratio * dim
     return StreamBlockParams(
         msa=msa,
         norm1_gamma=reg.add(f"{prefix}.norm1.gamma", np.ones(dim)),
         norm1_beta=reg.add(f"{prefix}.norm1.beta", np.zeros(dim)),
         norm2_gamma=reg.add(f"{prefix}.norm2.gamma", np.ones(dim)),
         norm2_beta=reg.add(f"{prefix}.norm2.beta", np.zeros(dim)),
-        mlp_w1=reg.add(f"{prefix}.mlp.w1", trunc_normal(rng, (dim, hidden))),
-        mlp_b1=reg.add(f"{prefix}.mlp.b1", np.zeros(hidden)),
-        mlp_w2=reg.add(f"{prefix}.mlp.w2", trunc_normal(rng, (hidden, dim))),
-        mlp_b2=reg.add(f"{prefix}.mlp.b2", np.zeros(dim)),
+        mlp=_init_mlp(reg, f"{prefix}.mlp", dim, ratio * dim, dim, rng),
     )
 
 
@@ -274,15 +256,8 @@ def build_params(cfg: ModelConfig) -> ModelParams:
     for i, dim in enumerate(cfg.level_dims()):
         projs = tuple(_init_linear(reg, f"level{i}.{name}", cfg.base_dim, dim, rng) for name in proj_names)
         blocks = [_init_block(reg, f"level{i}.block{j}", cfg, dim, j, rng) for j in range(cfg.depth)]
-        levels.append(LevelParams(dim=dim, projs=projs, stack=StackParams(blocks=blocks, swap_depth=swap)))
-    feat = cfg.feature_dim()
-    hidden = cfg.head_hidden_dim()
-    head = HeadParams(
-        w1=reg.add("head.w1", trunc_normal(rng, (feat, hidden))),
-        b1=reg.add("head.b1", np.zeros(hidden)),
-        w2=reg.add("head.w2", trunc_normal(rng, (hidden, cfg.num_classes))),
-        b2=reg.add("head.b2", np.zeros(cfg.num_classes)),
-    )
+        levels.append(LevelParams(projs=projs, stack=StackParams(blocks=blocks, swap_depth=swap)))
+    head = _init_mlp(reg, "head", cfg.feature_dim(), cfg.head_hidden_dim(), cfg.num_classes, rng)
     return ModelParams(levels=levels, head=head, named=reg.named)
 
 
@@ -309,8 +284,7 @@ def forward(
         zs = [linear(x, proj.w, proj.b) for x, proj in zip(xs, lvl.projs)]
         ys = stack_forward(zs, lvl.stack, training, rng, pre_msa_norm=cfg.pre_msa_norm, trace=trace, level=i)
         pooled.extend(mean_pool_patches(y) for y in ys)
-    h = params.head
-    return linear(gelu(linear(concat(pooled, axis=-1), h.w1, h.b1)), h.w2, h.b2)
+    return mlp(concat(pooled, axis=-1), params.head)
 
 
 # ---------------------------------------------------------------------------

@@ -129,24 +129,10 @@ def stream_relevance(captured: list, stream: str) -> RelevanceMap:
 
 @dataclass
 class GridLayout:
-    """Maps patch index -> (row, col) grid cell, row-major by default."""
+    """A rows x cols grid holding patch i at (i // cols, i % cols)."""
 
     rows: int
     cols: int
-    cells: list | None = None
-
-    def __post_init__(self):
-        if self.cells is not None and len(set(self.cells)) != len(self.cells):
-            raise ValueError("layout cells must be unique")
-
-    @property
-    def patches(self) -> int:
-        return len(self.cells) if self.cells is not None else self.rows * self.cols
-
-    def cell(self, i: int):
-        if self.cells is not None:
-            return self.cells[i]
-        return divmod(i, self.cols)
 
 
 def near_square_layout(patches: int) -> GridLayout:
@@ -163,18 +149,15 @@ def render_map(scores, layout: GridLayout) -> np.ndarray:
     Constant scores give a uniform mid-gray (128) image.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    if scores.ndim != 1 or layout.patches != scores.size:
-        raise ValueError(f"layout holds {layout.patches} patches but scores have shape {scores.shape}")
+    patches = layout.rows * layout.cols
+    if scores.ndim != 1 or patches != scores.size:
+        raise ValueError(f"layout holds {patches} patches but scores have shape {scores.shape}")
     lo, hi = scores.min(), scores.max()
     if hi > lo:
         levels = np.rint((scores - lo) / (hi - lo) * 255.0).astype(np.uint8)
     else:
         levels = np.full(scores.shape, 128, dtype=np.uint8)
-    pixels = np.zeros((layout.rows, layout.cols), dtype=np.uint8)
-    for i, level in enumerate(levels):
-        r, c = layout.cell(i)
-        pixels[r, c] = level
-    return pixels
+    return levels.reshape(layout.rows, layout.cols)
 
 
 def write_pgm(path, pixels: np.ndarray) -> None:

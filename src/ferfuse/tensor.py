@@ -292,6 +292,15 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
     return _record("add_bias", (x, b), x.data + b.data, vjp)
 
 
+@dataclass
+class LinearParams:
+    """Weight (Din, Dout) and optional bias (Dout,) of one affine map, the
+    weight unit of every projection, MLP layer and classifier layer."""
+
+    w: Tensor
+    b: Tensor | None = None
+
+
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """Affine map along the last axis: x @ w (+ b).
 

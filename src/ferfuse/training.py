@@ -36,7 +36,6 @@ class TrainConfig:
     batch_size: int = 100
     learning_rate: float = 4e-5
     steps: int = 500
-    label_smoothing: float | None = None  # None: use the model config's value
     beta1: float = 0.9
     beta2: float = 0.999
     adam_eps: float = 1e-8
@@ -48,8 +47,6 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.learning_rate <= 0:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.label_smoothing is not None and not 0.0 <= self.label_smoothing < 1.0:
-            raise ValueError(f"label_smoothing must be in [0, 1), got {self.label_smoothing}")
 
 
 def label_smoothing_ce(logits: Tensor, labels, smoothing: float) -> Tensor:
@@ -181,9 +178,6 @@ def train_loop(
         raise ValueError("empty training dataset")
     if params is None:
         params = build_params(model_cfg)
-    smoothing = (
-        model_cfg.label_smoothing if train_cfg.label_smoothing is None else train_cfg.label_smoothing
-    )
     state = init_adam_state(params.named)
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
@@ -197,7 +191,7 @@ def train_loop(
         x_img, x_lm, labels = _batch_tensors(dataset, idx)
         try:
             logits = forward(x_img, x_lm, params, model_cfg, training=True, rng=rng)
-            loss = label_smoothing_ce(logits, labels, smoothing)
+            loss = label_smoothing_ce(logits, labels, model_cfg.label_smoothing)
         except NonFiniteError as e:
             raise NonFiniteError(f"non-finite loss at step {step}: {e}") from e
         zero_grads(params.named)

@@ -10,7 +10,7 @@ import numpy as np
 
 from ferfuse.attention import MsaParams
 from ferfuse.encoder import EncoderParams, StreamBlockParams
-from ferfuse.tensor import Tensor
+from ferfuse.tensor import LinearParams, Tensor
 
 
 def make_msa_params(dim, heads, rng, scale=0.3, bias=True):
@@ -20,7 +20,21 @@ def make_msa_params(dim, heads, rng, scale=0.3, bias=True):
     def b():
         return Tensor(rng.standard_normal(dim) * 0.1, requires_grad=True) if bias else None
 
-    return MsaParams(heads=heads, w_q=w(), w_k=w(), w_v=w(), w_o=w(), b_q=b(), b_k=b(), b_v=b(), b_o=b())
+    ws = [w() for _ in range(4)]  # all four weights are drawn before any bias
+    bs = [b() for _ in range(4)]
+    return MsaParams(heads, *(LinearParams(w_, b_) for w_, b_ in zip(ws, bs)))
+
+
+def msa_tensor(p: MsaParams, tag):
+    """The tensor of ``p`` that a parameter-name tag (``w_q`` ... ``b_o``) addresses."""
+    return getattr(getattr(p, tag[-1]), tag[0])
+
+
+def stream_tensor(s: StreamBlockParams, tag):
+    """The tensor of ``s`` that a tag addresses: a norm field, or ``mlp_w1`` ... ``mlp_b2``."""
+    if tag.startswith("mlp_"):
+        return getattr(s.mlp[int(tag[-1]) - 1], tag[-2])
+    return getattr(s, tag)
 
 
 def make_cross_params(dim, heads, rng, scale=0.3, bias=True):
@@ -36,10 +50,16 @@ def make_stream_params(dim, ratio, rng, msa, scale=0.3):
         norm1_beta=Tensor(np.zeros(dim), requires_grad=True),
         norm2_gamma=Tensor(1.0 + 0.1 * rng.standard_normal(dim), requires_grad=True),
         norm2_beta=Tensor(0.1 * rng.standard_normal(dim), requires_grad=True),
-        mlp_w1=Tensor(rng.standard_normal((dim, hidden)) * scale, requires_grad=True),
-        mlp_b1=Tensor(0.1 * rng.standard_normal(hidden), requires_grad=True),
-        mlp_w2=Tensor(rng.standard_normal((hidden, dim)) * scale, requires_grad=True),
-        mlp_b2=Tensor(0.1 * rng.standard_normal(dim), requires_grad=True),
+        mlp=(
+            LinearParams(
+                Tensor(rng.standard_normal((dim, hidden)) * scale, requires_grad=True),
+                Tensor(0.1 * rng.standard_normal(hidden), requires_grad=True),
+            ),
+            LinearParams(
+                Tensor(rng.standard_normal((hidden, dim)) * scale, requires_grad=True),
+                Tensor(0.1 * rng.standard_normal(dim), requires_grad=True),
+            ),
+        ),
     )
 
 
@@ -97,10 +117,10 @@ def naive_layer_norm_row(row, gamma, beta, eps):
     return np.array([gamma[i] * (row[i] - mu) / np.sqrt(var + eps) + beta[i] for i in range(d)])
 
 
-def _proj(x, w, b):
-    out = x @ w
-    if b is not None:
-        out = out + b
+def _proj(x, p: LinearParams):
+    out = x @ p.w.data
+    if p.b is not None:
+        out = out + p.b.data
     return out
 
 
@@ -123,11 +143,8 @@ def oracle_attention(q, k, v, heads):
 
 
 def oracle_mhsa(x, p: MsaParams):
-    q = _proj(x, p.w_q.data, None if p.b_q is None else p.b_q.data)
-    k = _proj(x, p.w_k.data, None if p.b_k is None else p.b_k.data)
-    v = _proj(x, p.w_v.data, None if p.b_v is None else p.b_v.data)
-    att = oracle_attention(q, k, v, p.heads)
-    return _proj(att, p.w_o.data, None if p.b_o is None else p.b_o.data)
+    att = oracle_attention(_proj(x, p.q), _proj(x, p.k), _proj(x, p.v), p.heads)
+    return _proj(att, p.o)
 
 
 def oracle_query_swap_mhsa(x_img, x_lm, p):
@@ -135,18 +152,11 @@ def oracle_query_swap_mhsa(x_img, x_lm, p):
     vice versa, each stream keeping its own keys, values, and output map.
     ``p`` is the [img, lm] pair of MsaParams."""
     p_img, p_lm = p
-    q_img = _proj(x_img, p_img.w_q.data, None if p_img.b_q is None else p_img.b_q.data)
-    k_img = _proj(x_img, p_img.w_k.data, None if p_img.b_k is None else p_img.b_k.data)
-    v_img = _proj(x_img, p_img.w_v.data, None if p_img.b_v is None else p_img.b_v.data)
-    q_lm = _proj(x_lm, p_lm.w_q.data, None if p_lm.b_q is None else p_lm.b_q.data)
-    k_lm = _proj(x_lm, p_lm.w_k.data, None if p_lm.b_k is None else p_lm.b_k.data)
-    v_lm = _proj(x_lm, p_lm.w_v.data, None if p_lm.b_v is None else p_lm.b_v.data)
+    q_img, k_img, v_img = _proj(x_img, p_img.q), _proj(x_img, p_img.k), _proj(x_img, p_img.v)
+    q_lm, k_lm, v_lm = _proj(x_lm, p_lm.q), _proj(x_lm, p_lm.k), _proj(x_lm, p_lm.v)
     out_img = oracle_attention(q_lm, k_img, v_img, p_img.heads)
     out_lm = oracle_attention(q_img, k_lm, v_lm, p_lm.heads)
-    return (
-        _proj(out_img, p_img.w_o.data, None if p_img.b_o is None else p_img.b_o.data),
-        _proj(out_lm, p_lm.w_o.data, None if p_lm.b_o is None else p_lm.b_o.data),
-    )
+    return _proj(out_img, p_img.o), _proj(out_lm, p_lm.o)
 
 
 def oracle_gelu(x):
@@ -158,8 +168,8 @@ def oracle_gelu(x):
 def _oracle_stream_tail(x, attn_out, s: StreamBlockParams, eps):
     x1 = attn_out + x
     normed = np.stack([naive_layer_norm_row(row, s.norm2_gamma.data, s.norm2_beta.data, eps) for row in x1])
-    m = oracle_gelu(_proj(normed, s.mlp_w1.data, s.mlp_b1.data))
-    m = _proj(m, s.mlp_w2.data, s.mlp_b2.data)
+    m = oracle_gelu(_proj(normed, s.mlp[0]))
+    m = _proj(m, s.mlp[1])
     return m + x1
 
 

@@ -50,6 +50,7 @@ from helpers import (
     make_cross_params,
     make_msa_params,
     make_vanilla_block_params,
+    msa_tensor,
     oracle_cross_fusion_block,
     oracle_mhsa,
     oracle_query_swap_mhsa,
@@ -121,7 +122,7 @@ class TestCriterion01GradientSuite:
         xa = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
         named = {"x": xa}
         for tag in ("w_q", "w_k", "w_v", "w_o", "b_q", "b_k", "b_v", "b_o"):
-            named[tag] = getattr(p_msa, tag)
+            named[tag] = msa_tensor(p_msa, tag)
         worst = max(
             worst,
             self._check_op("mhsa", lambda: sum_all(mul_const(mhsa([xa], [p_msa])[0], c34)), named),
@@ -135,7 +136,7 @@ class TestCriterion01GradientSuite:
         named = {"xi": xi, "xl": xl}
         for stream, pp in zip(("img", "lm"), p_cross):
             for tag in ("w_q", "w_k", "w_v", "w_o", "b_q", "b_k", "b_v", "b_o"):
-                named[f"{stream}.{tag}"] = getattr(pp, tag)
+                named[f"{stream}.{tag}"] = msa_tensor(pp, tag)
 
         def f_cross():
             oi, ol = mhsa([xi, xl], p_cross, swapped=True)
@@ -146,8 +147,8 @@ class TestCriterion01GradientSuite:
         vb = make_vanilla_block_params(4, 2, 2, rng)
         named = {"x": xa}
         for tag in ("w_q", "w_v", "w_o"):
-            named[tag] = getattr(vb.streams[0].msa, tag)
-        named["mlp_w1"] = vb.streams[0].mlp_w1
+            named[tag] = msa_tensor(vb.streams[0].msa, tag)
+        named["mlp_w1"] = vb.streams[0].mlp[0].w
         named["norm2_gamma"] = vb.streams[0].norm2_gamma
         worst = max(
             worst,
@@ -157,8 +158,8 @@ class TestCriterion01GradientSuite:
         )
 
         cb = make_cross_block_params(4, 2, 2, rng)
-        named = {"xi": xi, "xl": xl, "img.w_q": cb.streams[0].msa.w_q, "lm.w_k": cb.streams[1].msa.w_k}
-        named["img.mlp_w2"] = cb.streams[0].mlp_w2
+        named = {"xi": xi, "xl": xl, "img.w_q": cb.streams[0].msa.q.w, "lm.w_k": cb.streams[1].msa.k.w}
+        named["img.mlp_w2"] = cb.streams[0].mlp[1].w
         named["lm.norm2_beta"] = cb.streams[1].norm2_beta
 
         def f_block():

@@ -3,13 +3,13 @@ import pytest
 
 from ferfuse.attention import mhsa
 from ferfuse.tensor import ShapeError, Tensor, add, finite_diff_check, mul_const, sum_all
-from helpers import make_cross_params, make_msa_params, oracle_mhsa, oracle_query_swap_mhsa
+from helpers import make_cross_params, make_msa_params, msa_tensor, oracle_mhsa, oracle_query_swap_mhsa
 
 
 def _named(prefix, p):
     out = {}
     for tag in ("w_q", "w_k", "w_v", "w_o", "b_q", "b_k", "b_v", "b_o"):
-        t = getattr(p, tag)
+        t = msa_tensor(p, tag)
         if t is not None:
             out[f"{prefix}.{tag}"] = t
     return out
@@ -22,19 +22,19 @@ class TestMhsa:
         p = make_msa_params(4, 2, rng)
         x = Tensor(rng.standard_normal((1, 4)))
         out = mhsa([x], [p])[0]
-        v = x.data @ p.w_v.data + p.b_v.data
-        want = v @ p.w_o.data + p.b_o.data
+        v = x.data @ p.v.w.data + p.v.b.data
+        want = v @ p.o.w.data + p.o.b.data
         assert np.allclose(out.data, want, atol=1e-12)
 
     def test_zero_queries_give_uniform_attention(self):
         rng = np.random.default_rng(1)
         p = make_msa_params(4, 2, rng)
-        p.w_q.data[:] = 0.0
-        p.b_q.data[:] = 0.0
+        p.q.w.data[:] = 0.0
+        p.q.b.data[:] = 0.0
         x = Tensor(rng.standard_normal((5, 4)))
         out = mhsa([x], [p])[0]
-        v = x.data @ p.w_v.data + p.b_v.data
-        want = np.tile(v.mean(axis=0) @ p.w_o.data + p.b_o.data, (5, 1))
+        v = x.data @ p.v.w.data + p.v.b.data
+        want = np.tile(v.mean(axis=0) @ p.o.w.data + p.o.b.data, (5, 1))
         assert np.allclose(out.data, want, atol=1e-12)
 
     def test_matches_loop_oracle(self):
@@ -123,8 +123,8 @@ class TestCrossFusionMhsa:
         xi = Tensor(rng.standard_normal((1, 4)))
         xl = Tensor(rng.standard_normal((1, 4)))
         out_img, out_lm = mhsa([xi, xl], p, swapped=True)
-        want_img = (xi.data @ p[0].w_v.data + p[0].b_v.data) @ p[0].w_o.data + p[0].b_o.data
-        want_lm = (xl.data @ p[1].w_v.data + p[1].b_v.data) @ p[1].w_o.data + p[1].b_o.data
+        want_img = (xi.data @ p[0].v.w.data + p[0].v.b.data) @ p[0].o.w.data + p[0].o.b.data
+        want_lm = (xl.data @ p[1].v.w.data + p[1].v.b.data) @ p[1].o.w.data + p[1].o.b.data
         assert np.allclose(out_img.data, want_img, atol=1e-12)
         assert np.allclose(out_lm.data, want_lm, atol=1e-12)
 

@@ -197,6 +197,14 @@ class TestAblate:
             assert run("ablate", "--data", cluster_file, "--grid", "pyramid", "--seeds", 2,
                        "--workers", workers, "--out", out, *desk_flags("--steps", 4)) == 0
         assert (a / "results.csv").read_bytes() == (b / "results.csv").read_bytes()
+        assert (a / "summary.csv").read_bytes() == (b / "summary.csv").read_bytes()
+
+    def test_workers_below_one_rejected(self, cluster_file, tmp_path, capsys):
+        out = tmp_path / "grid"
+        assert run("ablate", "--data", cluster_file, "--grid", "pyramid", "--workers", 0,
+                   "--out", out, *desk_flags("--steps", 4)) == 1
+        assert "--workers must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_grid_rejected(self, cluster_file, tmp_path):
         with pytest.raises(SystemExit) as e:  # argparse rejects the choice
@@ -236,7 +244,6 @@ class TestConfigMirror:
     def test_split_keeps_model_label_smoothing_and_shared_seed(self):
         cfg = RunConfig(label_smoothing=0.2, seed=5, steps=7)
         assert cfg.model_config().label_smoothing == 0.2
-        assert cfg.train_config().label_smoothing is None
         assert cfg.model_config().seed == cfg.train_config().seed == 5
         assert cfg.train_config().steps == 7
 

@@ -7,27 +7,32 @@ from ferfuse.encoder import (
     StackParams,
     block,
     drop_path,
+    mlp,
     stack_forward,
 )
-from ferfuse.tensor import Tensor, add, finite_diff_check, mul_const, sum_all
+from ferfuse.model import ModelConfig, build_params
+from ferfuse.tensor import LinearParams, Tensor, add, finite_diff_check, mul_const, sum_all
 from helpers import (
     FakeRng,
     make_cross_block_params,
     make_vanilla_block_params,
+    msa_tensor,
     oracle_cross_fusion_block,
+    oracle_gelu,
     oracle_vanilla_block,
+    stream_tensor,
 )
 
 
 def _zeroed(params: EncoderParams) -> EncoderParams:
     for p in (s.msa for s in params.streams):
         for tag in ("w_q", "w_k", "w_v", "w_o", "b_q", "b_k", "b_v", "b_o"):
-            t = getattr(p, tag)
+            t = msa_tensor(p, tag)
             if t is not None:
                 t.data = np.zeros_like(t.data)
     for s in params.streams:
         for tag in ("norm1_gamma", "norm1_beta", "norm2_gamma", "norm2_beta", "mlp_w1", "mlp_b1", "mlp_w2", "mlp_b2"):
-            t = getattr(s, tag)
+            t = stream_tensor(s, tag)
             t.data = np.zeros_like(t.data)
     return params
 
@@ -70,6 +75,35 @@ class TestDropPath:
     def test_missing_rng_in_training(self):
         with pytest.raises(ValueError):
             drop_path(Tensor([1.0]), 0.5, training=True)
+
+
+class TestMlp:
+    def test_matches_oracle_and_every_affine_map_is_linear_params(self):
+        rng = np.random.default_rng(21)
+        fc1, fc2 = layers = tuple(
+            LinearParams(
+                Tensor(0.5 * rng.standard_normal((din, dout)), requires_grad=True),
+                Tensor(0.1 * rng.standard_normal(dout), requires_grad=True),
+            )
+            for din, dout in ((4, 6), (6, 3))
+        )
+        x = Tensor(rng.standard_normal((2, 5, 4)), requires_grad=True)
+        want = oracle_gelu(x.data @ fc1.w.data + fc1.b.data) @ fc2.w.data + fc2.b.data
+        assert np.max(np.abs(mlp(x, layers).data - want)) < 1e-12
+        c = rng.standard_normal((2, 5, 3))
+        named = {"x": x, "w1": fc1.w, "b1": fc1.b, "w2": fc2.w, "b2": fc2.b}
+        assert finite_diff_check(lambda: sum_all(mul_const(mlp(x, layers), c)), named).passed
+
+        for qkv_bias in (True, False):
+            cfg = ModelConfig(patches=4, base_dim=16, pyramid_dims=(16, 8), depth=2, heads_divisor=8, qkv_bias=qkv_bias)
+            params = build_params(cfg)
+            streams = [s for lvl in params.levels for b in lvl.stack.blocks for s in b.streams]
+            for pair in [params.head] + [s.mlp for s in streams]:
+                assert len(pair) == 2 and all(isinstance(lp, LinearParams) for lp in pair)
+            for msa in (s.msa for s in streams):
+                assert all(isinstance(lp, LinearParams) for lp in (msa.q, msa.k, msa.v, msa.o))
+                assert [lp.b is None for lp in (msa.q, msa.k, msa.v)] == [not qkv_bias] * 3
+                assert msa.o.b is not None
 
 
 class TestVanillaBlock:
@@ -272,9 +306,9 @@ class TestStackForward:
         cl = rng.standard_normal((2, 4))
         params = {"xi": xi, "xl": xl}
         for k, b in enumerate(blocks):
-            params[f"b{k}.img.w_q"] = b.streams[0].msa.w_q
-            params[f"b{k}.lm.w_v"] = b.streams[1].msa.w_v
-            params[f"b{k}.img.mlp_w1"] = b.streams[0].mlp_w1
+            params[f"b{k}.img.w_q"] = b.streams[0].msa.q.w
+            params[f"b{k}.lm.w_v"] = b.streams[1].msa.v.w
+            params[f"b{k}.img.mlp_w1"] = b.streams[0].mlp[0].w
             params[f"b{k}.lm.norm2_gamma"] = b.streams[1].norm2_gamma
 
         def f():
@@ -291,10 +325,10 @@ class TestStackForward:
         c = rng.standard_normal((3, 4))
         named = {"x": x}
         for tag in ("w_q", "w_k", "w_v", "w_o", "b_q", "b_k", "b_v", "b_o"):
-            named[f"msa.{tag}"] = getattr(p.streams[0].msa, tag)
+            named[f"msa.{tag}"] = msa_tensor(p.streams[0].msa, tag)
         s = p.streams[0]
         for tag in ("norm2_gamma", "norm2_beta", "mlp_w1", "mlp_b1", "mlp_w2", "mlp_b2"):
-            named[f"stream.{tag}"] = getattr(s, tag)
+            named[f"stream.{tag}"] = stream_tensor(s, tag)
 
         def f():
             return sum_all(mul_const(block([x], p, training=False)[0], c))

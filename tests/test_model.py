@@ -21,6 +21,7 @@ from ferfuse.model import (
 )
 from ferfuse.tensor import ShapeError, Tensor, backward, concat, gelu, linear, mean_pool_patches, sum_all
 from ferfuse.training import label_smoothing_ce
+from helpers import msa_tensor, stream_tensor
 
 
 def desk_config(**kw):
@@ -177,7 +178,7 @@ class TestPosterForward:
             pooled.append(mean_pool_patches(yl))
         feat = concat(pooled, axis=-1)
         h = params.head
-        want = linear(gelu(linear(feat, h.w1, h.b1)), h.w2, h.b2).data
+        want = linear(gelu(linear(feat, h[0].w, h[0].b)), h[1].w, h[1].b).data
         assert np.max(np.abs(got - want)) < 1e-12
 
     def test_tied_streams_match_baseline_pyramid_on_duplicated_input(self):
@@ -196,7 +197,7 @@ class TestPosterForward:
             lvl.projs[1].b.data = lvl.projs[0].b.data.copy()
             for block in lvl.stack.blocks:
                 for tag in ("w_q", "w_k", "w_v", "w_o", "b_q", "b_k", "b_v", "b_o"):
-                    getattr(block.streams[1].msa, tag).data = getattr(block.streams[0].msa, tag).data.copy()
+                    msa_tensor(block.streams[1].msa, tag).data = msa_tensor(block.streams[0].msa, tag).data.copy()
                 img_s, lm_s = block.streams
                 for tag in (
                     "norm1_gamma",
@@ -208,14 +209,14 @@ class TestPosterForward:
                     "mlp_w2",
                     "mlp_b2",
                 ):
-                    getattr(lm_s, tag).data = getattr(img_s, tag).data.copy()
+                    stream_tensor(lm_s, tag).data = stream_tensor(img_s, tag).data.copy()
 
         for lvl_b, lvl_p in zip(params_b.levels, params_p.levels):
             lvl_b.projs[0].w.data = lvl_p.projs[0].w.data.copy()
             lvl_b.projs[0].b.data = lvl_p.projs[0].b.data.copy()
             for block_b, block_p in zip(lvl_b.stack.blocks, lvl_p.stack.blocks):
                 for tag in ("w_q", "w_k", "w_v", "w_o", "b_q", "b_k", "b_v", "b_o"):
-                    getattr(block_b.streams[0].msa, tag).data = getattr(block_p.streams[0].msa, tag).data.copy()
+                    msa_tensor(block_b.streams[0].msa, tag).data = msa_tensor(block_p.streams[0].msa, tag).data.copy()
                 s_b = block_b.streams[0]
                 s_p = block_p.streams[0]
                 for tag in (
@@ -228,19 +229,19 @@ class TestPosterForward:
                     "mlp_w2",
                     "mlp_b2",
                 ):
-                    getattr(s_b, tag).data = getattr(s_p, tag).data.copy()
+                    stream_tensor(s_b, tag).data = stream_tensor(s_p, tag).data.copy()
 
         # poster head rows: [img_l0, lm_l0, img_l1, lm_l1, ...]
-        w1p = params_p.head.w1.data
+        w1p = params_p.head[0].w.data
         rows = []
         offset = 0
         for d in dims:
             rows.append(w1p[offset : offset + d] + w1p[offset + d : offset + 2 * d])
             offset += 2 * d
-        params_b.head.w1.data = np.concatenate(rows, axis=0)
-        params_b.head.b1.data = params_p.head.b1.data.copy()
-        params_b.head.w2.data = params_p.head.w2.data.copy()
-        params_b.head.b2.data = params_p.head.b2.data.copy()
+        params_b.head[0].w.data = np.concatenate(rows, axis=0)
+        params_b.head[0].b.data = params_p.head[0].b.data.copy()
+        params_b.head[1].w.data = params_p.head[1].w.data.copy()
+        params_b.head[1].b.data = params_p.head[1].b.data.copy()
 
         rng = np.random.default_rng(7)
         x = Tensor(rng.standard_normal((8, 32)))
@@ -264,7 +265,7 @@ class TestBaselineForward:
         proj = fused @ params.levels[0].projs[0].w.data + params.levels[0].projs[0].b.data
         feat = Tensor(proj.mean(axis=0))
         h = params.head
-        want = linear(gelu(linear(feat, h.w1, h.b1)), h.w2, h.b2).data
+        want = linear(gelu(linear(feat, h[0].w, h[0].b)), h[1].w, h[1].b).data
         assert np.max(np.abs(got - want)) < 1e-12
 
     def test_zero_encoder_weights_give_head_of_mean_fused_input(self):
@@ -281,7 +282,7 @@ class TestBaselineForward:
         got = forward(Tensor(xi), Tensor(xl), params, cfg, training=False).data
         feat = Tensor(np.concatenate([xi, xl], axis=0).mean(axis=0))
         h = params.head
-        want = linear(gelu(linear(feat, h.w1, h.b1)), h.w2, h.b2).data
+        want = linear(gelu(linear(feat, h[0].w, h[0].b)), h[1].w, h[1].b).data
         assert np.max(np.abs(got - want)) < 1e-12
 
     def test_matches_hand_composition(self):
@@ -300,7 +301,7 @@ class TestBaselineForward:
             y = stack_forward([z], lvl.stack, training=False)[0]
             pooled.append(mean_pool_patches(y))
         h = params.head
-        want = linear(gelu(linear(concat(pooled, axis=-1), h.w1, h.b1)), h.w2, h.b2).data
+        want = linear(gelu(linear(concat(pooled, axis=-1), h[0].w, h[0].b)), h[1].w, h[1].b).data
         assert np.max(np.abs(got - want)) < 1e-12
 
 
@@ -333,7 +334,7 @@ class TestSingleStreamForward:
         z = linear(xi, lvl.projs[0].w, lvl.projs[0].b)
         y = stack_forward([z], lvl.stack, training=False)[0]
         h = params.head
-        want = linear(gelu(linear(mean_pool_patches(y), h.w1, h.b1)), h.w2, h.b2).data
+        want = linear(gelu(linear(mean_pool_patches(y), h[0].w, h[0].b)), h[1].w, h[1].b).data
         assert np.max(np.abs(got - want)) < 1e-12
 
 

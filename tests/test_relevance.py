@@ -116,7 +116,7 @@ class TestCaptureAttention:
         block = lvl.stack.blocks[0]
         xi = linear(Tensor(xi_raw), lvl.projs[0].w, lvl.projs[0].b)
         xl = linear(Tensor(xl_raw), lvl.projs[1].w, lvl.projs[1].b)
-        v_img = linear(xi, block.streams[0].msa.w_v, block.streams[0].msa.b_v)
+        v_img = linear(xi, block.streams[0].msa.v.w, block.streams[0].msa.v.b)
         vh = swap_axes(reshape(v_img, (2, 1, 4)), -3, -2)  # one head
 
         # the landmark stream does not depend on the image attention weights,
@@ -132,13 +132,13 @@ class TestCaptureAttention:
 
         def f():
             mixed = reshape(swap_axes(matmul(a_leaf, vh), -3, -2), (2, 4))
-            att = linear(mixed, block.streams[0].msa.w_o, block.streams[0].msa.b_o)
+            att = linear(mixed, block.streams[0].msa.o.w, block.streams[0].msa.o.b)
             x1 = add(att, xi)
-            m = linear(gelu(linear(layer_norm(x1, s.norm2_gamma, s.norm2_beta, LN_EPS), s.mlp_w1, s.mlp_b1)), s.mlp_w2, s.mlp_b2)
+            m = linear(gelu(linear(layer_norm(x1, s.norm2_gamma, s.norm2_beta, LN_EPS), s.mlp[0].w, s.mlp[0].b)), s.mlp[1].w, s.mlp[1].b)
             out_img = add(m, x1)
             feat = concat((mean_pool_patches(out_img), lm_pooled_const), axis=-1)
             h = params.head
-            logits = linear(gelu(linear(feat, h.w1, h.b1)), h.w2, h.b2)
+            logits = linear(gelu(linear(feat, h[0].w, h[0].b)), h[1].w, h[1].b)
             onehot = np.zeros(cfg.num_classes)
             onehot[target] = 1.0
             return sum_all(mul_const(logits, onehot))

@@ -247,7 +247,7 @@ class TestEvaluate:
         params = build_params(cfg)
         for name, t in params.named.items():
             t.data = np.zeros_like(t.data)
-        params.head.b2.data = np.array([0.0, 5.0, 0.0, 0.0])  # always predict class 1
+        params.head[1].b.data = np.array([0.0, 5.0, 0.0, 0.0])  # always predict class 1
         report = evaluate(params, cfg, ds)
         assert report.accuracy == pytest.approx(0.25, abs=1e-12)
         assert np.all(np.asarray(report.confusion.counts)[:, 1] == 25)
