@@ -120,7 +120,9 @@ def resolve_config(args) -> RunConfig:
     if values.get("swap_depth", None) is not None and values["swap_depth"] < 0:
         values["swap_depth"] = None
     cfg = RunConfig(**values)
-    cfg.model_config()  # validate eagerly so bad configs fail before any work
+    # Build both configs eagerly so bad values fail before any work.
+    cfg.model_config()
+    cfg.train_config()
     return cfg
 
 
@@ -285,6 +287,8 @@ def _run_cell(cfg: RunConfig, label: str, overrides: dict, seed_index: int, trai
 def cmd_ablate(args) -> int:
     if args.workers < 1:
         raise CliError(f"--workers must be >= 1, got {args.workers}")
+    if args.seeds < 1:
+        raise CliError(f"--seeds must be >= 1, got {args.seeds}")
     cfg = resolve_config(args)
     train_ds = _load_features(args.data)
     if args.test_data:

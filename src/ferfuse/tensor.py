@@ -15,6 +15,12 @@ All data is float64 and row-major. Any NaN or Inf entering or leaving an
 op is a contract violation and raises ``NonFiniteError`` immediately.
 A graph and its tensors belong to a single thread; detached value arrays
 are plain numpy and safe to share read-only.
+
+The tape is acyclic: an op output holds the ``OpNode`` that made it, and a
+node holds its inputs and its VJP, never its output. So a graph lives
+exactly as long as its root (the loss, or the logits) and is freed by
+reference counting the moment the last reference to that root goes, with
+no wait for Python's cyclic garbage collector.
 """
 
 from __future__ import annotations
@@ -83,14 +89,17 @@ class Tensor:
 
 
 class OpNode:
-    """One executed primitive op: inputs, output, and its adjoint rule."""
+    """One executed primitive op: its inputs and its adjoint rule.
 
-    __slots__ = ("name", "inputs", "output", "vjp")
+    The output holds its node, never the other way round, so no tape has a
+    reference cycle; ``Graph.trace`` pairs each node with its output.
+    """
 
-    def __init__(self, name, inputs, output, vjp):
+    __slots__ = ("name", "inputs", "vjp")
+
+    def __init__(self, name, inputs, vjp):
         self.name = name
         self.inputs = inputs
-        self.output = output
         self.vjp = vjp
 
 
@@ -98,15 +107,21 @@ class Graph:
     """Ordered record of the ops that produce one output tensor.
 
     ``ops`` is topologically sorted: every op appears after the ops that
-    produced its inputs, and each op appears exactly once.
+    produced its inputs, and each op appears exactly once. ``outputs[i]``
+    is the tensor ``ops[i]`` produced.
+
+    Ownership: an output holds its node; a node holds its inputs, never
+    its output. So the tape behind a root lives as long as the root does.
     """
 
-    def __init__(self, ops: list):
+    def __init__(self, ops: list, outputs: list):
         self.ops = ops
+        self.outputs = outputs
 
     @staticmethod
     def trace(root: Tensor) -> "Graph":
         ops: list[OpNode] = []
+        outputs: list[Tensor] = []
         visited: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(root, False)]
         while stack:
@@ -116,6 +131,7 @@ class Graph:
                 continue
             if ready:
                 ops.append(node)
+                outputs.append(tensor)
                 continue
             if id(node) in visited:
                 continue
@@ -123,7 +139,7 @@ class Graph:
             stack.append((tensor, True))
             for parent in node.inputs:
                 stack.append((parent, False))
-        return Graph(ops)
+        return Graph(ops, outputs)
 
 
 def backward(loss: Tensor) -> None:
@@ -136,6 +152,9 @@ def backward(loss: Tensor) -> None:
     simply left alone. The gradient of any other op output lives only
     until its op's VJP has consumed it, so a step holds the gradients in
     flight rather than one per activation.
+
+    ``backward`` does not free the graph: it lives until the caller drops
+    ``loss``, and a second call on the same loss stacks one more gradient.
     """
     if loss.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -143,8 +162,7 @@ def backward(loss: Tensor) -> None:
     # Fresh per-call accumulators so repeated backward calls stack cleanly.
     fresh: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     leaves: dict[int, Tensor] = {id(loss): loss} if loss.creator is None and loss.requires_grad else {}
-    for node in reversed(graph.ops):
-        out = node.output
+    for node, out in zip(reversed(graph.ops), reversed(graph.outputs)):
         # Every consumer of this output ran earlier in reverse order, so its
         # gradient is complete here and nothing reads it after this VJP.
         gout = fresh.pop(id(out), None)
@@ -182,7 +200,7 @@ def _record(name, inputs, out_data, vjp) -> Tensor:
     out = Tensor(out_data)
     if any(t.requires_grad for t in inputs):
         out.requires_grad = True
-        out.creator = OpNode(name, tuple(inputs), out, vjp)
+        out.creator = OpNode(name, tuple(inputs), vjp)
     return out
 
 

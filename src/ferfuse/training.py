@@ -47,6 +47,10 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.learning_rate <= 0:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if self.steps < 1:
+            raise ValueError(f"steps must be >= 1, got {self.steps}")
+        if self.checkpoint_every < 0:
+            raise ValueError(f"checkpoint_every must be >= 0, got {self.checkpoint_every}")
 
 
 def label_smoothing_ce(logits: Tensor, labels, smoothing: float) -> Tensor:
@@ -205,6 +209,8 @@ def train_loop(
             train_cfg.adam_eps,
         )
         log.append((step, loss.item(), train_cfg.learning_rate, clock() - start))
+        # The loss roots this step's tape; free it before the next forward.
+        del logits, loss
         if out_path is not None and train_cfg.checkpoint_every and step % train_cfg.checkpoint_every == 0:
             save_checkpoint(out_path / f"checkpoint_{step:06d}.pckpt", params.named)
     ckpt = None
@@ -232,6 +238,7 @@ def predict(
         x_img, x_lm, _ = _batch_tensors(dataset, idx)
         logits = forward(x_img, x_lm, params, cfg, training=False)
         preds.append(np.argmax(logits.data, axis=-1))
+        del logits
     return np.concatenate(preds)
 
 

@@ -117,6 +117,17 @@ class TestTrainEval:
         assert code == 1
         assert "not found" in capsys.readouterr().err
 
+    def test_bad_steps_or_checkpoint_cadence_rejected(self, cluster_file, tmp_path, capsys):
+        for flag, value, message in (
+            ("--steps", 0, "steps must be >= 1"),
+            ("--steps", -2, "steps must be >= 1"),
+            ("--checkpoint-every", -1, "checkpoint_every must be >= 0"),
+        ):
+            out = tmp_path / f"run{flag}{value}"
+            assert run("train", "--data", cluster_file, "--out", out, *desk_flags(flag, value)) == 1
+            assert message in capsys.readouterr().err
+            assert not out.exists()
+
     def test_effective_config_replay_reproduces_run(self, cluster_file, tmp_path):
         out_a = tmp_path / "a"
         assert run("train", "--data", cluster_file, "--out", out_a, *desk_flags("--steps", 8)) == 0
@@ -204,6 +215,21 @@ class TestAblate:
         assert run("ablate", "--data", cluster_file, "--grid", "pyramid", "--workers", 0,
                    "--out", out, *desk_flags("--steps", 4)) == 1
         assert "--workers must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_seeds_below_one_rejected(self, cluster_file, tmp_path, capsys):
+        for seeds in (0, -3):
+            out = tmp_path / f"grid{seeds}"
+            assert run("ablate", "--data", cluster_file, "--grid", "pyramid", "--seeds", seeds,
+                       "--out", out, *desk_flags("--steps", 4)) == 1
+            assert "--seeds must be >= 1" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_steps_below_one_rejected(self, cluster_file, tmp_path, capsys):
+        out = tmp_path / "grid"
+        assert run("ablate", "--data", cluster_file, "--grid", "table4",
+                   "--out", out, *desk_flags("--steps", 0)) == 1
+        assert "steps must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unknown_grid_rejected(self, cluster_file, tmp_path):

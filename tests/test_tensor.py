@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -452,6 +454,32 @@ class TestBackward:
             for parent in node.inputs:
                 if parent.creator is not None:
                     assert positions[id(parent.creator)] < idx
+
+    def test_trace_pairs_each_op_with_its_output(self):
+        x = Tensor(np.ones((2, 2)), requires_grad=True)
+        loss = sum_all(gelu(matmul(x, x)))
+        graph = Graph.trace(loss)
+        assert [node.name for node in graph.ops] == ["matmul", "gelu", "sum_all"]
+        assert all(out.creator is node for node, out in zip(graph.ops, graph.outputs))
+        assert graph.outputs[-1] is loss
+
+    def test_tape_freed_by_refcount_when_loss_dropped(self):
+        rng = np.random.default_rng(32)
+        gc.disable()
+        try:
+            x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+            w = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
+            h = gelu(matmul(x, w))
+            alive = weakref.ref(h.data)
+            loss = sum_all(mul(h, h))
+            del h
+            backward(loss)
+            assert alive() is not None  # the loss still roots the graph
+            del loss
+            assert alive() is None  # freed with no help from the cyclic GC
+            assert x.grad is not None and w.grad is not None
+        finally:
+            gc.enable()
 
 
 class TestPurityAndFiniteness:

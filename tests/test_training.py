@@ -1,10 +1,11 @@
+import gc
 import math
 
 import numpy as np
 import pytest
 
 from ferfuse.data import gen_clusters
-from ferfuse.model import ModelConfig, build_params, forward
+from ferfuse.model import VARIANTS, ModelConfig, build_params, forward
 from ferfuse.tensor import NonFiniteError, Tensor, finite_diff_check
 from ferfuse.training import (
     OptimizerState,
@@ -220,6 +221,29 @@ class TestTrainLoop:
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteError) as e:
             train_loop(cfg, tcfg, ds)
         assert "step" in str(e.value)
+
+    def test_steps_and_checkpoint_cadence_validated(self):
+        for bad in (0, -2):
+            with pytest.raises(ValueError, match="steps must be >= 1"):
+                TrainConfig(steps=bad)
+        with pytest.raises(ValueError, match="checkpoint_every must be >= 0"):
+            TrainConfig(checkpoint_every=-1)
+        assert TrainConfig(steps=1, checkpoint_every=0).steps == 1
+
+    def test_train_and_evaluate_leave_no_cyclic_garbage(self):
+        # Every step's tape and every eval batch's tape is freed by reference
+        # counting, so the cyclic collector finds nothing left over.
+        ds = gen_clusters(patches=6, dim=16, num_classes=4, per_class=10, sigma=0.2, seed=9)
+        gc.collect()
+        gc.disable()
+        try:
+            for variant in VARIANTS:
+                cfg = desk_config(variant=variant)
+                result = train_loop(cfg, TrainConfig(batch_size=16, learning_rate=1e-3, steps=3, seed=0), ds)
+                evaluate(result.params, cfg, ds)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_injected_clock_recorded(self):
         ds = gen_clusters(patches=6, dim=16, num_classes=4, per_class=10, sigma=0.2, seed=8)
