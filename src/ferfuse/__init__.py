@@ -1,7 +1,7 @@
 """Two-stream pyramid cross-fusion transformer for facial expression
 recognition, built on an in-package reverse-mode autodiff tensor core."""
 
-from .attention import AttentionTrace, MsaParams, mhsa
+from .attention import MsaParams, mhsa
 from .data import FeatureDataset, gen_clusters, gen_xor, read_features, write_features
 from .encoder import EncoderParams, StackParams, StreamBlockParams, block, drop_path, stack_forward
 from .metrics import EvalReport, build_report, confusion_matrix, mean_class_accuracy, overall_accuracy

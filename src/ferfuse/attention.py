@@ -9,9 +9,10 @@ streams' query matrices: the image stream is scored by the landmark queries
 and vice versa, so each stream mixes its own values under the other
 stream's addressing. A tied pair passes the same weight set twice.
 
-Attention weight tensors stay alive in the graph and can be collected via
-an ``AttentionTrace`` for relevance analysis; mark them ``retain_grad``
-before ``backward`` to keep their gradients.
+Attention weight tensors stay alive in the graph; a forward given a trace
+list appends one ``AttentionRecord`` per block and stream for relevance
+analysis. Mark the weights ``retain_grad`` before ``backward`` to keep
+their gradients.
 """
 
 from __future__ import annotations
@@ -54,16 +55,6 @@ class AttentionRecord:
     block: int
     stream: str  # "img" | "lm" | "fused"
     weights: Tensor  # (.., heads, P, P), rows sum to 1
-
-
-class AttentionTrace:
-    """Collects AttentionRecords as a forward pass runs."""
-
-    def __init__(self):
-        self.records: list[AttentionRecord] = []
-
-    def add(self, level: int, block: int, stream: str, weights: Tensor) -> None:
-        self.records.append(AttentionRecord(level, block, stream, weights))
 
 
 def _check_input(x: Tensor, p: MsaParams, label: str) -> None:

@@ -1,7 +1,9 @@
-"""Shared helpers for the little-endian binary file formats."""
+"""Shared helpers for the little-endian binary file formats, and the one
+writer of their JSON sidecars and of config files."""
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import stat
@@ -74,3 +76,10 @@ def check_magic(f, magic: bytes, path) -> None:
     got = f.read(len(magic))
     if got != magic:
         raise BadMagicError(f"{path}: expected magic {magic!r}, found {got!r}")
+
+
+def write_json(obj, path) -> None:
+    """Write ``obj`` as JSON, indented 2 with sorted keys and a trailing newline."""
+    with open(path, "w") as f:
+        json.dump(obj, f, indent=2, sort_keys=True)
+        f.write("\n")

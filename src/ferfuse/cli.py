@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .binio import FileFormatError
+from .binio import FileFormatError, write_json
 from .checkpoint import load_into
 from .data import FeatureDataset, gen_clusters, gen_xor, read_features, split_dataset, write_features
 from .metrics import round_percent, write_confusion_csv, write_metrics_csv
@@ -128,9 +128,7 @@ def resolve_config(args) -> RunConfig:
 
 def write_effective_config(cfg: RunConfig, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "effective_config.json", "w") as f:
-        json.dump(cfg.to_dict(), f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(cfg.to_dict(), out_dir / "effective_config.json")
 
 
 def _add_config_flags(parser) -> None:
@@ -167,12 +165,6 @@ def _load_features(path) -> FeatureDataset:
     if not path.exists():
         raise CliError(f"data file not found: {path}")
     return read_features(path)
-
-
-def _save_model_sidecar(ckpt_path: Path, mcfg: ModelConfig) -> None:
-    with open(str(ckpt_path) + ".json", "w") as f:
-        json.dump(mcfg.to_dict(), f, indent=2, sort_keys=True)
-        f.write("\n")
 
 
 def _load_model_from_checkpoint(ckpt_path):
@@ -215,7 +207,6 @@ def cmd_train(args) -> int:
     mcfg = cfg.model_config()
     tcfg = cfg.train_config()
     result = train_loop(mcfg, tcfg, train_ds, out_dir=out_dir)
-    _save_model_sidecar(result.checkpoint_path, mcfg)
     print(f"trained {mcfg.variant} for {tcfg.steps} steps, final loss {result.log[-1][1]:.6f}")
     print(f"checkpoint: {result.checkpoint_path}")
     return 0

@@ -24,7 +24,6 @@ f32 on disk, widened to f64 in memory.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +36,7 @@ from .binio import (
     expect_bytes,
     read_exact,
     read_u32,
+    write_json,
     write_u32,
 )
 
@@ -191,9 +191,23 @@ def gen_xor(
     )
 
 
+def _records(buf: np.ndarray, count: int, patches: int, dim: int) -> tuple:
+    """Views of the fields of ``count`` PFER records packed in the uint8 array
+    ``buf``: the (count, P, D) <f4 image and landmark streams and the (count,)
+    <u4 labels. Fields are sliced out of bytes because a numpy structured
+    dtype caps a record below 2^31 bytes."""
+    plane = 4 * patches * dim
+    rows = buf.reshape(count, 2 * plane + 4)
+    img, lm = (rows[:, i * plane : (i + 1) * plane].view("<f4").reshape(count, patches, dim) for i in (0, 1))
+    return img, lm, rows[:, 2 * plane :].view("<u4")[:, 0]
+
+
 def write_features(dataset: FeatureDataset, path) -> None:
     """Write a PFER file plus a JSON metadata sidecar at ``path + '.json'``."""
     count = len(dataset)
+    buf = np.empty(count * (8 * dataset.patches * dataset.dim + 4), dtype=np.uint8)
+    img, lm, labels = _records(buf, count, dataset.patches, dataset.dim)
+    img[...], lm[...], labels[...] = dataset.x_img, dataset.x_lm, dataset.labels
     with open(path, "wb") as f:
         f.write(MAGIC)
         write_u32(f, VERSION)
@@ -201,17 +215,9 @@ def write_features(dataset: FeatureDataset, path) -> None:
         write_u32(f, dataset.dim)
         write_u32(f, dataset.num_classes)
         write_u32(f, count)
-        for i in range(count):
-            f.write(np.ascontiguousarray(dataset.x_img[i], dtype="<f4").tobytes())
-            f.write(np.ascontiguousarray(dataset.x_lm[i], dtype="<f4").tobytes())
-            write_u32(f, int(dataset.labels[i]))
-    sidecar = dict(dataset.metadata)
-    sidecar.update(
-        {"format": "PFER", "version": VERSION, "count": count, "patches": dataset.patches, "dim": dataset.dim}
-    )
-    with open(str(path) + ".json", "w") as f:
-        json.dump(sidecar, f, indent=2, sort_keys=True)
-        f.write("\n")
+        f.write(buf)
+    sidecar = {"format": "PFER", "version": VERSION, "count": count, "patches": dataset.patches, "dim": dataset.dim}
+    write_json({**dataset.metadata, **sidecar}, f"{path}.json")
 
 
 def read_features(path) -> FeatureDataset:
@@ -225,18 +231,12 @@ def read_features(path) -> FeatureDataset:
         dim = read_u32(f, "feature dim")
         num_classes = read_u32(f, "class count")
         count = read_u32(f, "sample count")
-        plane = patches * dim
-        expect_bytes(f, count * (8 * plane + 4), f"{count} samples of {patches}x{dim} features")
+        size = count * (8 * patches * dim + 4)
+        expect_bytes(f, size, f"{count} samples of {patches}x{dim} features")
         check_shape((count, patches, dim), "the feature stack")
-        x_img = np.empty((count, patches, dim), dtype=np.float64)
-        x_lm = np.empty((count, patches, dim), dtype=np.float64)
-        labels = np.empty(count, dtype=np.int64)
-        for i in range(count):
-            raw = read_exact(f, 4 * plane, f"image stream of sample {i}")
-            x_img[i] = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(patches, dim)
-            raw = read_exact(f, 4 * plane, f"landmark stream of sample {i}")
-            x_lm[i] = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(patches, dim)
-            labels[i] = read_u32(f, f"label of sample {i}")
+        buf = np.frombuffer(read_exact(f, size, f"{count} samples"), dtype=np.uint8)
+    img, lm, labels = _records(buf, count, patches, dim)
+    x_img, x_lm, labels = img.astype(np.float64), lm.astype(np.float64), labels.astype(np.int64)
     bad = np.flatnonzero(labels >= num_classes)
     if bad.size:
         i = int(bad[0])

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .attention import AttentionTrace, MsaParams, mhsa
+from .attention import AttentionRecord, MsaParams, mhsa
 from .tensor import Tensor, add, gelu, layer_norm, linear, scale
 
 LN_EPS = 1e-5
@@ -131,21 +131,20 @@ def stack_forward(
     training: bool,
     rng=None,
     pre_msa_norm: bool = False,
-    trace: AttentionTrace | None = None,
+    trace: list | None = None,
     level: int = 0,
 ) -> list:
     """Run a stack over one or two token streams: blocks below
     ``stack.swap_depth`` swap queries, the rest self-attend per stream.
 
-    Attention weights go to ``trace`` under the stream label ``"fused"``
-    for a one-stream stack and ``"img"`` / ``"lm"`` for a two-stream one.
+    Attention weights are appended to ``trace`` as ``AttentionRecord``s
+    under the stream label ``"fused"`` for a one-stream stack and
+    ``"img"`` / ``"lm"`` for a two-stream one.
     """
     labels = ("fused",) if len(xs) == 1 else ("img", "lm")
     for i, p in enumerate(stack.blocks):
-        sinks = [[] for _ in xs] if trace is not None else None
+        sinks = [[] for _ in xs]
         xs = block(xs, p, training, rng, i < stack.swap_depth, pre_msa_norm, sinks)
         if trace is not None:
-            for label, sink in zip(labels, sinks):
-                for w in sink:
-                    trace.add(level, i, label, w)
+            trace.extend(AttentionRecord(level, i, label, w) for label, sink in zip(labels, sinks) for w in sink)
     return xs

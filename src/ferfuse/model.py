@@ -36,9 +36,9 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .attention import AttentionTrace, MsaParams
+from .attention import MsaParams
 from .encoder import EncoderParams, StackParams, StreamBlockParams, mlp, stack_forward
-from .tensor import LinearParams, Tensor, concat, concat_patches, linear, mean_pool_patches
+from .tensor import LinearParams, Tensor, concat, linear, mean_pool_patches
 
 
 @dataclass(frozen=True)
@@ -106,6 +106,10 @@ class ModelConfig:
             raise ValueError(f"label_smoothing must be in [0, 1), got {self.label_smoothing}")
         if self.num_classes < 2:
             raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
+        if self.heads_divisor < 1:
+            raise ValueError(f"heads_divisor must be >= 1, got {self.heads_divisor}")
+        if self.head_hidden is not None and self.head_hidden < 1:
+            raise ValueError(f"head_hidden must be >= 1 when set, got {self.head_hidden}")
         if any(d < 1 for d in self.pyramid_dims) or any(
             a <= b for a, b in zip(self.pyramid_dims, self.pyramid_dims[1:])
         ):
@@ -272,13 +276,13 @@ def forward(
     cfg: ModelConfig,
     training: bool,
     rng=None,
-    trace: AttentionTrace | None = None,
+    trace: list | None = None,
 ) -> Tensor:
     """Inputs are (.., P, base_dim) per stream; output is (.., num_classes)
     logits. Per level: project each stream, run the stack, mean-pool every
     output stream into the head's feature vector."""
     inputs = {"img": x_img, "lm": x_lm}
-    xs = [concat_patches(x_img, x_lm) if s == "fused" else inputs[s] for s in cfg.layout.streams]
+    xs = [concat((x_img, x_lm), axis=-2) if s == "fused" else inputs[s] for s in cfg.layout.streams]
     pooled = []
     for i, lvl in enumerate(params.levels):
         zs = [linear(x, proj.w, proj.b) for x, proj in zip(xs, lvl.projs)]

@@ -24,9 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import AttentionTrace
 from .model import ModelConfig, ModelParams, forward
-from .tensor import Tensor, backward, mul_const, sum_all
+from .tensor import Tensor, backward, scale, sum_all
 
 
 @dataclass
@@ -66,15 +65,15 @@ def capture_attention(
     x_lm = x_lm if isinstance(x_lm, Tensor) else Tensor(x_lm)
     if x_img.ndim != 2:
         raise ValueError(f"capture works on a single (P, D) sample, got {x_img.shape}")
-    trace = AttentionTrace()
+    trace = []
     logits = forward(x_img, x_lm, params, cfg, training=False, trace=trace)
     onehot = np.zeros(cfg.num_classes)
     onehot[target_class] = 1.0
-    for rec in trace.records:
+    for rec in trace:
         rec.weights.retain_grad = True
-    backward(sum_all(mul_const(logits, onehot)))
+    backward(sum_all(scale(logits, onehot)))
     captured = []
-    for rec in trace.records:
+    for rec in trace:
         grads = rec.weights.grad
         captured.append(
             CapturedAttention(

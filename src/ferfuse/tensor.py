@@ -234,20 +234,20 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     are stacks of matrices; leading axes must match exactly, or be absent
     on one side (that side is broadcast across the stack).
 
-    A stack times one 2-D matrix, the shape of every linear map, folds the
-    stack into rows: both gradients, and the forward unless the stack is
-    made of small products, are then single 2-D GEMMs, and the weight
-    gradient needs no sum over the stack.
+    Any left operand times one 2-D matrix, the shape of every linear map,
+    folds into rows, a (k,) vector into one row: both gradients, and the
+    forward unless a stack is made of small products, are then single 2-D
+    GEMMs, and the weight gradient needs no sum over the stack.
     """
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError(f"matmul needs rank >= 2 operands, got {a.shape} and {b.shape}")
+    if b.ndim < 2 or a.ndim < (1 if b.ndim == 2 else 2):
+        raise ShapeError(f"matmul needs rank >= 2 operands or a vector @ matrix, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner extents differ: {a.shape} vs {b.shape}")
     if a.ndim > 2 and b.ndim > 2 and a.shape[:-2] != b.shape[:-2]:
         raise ShapeError(f"matmul leading axes differ: {a.shape} vs {b.shape}")
-    if b.ndim == 2 and a.ndim > 2:
+    if b.ndim == 2:
         k, n = b.shape
-        if a.shape[-2] * k * n <= _SMALL_GEMM_MACS < a.size * n:
+        if a.ndim > 2 and a.shape[-2] * k * n <= _SMALL_GEMM_MACS < a.size * n:
             # Each product fits the small-matrix kernel; their fold does not.
             out = a.data @ b.data
         else:
@@ -284,18 +284,13 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _record("mul", (a, b), a.data * b.data, lambda g: (g * b.data, g * a.data))
 
 
-def scale(x: Tensor, factor: float) -> Tensor:
-    """Multiply by a python scalar constant."""
-    f = float(factor)
-    return _record("scale", (x,), x.data * f, lambda g: (g * f,))
-
-
-def mul_const(x: Tensor, const) -> Tensor:
-    """Elementwise product with a constant array (no gradient to the constant)."""
-    c = np.asarray(const, dtype=np.float64)
-    if c.shape != x.shape and c.ndim != 0:
-        raise ShapeError(f"mul_const shapes differ: {x.shape} vs {c.shape}")
-    return _record("mul_const", (x,), x.data * c, lambda g: (g * c,))
+def scale(x: Tensor, factor) -> Tensor:
+    """Multiply by a constant: a python scalar, or an array of x's shape
+    (elementwise). No gradient flows to the constant."""
+    c = np.asarray(factor, dtype=np.float64)
+    if c.ndim and c.shape != x.shape:
+        raise ShapeError(f"scale shapes differ: {x.shape} vs {c.shape}")
+    return _record("scale", (x,), x.data * c, lambda g: (g * c,))
 
 
 def add_bias(x: Tensor, b: Tensor) -> Tensor:
@@ -320,20 +315,9 @@ class LinearParams:
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """Affine map along the last axis: x @ w (+ b).
-
-    x may carry any number of leading axes; a bare (Din,) vector is also
-    accepted and returns (Dout,).
-    """
+    """Affine map along the last axis: x @ w (+ b), for x of shape (.., Din) or (Din,)."""
     if w.ndim != 2:
         raise ShapeError(f"linear weight must be 2-D, got {w.shape}")
-    if x.ndim < 1 or x.shape[-1] != w.shape[0]:
-        raise ShapeError(f"linear: input {x.shape} does not match weight {w.shape}")
-    if x.ndim == 1:
-        y = matmul(reshape(x, (1, x.shape[0])), w)
-        if b is not None:
-            y = add_bias(y, b)
-        return reshape(y, (w.shape[1],))
     y = matmul(x, w)
     return add_bias(y, b) if b is not None else y
 
@@ -426,15 +410,6 @@ def concat(tensors, axis: int) -> Tensor:
         return tuple(np.split(g, splits, axis=ax))
 
     return _record("concat", tuple(ts), np.concatenate([t.data for t in ts], axis=ax), vjp)
-
-
-def concat_patches(a: Tensor, b: Tensor) -> Tensor:
-    """Stack two (.., P, D) tensors along the patch axis, a's rows first."""
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError(f"concat_patches needs rank >= 2, got {a.shape} and {b.shape}")
-    if a.shape[-1] != b.shape[-1]:
-        raise ShapeError(f"concat_patches feature widths differ: {a.shape} vs {b.shape}")
-    return concat((a, b), axis=-2)
 
 
 def mean_pool_patches(x: Tensor) -> Tensor:

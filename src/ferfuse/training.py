@@ -16,19 +16,11 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics
+from .binio import write_json
 from .checkpoint import save_checkpoint
 from .data import FeatureDataset
 from .model import ModelConfig, ModelParams, build_params, forward
-from .tensor import (
-    NonFiniteError,
-    Tensor,
-    backward,
-    log_softmax_rows,
-    mul_const,
-    scale,
-    sum_all,
-    zero_grads,
-)
+from .tensor import NonFiniteError, Tensor, backward, log_softmax_rows, scale, sum_all, zero_grads
 
 
 @dataclass
@@ -51,6 +43,11 @@ class TrainConfig:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
         if self.checkpoint_every < 0:
             raise ValueError(f"checkpoint_every must be >= 0, got {self.checkpoint_every}")
+        for name, beta in (("beta1", self.beta1), ("beta2", self.beta2)):
+            if not 0.0 <= beta < 1.0:
+                raise ValueError(f"{name} must be in [0, 1), got {beta}")
+        if not self.adam_eps > 0:
+            raise ValueError(f"adam_eps must be > 0, got {self.adam_eps}")
 
 
 def label_smoothing_ce(logits: Tensor, labels, smoothing: float) -> Tensor:
@@ -71,7 +68,7 @@ def label_smoothing_ce(logits: Tensor, labels, smoothing: float) -> Tensor:
     q = np.full((b, n), smoothing / n)
     q[np.arange(b), labels] += 1.0 - smoothing
     logp = log_softmax_rows(logits)
-    return scale(sum_all(mul_const(logp, q)), -1.0 / b)
+    return scale(sum_all(scale(logp, q)), -1.0 / b)
 
 
 @dataclass
@@ -164,6 +161,11 @@ def _batch_tensors(dataset: FeatureDataset, idx):
     )
 
 
+def _save_with_sidecar(path: Path, params: ModelParams, model_cfg: ModelConfig) -> None:
+    save_checkpoint(path, params.named)
+    write_json(model_cfg.to_dict(), f"{path}.json")
+
+
 def train_loop(
     model_cfg: ModelConfig,
     train_cfg: TrainConfig,
@@ -175,7 +177,8 @@ def train_loop(
     """Train ``model_cfg`` on ``dataset`` and return the final parameters.
 
     When ``out_dir`` is given, writes train_log.csv (step,loss,lr,seconds),
-    periodic checkpoints per ``checkpoint_every``, and checkpoint_final.pckpt.
+    periodic checkpoints per ``checkpoint_every``, and checkpoint_final.pckpt,
+    each with its ``model_cfg`` beside it as ``<checkpoint>.json``.
     A non-finite loss aborts with a diagnostic naming the step.
     """
     if len(dataset) == 0:
@@ -212,11 +215,11 @@ def train_loop(
         # The loss roots this step's tape; free it before the next forward.
         del logits, loss
         if out_path is not None and train_cfg.checkpoint_every and step % train_cfg.checkpoint_every == 0:
-            save_checkpoint(out_path / f"checkpoint_{step:06d}.pckpt", params.named)
+            _save_with_sidecar(out_path / f"checkpoint_{step:06d}.pckpt", params, model_cfg)
     ckpt = None
     if out_path is not None:
         ckpt = out_path / "checkpoint_final.pckpt"
-        save_checkpoint(ckpt, params.named)
+        _save_with_sidecar(ckpt, params, model_cfg)
         with open(out_path / "train_log.csv", "w", newline="") as f:
             writer = csv.writer(f)
             writer.writerow(["step", "loss", "lr", "seconds"])

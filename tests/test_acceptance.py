@@ -40,7 +40,7 @@ from ferfuse.tensor import (
     matmul,
     mean_pool_patches,
     mul,
-    mul_const,
+    scale,
     softmax_rows,
     sum_all,
 )
@@ -98,20 +98,20 @@ class TestCriterion01GradientSuite:
         c35 = rng.standard_normal((3, 5))
 
         ops = {
-            "matmul": (lambda: sum_all(mul_const(matmul(x, w), c35)), {"x": x, "w": w}),
-            "linear": (lambda: sum_all(mul_const(linear(x, w, b), c35)), {"x": x, "w": w, "b": b}),
-            "softmax_rows": (lambda: sum_all(mul_const(softmax_rows(x), c34)), {"x": x}),
-            "log_softmax_rows": (lambda: sum_all(mul_const(log_softmax_rows(x), c34)), {"x": x}),
-            "gelu": (lambda: sum_all(mul_const(gelu(x), c34)), {"x": x}),
+            "matmul": (lambda: sum_all(scale(matmul(x, w), c35)), {"x": x, "w": w}),
+            "linear": (lambda: sum_all(scale(linear(x, w, b), c35)), {"x": x, "w": w, "b": b}),
+            "softmax_rows": (lambda: sum_all(scale(softmax_rows(x), c34)), {"x": x}),
+            "log_softmax_rows": (lambda: sum_all(scale(log_softmax_rows(x), c34)), {"x": x}),
+            "gelu": (lambda: sum_all(scale(gelu(x), c34)), {"x": x}),
             "add+mul": (lambda: sum_all(mul(add(x, x), x)), {"x": x}),
-            "add_bias": (lambda: sum_all(mul_const(add_bias(matmul(x, w), b), c35)), {"x": x, "b": b}),
-            "mean_pool": (lambda: sum_all(mul_const(mean_pool_patches(x), c34[0])), {"x": x}),
+            "add_bias": (lambda: sum_all(scale(add_bias(matmul(x, w), b), c35)), {"x": x, "b": b}),
+            "mean_pool": (lambda: sum_all(scale(mean_pool_patches(x), c34[0])), {"x": x}),
             "concat": (lambda: sum_all(mul(concat((x, x), axis=-2), concat((x, x), axis=-2))), {"x": x}),
         }
         gamma = Tensor(1.0 + 0.1 * rng.standard_normal(4), requires_grad=True)
         beta = Tensor(0.1 * rng.standard_normal(4), requires_grad=True)
         ops["layer_norm"] = (
-            lambda: sum_all(mul_const(layer_norm(x, gamma, beta, 1e-5), c34)),
+            lambda: sum_all(scale(layer_norm(x, gamma, beta, 1e-5), c34)),
             {"x": x, "gamma": gamma, "beta": beta},
         )
         for name, (f, params) in ops.items():
@@ -125,7 +125,7 @@ class TestCriterion01GradientSuite:
             named[tag] = msa_tensor(p_msa, tag)
         worst = max(
             worst,
-            self._check_op("mhsa", lambda: sum_all(mul_const(mhsa([xa], [p_msa])[0], c34)), named),
+            self._check_op("mhsa", lambda: sum_all(scale(mhsa([xa], [p_msa])[0], c34)), named),
         )
 
         p_cross = make_cross_params(4, 2, rng)
@@ -140,7 +140,7 @@ class TestCriterion01GradientSuite:
 
         def f_cross():
             oi, ol = mhsa([xi, xl], p_cross, swapped=True)
-            return add(sum_all(mul_const(oi, ci)), sum_all(mul_const(ol, cl)))
+            return add(sum_all(scale(oi, ci)), sum_all(scale(ol, cl)))
 
         worst = max(worst, self._check_op("mhsa swapped", f_cross, named))
 
@@ -153,7 +153,7 @@ class TestCriterion01GradientSuite:
         worst = max(
             worst,
             self._check_op(
-                "vanilla_block", lambda: sum_all(mul_const(block([xa], vb, False)[0], c34)), named
+                "vanilla_block", lambda: sum_all(scale(block([xa], vb, False)[0], c34)), named
             ),
         )
 
@@ -164,7 +164,7 @@ class TestCriterion01GradientSuite:
 
         def f_block():
             oi, ol = block([xi, xl], cb, False, swapped=True)
-            return add(sum_all(mul_const(oi, ci)), sum_all(mul_const(ol, cl)))
+            return add(sum_all(scale(oi, ci)), sum_all(scale(ol, cl)))
 
         worst = max(worst, self._check_op("cross_fusion_block", f_block, named))
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ferfuse.attention import mhsa
-from ferfuse.tensor import ShapeError, Tensor, add, finite_diff_check, mul_const, sum_all
+from ferfuse.tensor import ShapeError, Tensor, add, finite_diff_check, scale, sum_all
 from helpers import make_cross_params, make_msa_params, msa_tensor, oracle_mhsa, oracle_query_swap_mhsa
 
 
@@ -100,7 +100,7 @@ class TestMhsa:
         c = rng.standard_normal((3, 4))
 
         def f():
-            return sum_all(mul_const(mhsa([x], [p])[0], c))
+            return sum_all(scale(mhsa([x], [p])[0], c))
 
         params = {"x": x, **_named("p", p)}
         assert finite_diff_check(f, params).passed
@@ -214,6 +214,6 @@ class TestCrossFusionMhsa:
 
         def f():
             oi, ol = mhsa([xi, xl], p, swapped=True)
-            return add(sum_all(mul_const(oi, ci)), sum_all(mul_const(ol, cl)))
+            return add(sum_all(scale(oi, ci)), sum_all(scale(ol, cl)))
 
         assert finite_diff_check(f, params).passed

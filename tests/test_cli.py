@@ -112,6 +112,13 @@ class TestTrainEval:
         assert code == 1
         assert "level1" in capsys.readouterr().err
 
+    def test_periodic_checkpoint_evaluates(self, cluster_file, tmp_path):
+        out = tmp_path / "run"
+        assert run("train", "--data", cluster_file, "--out", out, *desk_flags("--steps", 4, "--checkpoint-every", 2)) == 0
+        ckpt = out / "checkpoint_000002.pckpt"
+        assert run("eval", "--checkpoint", ckpt, "--data", cluster_file, "--out", tmp_path / "eval") == 0
+        assert (tmp_path / "eval" / "metrics.csv").exists()
+
     def test_missing_data_path_fails(self, tmp_path, capsys):
         code = run("train", "--data", tmp_path / "nope.pfer", "--out", tmp_path / "o", *desk_flags())
         assert code == 1
@@ -297,6 +304,18 @@ class TestGradcheckAndParams:
     def test_params_prints_formula(self, capsys):
         assert run("params", *desk_flags()) == 0
         assert "MACs" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "command,flag,value",
+        [("params", "--heads-divisor", 0), ("params", "--head-hidden", 0), ("train", "--beta1", 1), ("train", "--adam-eps", 0)],
+    )
+    def test_config_values_that_break_training_rejected(self, command, flag, value, tmp_path, capsys):
+        out = tmp_path / "run"
+        args = ("--data", tmp_path / "none.pfer", "--out", out) if command == "train" else ()
+        assert run(command, "--preset", "desk", *args, flag, value) == 1
+        err = capsys.readouterr().err
+        assert flag[2:].replace("-", "_") in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_desk_preset_resolves(self, capsys):
         assert run("params", "--preset", "desk") == 0

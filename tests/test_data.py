@@ -241,6 +241,15 @@ class TestFeatureFiles:
         with pytest.raises(BadFieldError):
             read_features(path)
 
+    def test_zero_samples_of_record_wider_than_a_c_int(self, tmp_path):
+        # Each record would take 2^31 + 4 bytes, past the itemsize limit of a
+        # numpy structured dtype; with no samples the file is still valid.
+        path = tmp_path / "wide.pfer"
+        fields = (1, 1 << 14, 1 << 14, 7, 0)
+        path.write_bytes(b"PFER" + b"".join(v.to_bytes(4, "little") for v in fields))
+        ds = read_features(path)
+        assert len(ds) == 0 and ds.x_img.shape == (0, 1 << 14, 1 << 14) and ds.num_classes == 7
+
     @pytest.mark.parametrize("classes", [1, 0])
     def test_label_not_below_class_count(self, tmp_path, classes):
         ds = self._small()

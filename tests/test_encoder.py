@@ -11,7 +11,7 @@ from ferfuse.encoder import (
     stack_forward,
 )
 from ferfuse.model import ModelConfig, build_params
-from ferfuse.tensor import LinearParams, Tensor, add, finite_diff_check, mul_const, sum_all
+from ferfuse.tensor import LinearParams, Tensor, add, finite_diff_check, scale, sum_all
 from helpers import (
     FakeRng,
     make_cross_block_params,
@@ -92,7 +92,7 @@ class TestMlp:
         assert np.max(np.abs(mlp(x, layers).data - want)) < 1e-12
         c = rng.standard_normal((2, 5, 3))
         named = {"x": x, "w1": fc1.w, "b1": fc1.b, "w2": fc2.w, "b2": fc2.b}
-        assert finite_diff_check(lambda: sum_all(mul_const(mlp(x, layers), c)), named).passed
+        assert finite_diff_check(lambda: sum_all(scale(mlp(x, layers), c)), named).passed
 
         for qkv_bias in (True, False):
             cfg = ModelConfig(patches=4, base_dim=16, pyramid_dims=(16, 8), depth=2, heads_divisor=8, qkv_bias=qkv_bias)
@@ -313,7 +313,7 @@ class TestStackForward:
 
         def f():
             oi, ol = stack_forward([xi, xl], s, training=False)
-            return add(sum_all(mul_const(oi, ci)), sum_all(mul_const(ol, cl)))
+            return add(sum_all(scale(oi, ci)), sum_all(scale(ol, cl)))
 
         assert finite_diff_check(f, params).passed
 
@@ -331,7 +331,7 @@ class TestStackForward:
             named[f"stream.{tag}"] = stream_tensor(s, tag)
 
         def f():
-            return sum_all(mul_const(block([x], p, training=False)[0], c))
+            return sum_all(scale(block([x], p, training=False)[0], c))
 
         report = finite_diff_check(f, named)
         assert report.passed

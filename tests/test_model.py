@@ -60,6 +60,14 @@ class TestModelConfig:
         with pytest.raises(ValueError):
             ModelConfig(base_dim=129, pyramid_dims=(129,), heads_divisor=64, variant="poster")
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("heads_divisor", 0), ("heads_divisor", -4), ("head_hidden", 0), ("head_hidden", -1)],
+    )
+    def test_rejects_bad_heads_divisor_or_head_hidden(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            desk_config(**{field: value})
+
     def test_heads_rule(self):
         cfg = ModelConfig(variant="poster")
         assert [cfg.heads_for(d) for d in (512, 256, 128, 32)] == [8, 4, 2, 1]
@@ -99,7 +107,7 @@ class TestProjectLevels:
         assert [o.shape for o in outs] == [(8, 32), (8, 16), (8, 8)]
 
     def test_projection_gradients(self):
-        from ferfuse.tensor import finite_diff_check, mul_const
+        from ferfuse.tensor import finite_diff_check, scale
 
         cfg = desk_config(pyramid_dims=(32, 16))
         params = build_params(cfg)
@@ -109,7 +117,7 @@ class TestProjectLevels:
         c = rng.standard_normal((4, 16))
 
         def f():
-            return sum_all(mul_const(linear(x, proj.w, proj.b), c))
+            return sum_all(scale(linear(x, proj.w, proj.b), c))
 
         assert finite_diff_check(f, {"w": proj.w, "b": proj.b}, samples_per_param=20).passed
 
@@ -292,9 +300,7 @@ class TestBaselineForward:
         xi = Tensor(rng.standard_normal((8, 32)))
         xl = Tensor(rng.standard_normal((8, 32)))
         got = forward(xi, xl, params, cfg, training=False).data
-        from ferfuse.tensor import concat_patches
-
-        fused = concat_patches(xi, xl)
+        fused = concat((xi, xl), axis=-2)
         pooled = []
         for lvl in params.levels:
             z = linear(fused, lvl.projs[0].w, lvl.projs[0].b)

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from ferfuse.attention import AttentionTrace
 from ferfuse.model import ModelConfig, build_params, forward
 from ferfuse.relevance import (
     CapturedAttention,
@@ -64,10 +63,10 @@ class TestCaptureAttention:
         xi = rng.standard_normal((2, 4))
         xl = rng.standard_normal((2, 4))
         captured = capture_attention(params, cfg, xi, xl, target_class=1)
-        trace = AttentionTrace()
+        trace = []
         forward(Tensor(xi), Tensor(xl), params, cfg, training=False, trace=trace)
-        assert len(captured) == len(trace.records)
-        for cap, rec in zip(captured, trace.records):
+        assert len(captured) == len(trace)
+        for cap, rec in zip(captured, trace):
             assert (cap.level, cap.block, cap.stream) == (rec.level, rec.block, rec.stream)
             assert np.array_equal(cap.weights, rec.weights.data)
 
@@ -92,7 +91,7 @@ class TestCaptureAttention:
             linear,
             matmul,
             mean_pool_patches,
-            mul_const,
+            scale,
             concat,
             gelu,
             reshape,
@@ -141,7 +140,7 @@ class TestCaptureAttention:
             logits = linear(gelu(linear(feat, h[0].w, h[0].b)), h[1].w, h[1].b)
             onehot = np.zeros(cfg.num_classes)
             onehot[target] = 1.0
-            return sum_all(mul_const(logits, onehot))
+            return sum_all(scale(logits, onehot))
 
         # reconstruction reproduces the full forward's target logit
         assert f().item() == pytest.approx(float(logits_full.data[target]), abs=1e-12)

@@ -15,7 +15,6 @@ from ferfuse.tensor import (
     add_bias,
     backward,
     concat,
-    concat_patches,
     finite_diff_check,
     gelu,
     layer_norm,
@@ -24,7 +23,6 @@ from ferfuse.tensor import (
     matmul,
     mean_pool_patches,
     mul,
-    mul_const,
     reshape,
     scale,
     softmax_rows,
@@ -191,7 +189,7 @@ class TestSoftmax:
         c = rng.standard_normal((3, 4))
 
         def f():
-            return sum_all(mul_const(softmax_rows(x), c))
+            return sum_all(scale(softmax_rows(x), c))
 
         assert finite_diff_check(f, {"x": x}).passed
 
@@ -207,7 +205,7 @@ class TestSoftmax:
         c = rng.standard_normal((2, 5))
 
         def f():
-            return sum_all(mul_const(log_softmax_rows(x), c))
+            return sum_all(scale(log_softmax_rows(x), c))
 
         assert finite_diff_check(f, {"x": x}).passed
 
@@ -244,7 +242,7 @@ class TestLayerNorm:
         c = rng.standard_normal((2, 5))
 
         def f():
-            return sum_all(mul_const(layer_norm(x, gamma, beta, eps=1e-5), c))
+            return sum_all(scale(layer_norm(x, gamma, beta, eps=1e-5), c))
 
         assert finite_diff_check(f, {"x": x, "gamma": gamma, "beta": beta}).passed
 
@@ -270,6 +268,16 @@ class TestLinear:
                 want = np.array([float(x[i] @ w[:, j]) + b[j] for j in range(5)])
                 assert np.max(np.abs(got[i] - want)) < 1e-10
 
+    def test_vector_input_is_one_matmul_and_bias(self):
+        rng = np.random.default_rng(14)
+        x = Tensor(rng.standard_normal(3), requires_grad=True)
+        w = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        b = Tensor(rng.standard_normal(4), requires_grad=True)
+        y = linear(x, w, b)
+        assert [node.name for node in Graph.trace(y).ops] == ["matmul", "add_bias"]
+        row = linear(Tensor(x.data.reshape(1, 3)), w, b)
+        assert y.shape == (4,) and np.array_equal(y.data, row.data[0])
+
     def test_no_bias(self):
         x = Tensor([[1.0, 2.0]])
         w = Tensor([[1.0], [1.0]])
@@ -287,7 +295,7 @@ class TestLinear:
         c = rng.standard_normal((2, 4))
 
         def f():
-            return sum_all(mul_const(linear(x, w, b), c))
+            return sum_all(scale(linear(x, w, b), c))
 
         assert finite_diff_check(f, {"x": x, "w": w, "b": b}).passed
 
@@ -313,14 +321,14 @@ class TestElementwiseAndStructural:
     def test_concat_patches_order_and_shape(self):
         a = Tensor(np.arange(6.0).reshape(2, 3))
         b = Tensor(np.arange(9.0).reshape(3, 3) + 100)
-        out = concat_patches(a, b)
+        out = concat((a, b), axis=-2)
         assert out.shape == (5, 3)
         assert np.array_equal(out.data[:2], a.data)
         assert np.array_equal(out.data[2:], b.data)
 
     def test_concat_patches_width_mismatch(self):
         with pytest.raises(ShapeError):
-            concat_patches(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))))
+            concat((Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4)))), axis=-2)
 
     def test_concat_gradients(self):
         a = Tensor(np.arange(4.0).reshape(2, 2), requires_grad=True)
@@ -342,7 +350,7 @@ class TestElementwiseAndStructural:
         c = np.array([2.0, -1.0])
 
         def f():
-            return sum_all(mul_const(mean_pool_patches(x), c))
+            return sum_all(scale(mean_pool_patches(x), c))
 
         assert finite_diff_check(f, {"x": x}).passed
 
@@ -360,6 +368,14 @@ class TestElementwiseAndStructural:
             return sum_all(mul(scale(add_bias(x, b), 2.0), add_bias(x, b)))
 
         assert finite_diff_check(f, {"x": x, "b": b}).passed
+
+    def test_scale_by_array_is_elementwise(self):
+        rng = np.random.default_rng(15)
+        x = Tensor(rng.standard_normal((2, 3)))
+        c = rng.standard_normal((2, 3))
+        assert np.array_equal(scale(x, c).data, x.data * c)
+        with pytest.raises(ShapeError):
+            scale(x, np.ones(3))
 
     def test_reshape_and_swap_axes_round_trip(self):
         x = Tensor(np.arange(24.0).reshape(2, 3, 4), requires_grad=True)

@@ -1,4 +1,5 @@
 import gc
+import json
 import math
 
 import numpy as np
@@ -207,9 +208,9 @@ class TestTrainLoop:
         cfg = desk_config()
         tcfg = TrainConfig(batch_size=16, learning_rate=1e-3, steps=4, seed=0, checkpoint_every=2)
         train_loop(cfg, tcfg, ds, out_dir=tmp_path)
-        assert (tmp_path / "checkpoint_000002.pckpt").exists()
-        assert (tmp_path / "checkpoint_000004.pckpt").exists()
-        assert (tmp_path / "checkpoint_final.pckpt").exists()
+        for name in ("checkpoint_000002.pckpt", "checkpoint_000004.pckpt", "checkpoint_final.pckpt"):
+            assert (tmp_path / name).exists()
+            assert json.loads((tmp_path / f"{name}.json").read_text()) == cfg.to_dict()
         assert (tmp_path / "train_log.csv").exists()
         header = (tmp_path / "train_log.csv").read_text().splitlines()[0]
         assert header == "step,loss,lr,seconds"
@@ -229,6 +230,14 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="checkpoint_every must be >= 0"):
             TrainConfig(checkpoint_every=-1)
         assert TrainConfig(steps=1, checkpoint_every=0).steps == 1
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("beta1", 1.0), ("beta1", -0.1), ("beta2", 1.5), ("beta2", 1.0), ("adam_eps", 0.0), ("adam_eps", -1e-8)],
+    )
+    def test_adam_hyperparameters_validated(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
 
     def test_train_and_evaluate_leave_no_cyclic_garbage(self):
         # Every step's tape and every eval batch's tape is freed by reference
