@@ -1,8 +1,9 @@
 """Shared helpers for the little-endian binary file formats, and the one
-writer of their JSON sidecars and of config files."""
+writer of every JSON file (sidecars, configs) and every CSV table."""
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import os
@@ -83,3 +84,11 @@ def write_json(obj, path) -> None:
     with open(path, "w") as f:
         json.dump(obj, f, indent=2, sort_keys=True)
         f.write("\n")
+
+
+def write_csv(path, header, rows) -> None:
+    """Write ``header`` then ``rows`` as excel-dialect CSV: CRLF line ends, ``str()`` of each value."""
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(header)
+        writer.writerows(rows)

@@ -9,17 +9,17 @@ command with that file and no extra flags reproduces the run.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import sys
+import typing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import field, fields, make_dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .binio import FileFormatError, write_json
+from .binio import FileFormatError, write_csv, write_json
 from .checkpoint import load_into
 from .data import FeatureDataset, gen_clusters, gen_xor, read_features, split_dataset, write_features
 from .metrics import round_percent, write_confusion_csv, write_metrics_csv
@@ -33,7 +33,7 @@ from .relevance import (
     write_scores_csv,
 )
 from .tensor import ShapeError, Tensor, finite_diff_check
-from .training import TrainConfig, evaluate, label_smoothing_ce, train_loop
+from .training import TrainConfig, check_fits, evaluate, label_smoothing_ce, train_loop
 
 
 _MODEL_KEYS = tuple(f.name for f in fields(ModelConfig))
@@ -131,33 +131,27 @@ def write_effective_config(cfg: RunConfig, out_dir: Path) -> None:
     write_json(cfg.to_dict(), out_dir / "effective_config.json")
 
 
+# What a config flag needs beyond its field's name and type.
+_FLAG_ALIASES = {"learning_rate": ("--lr",)}
+_FLAG_OPTIONS = {
+    "pyramid_dims": {"help": "comma separated, e.g. 512,256,128"},
+    "swap_depth": {"help": "-1 means swap in every block"},
+    "variant": {"choices": VARIANTS},
+}
+
+
 def _add_config_flags(parser) -> None:
+    """``--config``, ``--preset``, then one flag per RunConfig field, ``--`` plus its name with ``-`` for ``_``,
+    typed by the field: ``int | None`` as int, the tuple as text for ``_parse_dims``, a bool as ``--x/--no-x``."""
     g = parser.add_argument_group("config", "defaults < --preset < --config file < flags")
     g.add_argument("--config", type=Path, help="JSON config file")
     g.add_argument("--preset", choices=sorted(PRESETS), help="named base configuration")
-    g.add_argument("--patches", type=int)
-    g.add_argument("--base-dim", dest="base_dim", type=int)
-    g.add_argument("--pyramid-dims", dest="pyramid_dims", type=str, help="comma separated, e.g. 512,256,128")
-    g.add_argument("--depth", type=int)
-    g.add_argument("--mlp-ratio", dest="mlp_ratio", type=int)
-    g.add_argument("--drop-path", dest="drop_path", type=float)
-    g.add_argument("--heads-divisor", dest="heads_divisor", type=int)
-    g.add_argument("--swap-depth", dest="swap_depth", type=int, help="-1 means swap in every block")
-    g.add_argument("--num-classes", dest="num_classes", type=int)
-    g.add_argument("--variant", choices=VARIANTS)
-    g.add_argument("--label-smoothing", dest="label_smoothing", type=float)
-    g.add_argument("--qkv-bias", dest="qkv_bias", action=argparse.BooleanOptionalAction)
-    g.add_argument("--pre-msa-norm", dest="pre_msa_norm", action=argparse.BooleanOptionalAction)
-    g.add_argument("--share-unswapped", dest="share_unswapped", action=argparse.BooleanOptionalAction)
-    g.add_argument("--head-hidden", dest="head_hidden", type=int)
-    g.add_argument("--seed", type=int)
-    g.add_argument("--batch-size", dest="batch_size", type=int)
-    g.add_argument("--learning-rate", "--lr", dest="learning_rate", type=float)
-    g.add_argument("--steps", type=int)
-    g.add_argument("--beta1", type=float)
-    g.add_argument("--beta2", type=float)
-    g.add_argument("--adam-eps", dest="adam_eps", type=float)
-    g.add_argument("--checkpoint-every", dest="checkpoint_every", type=int)
+    hints = typing.get_type_hints(RunConfig)
+    for f in fields(RunConfig):
+        kind = (typing.get_args(hints[f.name]) or (hints[f.name],))[0]
+        typed = {"action": argparse.BooleanOptionalAction} if kind is bool else {"type": str if kind is tuple else kind}
+        flag = "--" + f.name.replace("_", "-")
+        g.add_argument(flag, *_FLAG_ALIASES.get(f.name, ()), **typed, **_FLAG_OPTIONS.get(f.name, {}))
 
 
 def _load_features(path) -> FeatureDataset:
@@ -187,6 +181,8 @@ def _load_model_from_checkpoint(ckpt_path):
 
 def cmd_gen_data(args) -> int:
     if args.task == "clusters":
+        if args.classes is None:
+            raise CliError("clusters data needs --classes")
         ds = gen_clusters(args.p, args.d, args.classes, args.count, args.sigma, args.seed)
     else:
         if args.classes not in (None, 2):
@@ -220,12 +216,9 @@ def cmd_eval(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     write_confusion_csv(report.confusion, out_dir / "confusion.csv")
     write_metrics_csv(report, out_dir / "metrics.csv")
-    with open(out_dir / "prediction_percent.csv", "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["truth\\pred"] + report.confusion.class_names)
-        for i, name in enumerate(report.confusion.class_names):
-            row = round_percent(report.row_percentages[i])
-            writer.writerow([name] + [f"{v:.2f}" for v in row])
+    names = report.confusion.class_names
+    percents = ([name] + [f"{v:.2f}" for v in round_percent(row)] for name, row in zip(names, report.row_percentages))
+    write_csv(out_dir / "prediction_percent.csv", ["truth\\pred"] + names, percents)
     print(f"accuracy {100*report.accuracy:.2f}%  mean class accuracy {100*report.mean_class_accuracy:.2f}%")
     return 0
 
@@ -265,14 +258,8 @@ def _run_cell(cfg: RunConfig, label: str, overrides: dict, seed_index: int, trai
     tcfg = cfg.train_config(seed=cell_seed)
     result = train_loop(mcfg, tcfg, train_ds)
     report = evaluate(result.params, mcfg, test_ds)
-    return {
-        "variant": label,
-        "seed": seed_index,
-        "acc": 100.0 * report.accuracy,
-        "mean_acc": 100.0 * report.mean_class_accuracy,
-        "params": count_params(mcfg)["total"],
-        "flops": estimate_flops(mcfg)["total"],
-    }
+    acc, mean_acc = 100.0 * report.accuracy, 100.0 * report.mean_class_accuracy
+    return [label, seed_index, acc, mean_acc, count_params(mcfg)["total"], estimate_flops(mcfg)["total"]]
 
 
 def cmd_ablate(args) -> int:
@@ -286,58 +273,40 @@ def cmd_ablate(args) -> int:
         test_ds = _load_features(args.test_data)
     else:
         train_ds, test_ds = split_dataset(train_ds, 0.8, seed=cfg.seed)
+    for ds in (train_ds, test_ds):  # no cell changes patches, base_dim or num_classes
+        check_fits(cfg.model_config(), ds)
     out_dir = Path(args.out)
     write_effective_config(cfg, out_dir)
     cells = grid_cells(args.grid, cfg)
     jobs = [(label, overrides, s) for label, overrides in cells for s in range(args.seeds)]
 
-    def run(job):
+    def run(job):  # (results row, None) or (None, errors row)
         label, overrides, s = job
         try:
-            return _run_cell(cfg, label, overrides, s, train_ds, test_ds)
+            return _run_cell(cfg, label, overrides, s, train_ds, test_ds), None
         except Exception as e:  # cell failures are recorded, the grid continues
-            return {"variant": label, "seed": s, "error": f"{type(e).__name__}: {e}"}
+            return None, [label, s, f"{type(e).__name__}: {e}"]
 
     with ThreadPoolExecutor(max_workers=args.workers) as pool:
         outcomes = list(pool.map(run, jobs))  # in job order: by cell, then seed
-    rows = [r for r in outcomes if "error" not in r]
-    errors = [r for r in outcomes if "error" in r]
-
-    with open(out_dir / "results.csv", "w", newline="") as f:
-        writer = csv.DictWriter(f, fieldnames=["variant", "seed", "acc", "mean_acc", "params", "flops"])
-        writer.writeheader()
-        writer.writerows(rows)
-    with open(out_dir / "summary.csv", "w", newline="") as f:
-        writer = csv.DictWriter(
-            f, fieldnames=["variant", "acc_mean", "acc_std", "mean_acc_mean", "mean_acc_std", "params", "flops"]
+    rows = [row for row, _ in outcomes if row]
+    errors = [error for _, error in outcomes if error]
+    write_csv(out_dir / "results.csv", ["variant", "seed", "acc", "mean_acc", "params", "flops"], rows)
+    summary = []
+    for label, _ in cells:
+        got = [r for r in rows if r[0] == label]
+        if not got:
+            continue
+        accs, maccs = (np.array([r[i] for r in got]) for i in (2, 3))
+        summary.append([label, accs.mean(), accs.std(), maccs.mean(), maccs.std(), *got[0][4:]])
+        print(
+            f"{label:24s} acc {accs.mean():6.2f} +- {accs.std():5.2f}   "
+            f"mean acc {maccs.mean():6.2f} +- {maccs.std():5.2f}"
         )
-        writer.writeheader()
-        for label, _ in cells:
-            got = [r for r in rows if r["variant"] == label]
-            if not got:
-                continue
-            accs = np.array([r["acc"] for r in got])
-            maccs = np.array([r["mean_acc"] for r in got])
-            writer.writerow(
-                {
-                    "variant": label,
-                    "acc_mean": accs.mean(),
-                    "acc_std": accs.std(),
-                    "mean_acc_mean": maccs.mean(),
-                    "mean_acc_std": maccs.std(),
-                    "params": got[0]["params"],
-                    "flops": got[0]["flops"],
-                }
-            )
-            print(
-                f"{label:24s} acc {accs.mean():6.2f} +- {accs.std():5.2f}   "
-                f"mean acc {maccs.mean():6.2f} +- {maccs.std():5.2f}"
-            )
+    header = ["variant", "acc_mean", "acc_std", "mean_acc_mean", "mean_acc_std", "params", "flops"]
+    write_csv(out_dir / "summary.csv", header, summary)
     if errors:
-        with open(out_dir / "errors.csv", "w", newline="") as f:
-            writer = csv.DictWriter(f, fieldnames=["variant", "seed", "error"])
-            writer.writeheader()
-            writer.writerows(errors)
+        write_csv(out_dir / "errors.csv", ["variant", "seed", "error"], errors)
         print(f"{len(errors)} cell(s) failed; see errors.csv", file=sys.stderr)
     return 0
 
@@ -393,6 +362,7 @@ def cmd_visualize(args) -> int:
     if not mcfg.layout.two_stream:
         raise CliError(f"visualize needs a two-stream variant checkpoint, got {mcfg.variant!r}")
     ds = _load_features(args.data)
+    check_fits(mcfg, ds)
     if not 0 <= args.sample < len(ds):
         raise CliError(f"sample index {args.sample} out of range [0, {len(ds)})")
     x_img, x_lm, _ = ds.sample(args.sample)

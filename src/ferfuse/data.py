@@ -95,6 +95,10 @@ def gen_clusters(
     stream. At sigma 0 a nearest-prototype rule is perfect."""
     if sigma < 0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
+    for name, value, least in (("num_classes", num_classes, 2), ("per_class", per_class, 1),
+                               ("patches", patches, 1), ("dim", dim, 1)):
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value}")
     rng = np.random.default_rng([seed, 11])
     protos_img = rng.standard_normal((num_classes, patches, dim))
     protos_lm = rng.standard_normal((num_classes, patches, dim))
@@ -157,8 +161,9 @@ def gen_xor(
         raise ValueError(f"sigma must be >= 0, got {sigma}")
     if per_class % 2 != 0:
         raise ValueError(f"per_class must be even for exact stream balance, got {per_class}")
-    if dim < 2:
-        raise ValueError(f"gen_xor needs dim >= 2, got {dim}")
+    for name, value, least in (("per_class", per_class, 2), ("patches", patches, 1), ("dim", dim, 2)):
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value}")
     (img_dirs, lm_dirs) = xor_directions(dim, seed)
     half = per_class // 2
     # label 0: (0, 0) and (1, 1); label 1: (0, 1) and (1, 0), each exactly half

@@ -10,11 +10,12 @@ as zero. Two-decimal rounding is presentation-only (``round_percent``).
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .binio import write_csv
 
 
 @dataclass
@@ -137,19 +138,13 @@ def build_report(truth, pred, num_classes: int, class_names=None) -> EvalReport:
 
 def write_confusion_csv(cm: ConfusionMatrix, path) -> None:
     """Confusion counts as a grid with truth labels down the side."""
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["truth\\pred"] + cm.class_names)
-        for i, name in enumerate(cm.class_names):
-            writer.writerow([name] + [int(v) for v in cm.counts[i]])
+    rows = ([name] + counts for name, counts in zip(cm.class_names, cm.counts.tolist()))
+    write_csv(path, ["truth\\pred"] + cm.class_names, rows)
 
 
 def write_metrics_csv(report: EvalReport, path) -> None:
     """Flat key,value rows for the scalar metrics."""
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["key", "value"])
-        writer.writerow(["accuracy", repr(report.accuracy)])
-        writer.writerow(["mean_class_accuracy", repr(report.mean_class_accuracy)])
-        for i, v in enumerate(report.per_class_accuracy):
-            writer.writerow([f"class_accuracy_{report.confusion.class_names[i]}", "" if v is None else repr(v)])
+    rows = [["accuracy", repr(report.accuracy)], ["mean_class_accuracy", repr(report.mean_class_accuracy)]]
+    for name, v in zip(report.confusion.class_names, report.per_class_accuracy):
+        rows.append([f"class_accuracy_{name}", "" if v is None else repr(v)])
+    write_csv(path, ["key", "value"], rows)

@@ -110,6 +110,8 @@ class ModelConfig:
             raise ValueError(f"heads_divisor must be >= 1, got {self.heads_divisor}")
         if self.head_hidden is not None and self.head_hidden < 1:
             raise ValueError(f"head_hidden must be >= 1 when set, got {self.head_hidden}")
+        if not self.pyramid_dims:
+            raise ValueError("pyramid_dims must hold at least one level")
         if any(d < 1 for d in self.pyramid_dims) or any(
             a <= b for a, b in zip(self.pyramid_dims, self.pyramid_dims[1:])
         ):

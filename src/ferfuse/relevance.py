@@ -19,11 +19,11 @@ binary PGM (P5, maxval 255) plus a raw CSV of the scores.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
+from .binio import write_csv
 from .model import ModelConfig, ModelParams, forward
 from .tensor import Tensor, backward, scale, sum_all
 
@@ -52,13 +52,10 @@ def capture_attention(
     x_img,
     x_lm,
     target_class: int,
-    training: bool = False,
 ) -> list:
     """Run one eval forward on a single sample and record, for every block
     and head, the attention weights and their gradient with respect to the
     target-class logit."""
-    if training:
-        raise ValueError("attention capture runs in eval mode only")
     if not 0 <= target_class < cfg.num_classes:
         raise ValueError(f"target_class {target_class} out of range [0, {cfg.num_classes})")
     x_img = x_img if isinstance(x_img, Tensor) else Tensor(x_img)
@@ -171,8 +168,4 @@ def write_pgm(path, pixels: np.ndarray) -> None:
 
 
 def write_scores_csv(path, scores) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["patch", "score"])
-        for i, s in enumerate(np.asarray(scores, dtype=np.float64)):
-            writer.writerow([i, repr(float(s))])
+    write_csv(path, ["patch", "score"], enumerate(map(repr, np.asarray(scores, dtype=np.float64).tolist())))

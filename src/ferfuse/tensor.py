@@ -216,13 +216,6 @@ def _swap_last2(a: np.ndarray) -> np.ndarray:
 _SMALL_GEMM_MACS = 1_000_000
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum the leading axes numpy broadcasting added, back down to ``shape``."""
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    return g
-
-
 # ---------------------------------------------------------------------------
 # primitive ops
 
@@ -231,8 +224,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product over the last two axes.
 
     2-D operands give the plain m x k @ k x n product. Higher-rank operands
-    are stacks of matrices; leading axes must match exactly, or be absent
-    on one side (that side is broadcast across the stack).
+    are stacks of matrices; a stacked right operand needs a left operand
+    with exactly its leading axes.
 
     Any left operand times one 2-D matrix, the shape of every linear map,
     folds into rows, a (k,) vector into one row: both gradients, and the
@@ -243,7 +236,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul needs rank >= 2 operands or a vector @ matrix, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner extents differ: {a.shape} vs {b.shape}")
-    if a.ndim > 2 and b.ndim > 2 and a.shape[:-2] != b.shape[:-2]:
+    if b.ndim > 2 and a.shape[:-2] != b.shape[:-2]:
         raise ShapeError(f"matmul leading axes differ: {a.shape} vs {b.shape}")
     if b.ndim == 2:
         k, n = b.shape
@@ -263,8 +256,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         out = a.data @ b.data
 
         def vjp(g):
-            ga = _unbroadcast(g @ _swap_last2(b.data), a.shape) if a.requires_grad else None
-            gb = _unbroadcast(_swap_last2(a.data) @ g, b.shape) if b.requires_grad else None
+            ga = g @ _swap_last2(b.data) if a.requires_grad else None
+            gb = _swap_last2(a.data) @ g if b.requires_grad else None
             return ga, gb
 
     return _record("matmul", (a, b), out, vjp)
@@ -503,6 +496,10 @@ def finite_diff_check(
     max(1, |analytic|, |numeric|), i.e. relative for large gradients and
     absolute near zero.
     """
+    if not h > 0:
+        raise ValueError(f"finite-difference step h must be > 0, got {h}")
+    if samples_per_param is not None and samples_per_param < 1:
+        raise ValueError(f"samples_per_param must be >= 1 when set, got {samples_per_param}")
     if hasattr(params, "items"):
         named = list(params.items())
     else:

@@ -8,7 +8,6 @@ the training log are the only nondeterministic output column.
 
 from __future__ import annotations
 
-import csv
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -16,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics
-from .binio import write_json
+from .binio import write_csv, write_json
 from .checkpoint import save_checkpoint
 from .data import FeatureDataset
 from .model import ModelConfig, ModelParams, build_params, forward
@@ -161,6 +160,16 @@ def _batch_tensors(dataset: FeatureDataset, idx):
     )
 
 
+def check_fits(cfg: ModelConfig, dataset: FeatureDataset) -> None:
+    """Raise ValueError unless ``dataset`` has the model's patch count and
+    feature width, and no more classes than the model predicts."""
+    if (dataset.patches, dataset.dim) != (cfg.patches, cfg.base_dim) or dataset.num_classes > cfg.num_classes:
+        raise ValueError(
+            f"data (P={dataset.patches}, D={dataset.dim}, {dataset.num_classes} classes) does not fit the model "
+            f"(patches={cfg.patches}, base_dim={cfg.base_dim}, num_classes={cfg.num_classes})"
+        )
+
+
 def _save_with_sidecar(path: Path, params: ModelParams, model_cfg: ModelConfig) -> None:
     save_checkpoint(path, params.named)
     write_json(model_cfg.to_dict(), f"{path}.json")
@@ -183,6 +192,7 @@ def train_loop(
     """
     if len(dataset) == 0:
         raise ValueError("empty training dataset")
+    check_fits(model_cfg, dataset)
     if params is None:
         params = build_params(model_cfg)
     state = init_adam_state(params.named)
@@ -220,11 +230,8 @@ def train_loop(
     if out_path is not None:
         ckpt = out_path / "checkpoint_final.pckpt"
         _save_with_sidecar(ckpt, params, model_cfg)
-        with open(out_path / "train_log.csv", "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(["step", "loss", "lr", "seconds"])
-            for step, loss, lr, seconds in log:
-                writer.writerow([step, repr(loss), repr(lr), f"{seconds:.3f}"])
+        rows = ([step, repr(loss), repr(lr), f"{seconds:.3f}"] for step, loss, lr, seconds in log)
+        write_csv(out_path / "train_log.csv", ["step", "loss", "lr", "seconds"], rows)
     return TrainResult(params=params, log=log, checkpoint_path=ckpt)
 
 
@@ -235,6 +242,7 @@ def predict(
     batch_size: int = 256,
 ) -> np.ndarray:
     """Argmax class predictions in dataset order, eval mode."""
+    check_fits(cfg, dataset)
     preds = []
     for lo in range(0, len(dataset), batch_size):
         idx = np.arange(lo, min(lo + batch_size, len(dataset)))

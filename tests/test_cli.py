@@ -6,7 +6,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from ferfuse.cli import RunConfig, _add_config_flags, main
+from ferfuse.cli import RunConfig, _add_config_flags, build_parser, main, resolve_config
 from ferfuse.data import read_features
 from ferfuse.model import ModelConfig
 from ferfuse.training import TrainConfig
@@ -66,6 +66,25 @@ class TestGenData:
         assert code == 1
         assert "binary" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv,named",
+        [
+            (("--task", "clusters"), "--classes"),
+            (("--task", "clusters", "--classes", 1), "num_classes"),
+            (("--task", "clusters", "--classes", 3, "--p", 0), "patches"),
+            (("--task", "clusters", "--classes", 3, "--d", 0), "dim"),
+            (("--task", "xor", "--p", 0), "patches"),
+            (("--task", "xor", "--count", 0), "per_class"),
+            (("--task", "clusters", "--classes", 3, "--count", 0), "per_class"),
+        ],
+    )
+    def test_inputs_that_give_no_usable_file_rejected(self, argv, named, tmp_path, capsys):
+        out = tmp_path / "x.pfer"
+        assert run("gen-data", "--count", 4, *argv, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err and len(err.splitlines()) == 1
+        assert not out.exists()
+
     def test_deterministic(self, tmp_path):
         a = tmp_path / "a.pfer"
         b = tmp_path / "b.pfer"
@@ -118,6 +137,25 @@ class TestTrainEval:
         ckpt = out / "checkpoint_000002.pckpt"
         assert run("eval", "--checkpoint", ckpt, "--data", cluster_file, "--out", tmp_path / "eval") == 0
         assert (tmp_path / "eval" / "metrics.csv").exists()
+
+    @pytest.mark.parametrize(
+        "gen_flags,named", [(("--p", 5), "P=5"), (("--d", 8), "D=8"), (("--classes", 4), "4 classes")]
+    )
+    def test_data_that_does_not_fit_the_model_rejected(self, cluster_file, gen_flags, named, tmp_path, capsys):
+        misfit = tmp_path / "misfit.pfer"
+        flags = dict(zip(("--p", "--d", "--classes"), (6, 16, 3)))
+        flags.update(dict(zip(gen_flags[::2], gen_flags[1::2])))
+        run("gen-data", "--task", "clusters", *[a for kv in flags.items() for a in kv], "--count", 4, "--out", misfit)
+        capsys.readouterr()
+        assert run("train", "--data", misfit, "--out", tmp_path / "bad", *desk_flags("--steps", 2)) == 1
+        err = capsys.readouterr().err
+        assert named in err and "num_classes=3" in err and len(err.splitlines()) == 1
+        assert not (tmp_path / "bad" / "checkpoint_final.pckpt").exists()
+        good = tmp_path / "good"
+        assert run("train", "--data", cluster_file, "--out", good, *desk_flags("--steps", 2)) == 0
+        ckpt = good / "checkpoint_final.pckpt"
+        assert run("eval", "--checkpoint", ckpt, "--data", misfit, "--out", tmp_path / "e") == 1
+        assert named in capsys.readouterr().err
 
     def test_missing_data_path_fails(self, tmp_path, capsys):
         code = run("train", "--data", tmp_path / "nope.pfer", "--out", tmp_path / "o", *desk_flags())
@@ -239,6 +277,16 @@ class TestAblate:
         assert "steps must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_data_that_does_not_fit_the_model_rejected(self, cluster_file, tmp_path, capsys):
+        misfit = tmp_path / "p5.pfer"
+        run("gen-data", "--task", "clusters", "--p", 5, "--d", 16, "--classes", 3, "--count", 4, "--out", misfit)
+        for data in (("--data", misfit), ("--data", cluster_file, "--test-data", misfit)):
+            capsys.readouterr()
+            out = tmp_path / "grid"
+            assert run("ablate", *data, "--grid", "table4", "--out", out, *desk_flags("--steps", 2)) == 1
+            assert "P=5" in capsys.readouterr().err
+            assert not out.exists()
+
     def test_unknown_grid_rejected(self, cluster_file, tmp_path):
         with pytest.raises(SystemExit) as e:  # argparse rejects the choice
             run("ablate", "--data", cluster_file, "--grid", "table9", "--out", tmp_path / "g")
@@ -273,6 +321,41 @@ class TestConfigMirror:
         _add_config_flags(parser)
         dests = {a.dest for a in parser._actions} - {"help", "config", "preset"}
         assert dests == {f.name for f in fields(RunConfig)}
+
+    def test_every_flag_parses_into_its_typed_field(self):
+        flags = {
+            "--patches": ("6", 6),
+            "--base-dim": ("8", 8),
+            "--pyramid-dims": ("8,4", (8, 4)),
+            "--depth": ("2", 2),
+            "--mlp-ratio": ("3", 3),
+            "--drop-path": ("0.2", 0.2),
+            "--heads-divisor": ("4", 4),
+            "--swap-depth": ("-1", None),
+            "--num-classes": ("5", 5),
+            "--variant": ("baseline_pyramid", "baseline_pyramid"),
+            "--label-smoothing": ("0.05", 0.05),
+            "--no-qkv-bias": (None, False),
+            "--pre-msa-norm": (None, True),
+            "--share-unswapped": (None, True),
+            "--head-hidden": ("5", 5),
+            "--seed": ("3", 3),
+            "--batch-size": ("16", 16),
+            "--lr": ("0.01", 0.01),
+            "--steps": ("9", 9),
+            "--beta1": ("0.8", 0.8),
+            "--beta2": ("0.99", 0.99),
+            "--adam-eps": ("1e-07", 1e-07),
+            "--checkpoint-every": ("3", 3),
+        }
+        argv = ["params"]
+        for flag, (text, _) in flags.items():
+            argv += [flag] if text is None else [flag, text]
+        cfg = resolve_config(build_parser().parse_args(argv))
+        want = [value for _, value in flags.values()]
+        assert [getattr(cfg, f.name) for f in fields(RunConfig)] == want
+        for f, value in zip(fields(RunConfig), want):
+            assert type(getattr(cfg, f.name)) is type(value), f.name
 
     def test_split_keeps_model_label_smoothing_and_shared_seed(self):
         cfg = RunConfig(label_smoothing=0.2, seed=5, steps=7)
@@ -316,6 +399,20 @@ class TestGradcheckAndParams:
         err = capsys.readouterr().err
         assert flag[2:].replace("-", "_") in err and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command,flag,value,named",
+        [
+            ("gradcheck", "--samples", 0, "samples_per_param"),
+            ("gradcheck", "--samples", -1, "samples_per_param"),
+            ("gradcheck", "--h", 0, "step h"),
+            ("params", "--pyramid-dims", ",", "pyramid_dims"),
+        ],
+    )
+    def test_settings_that_check_or_build_nothing_rejected(self, command, flag, value, named, capsys):
+        assert run(command, "--preset", "desk", flag, value) == 1
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err and len(err.splitlines()) == 1
 
     def test_desk_preset_resolves(self, capsys):
         assert run("params", "--preset", "desk") == 0

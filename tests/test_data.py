@@ -41,6 +41,15 @@ class TestGenClusters:
         with pytest.raises(ValueError):
             gen_clusters(4, 8, 3, 10, -0.1, seed=0)
 
+    @pytest.mark.parametrize(
+        "field,value", [("num_classes", 1), ("num_classes", 0), ("per_class", 0), ("patches", 0), ("dim", 0)]
+    )
+    def test_shapes_no_model_accepts_rejected(self, field, value):
+        kw = dict(patches=4, dim=8, num_classes=3, per_class=5, sigma=0.1, seed=0)
+        kw[field] = value
+        with pytest.raises(ValueError, match=field):
+            gen_clusters(**kw)
+
     def test_huge_sigma_drowns_the_signal(self):
         # prototypes have unit-scale entries; at sigma 50 held-out accuracy
         # after training must sit at chance within Monte-Carlo margin
@@ -140,6 +149,13 @@ class TestGenXor:
     def test_odd_per_class_rejected(self):
         with pytest.raises(ValueError):
             gen_xor(patches=4, dim=16, per_class=3, sigma=0.3, seed=0)
+
+    @pytest.mark.parametrize("field,value", [("per_class", 0), ("patches", 0), ("dim", 1)])
+    def test_shapes_no_model_accepts_rejected(self, field, value):
+        kw = dict(patches=4, dim=16, per_class=4, sigma=0.3, seed=0)
+        kw[field] = value
+        with pytest.raises(ValueError, match=field):
+            gen_xor(**kw)
 
     def test_directions_orthonormal(self):
         (u0, u1), (v0, v1) = xor_directions(16, seed=9)

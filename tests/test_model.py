@@ -50,6 +50,10 @@ class TestModelConfig:
         with pytest.raises(ValueError):
             desk_config(pyramid_dims=(16, 32))
 
+    def test_rejects_empty_pyramid(self):
+        with pytest.raises(ValueError, match="pyramid_dims"):
+            desk_config(pyramid_dims=())
+
     def test_rejects_bad_swap_depth(self):
         with pytest.raises(ValueError):
             desk_config(swap_depth=3)

@@ -115,7 +115,6 @@ class TestFoldedMatmul:
             ((2, 3, 4), (4, 5)),  # folded
             ((2, 2, 3, 4), (4, 5)),  # folded
             ((2, 2, 3, 4), (2, 2, 4, 5)),  # stacked, equal leading axes
-            ((3, 4), (2, 4, 5)),  # 2-D broadcast across a stack
         ],
     )
     def test_gradients(self, a_shape, b_shape):
@@ -128,6 +127,13 @@ class TestFoldedMatmul:
             return sum_all(mul(y, y))
 
         assert finite_diff_check(f, {"a": a, "b": b}).passed
+
+    @pytest.mark.parametrize(
+        "a_shape,b_shape", [((3, 4), (2, 4, 5)), ((2, 3, 4), (3, 4, 5)), ((2, 2, 3, 4), (2, 4, 5))]
+    )
+    def test_stack_needs_equal_leading_axes(self, a_shape, b_shape):
+        with pytest.raises(ShapeError, match="leading axes"):
+            matmul(Tensor(np.zeros(a_shape)), Tensor(np.zeros(b_shape)))
 
     def test_stack_of_small_products_keeps_stacked_forward(self):
         # Each 1x30 @ 30x31 product is small, their fold is over a million
@@ -146,7 +152,7 @@ class TestFoldedMatmul:
         report = finite_diff_check(f, {"a": a, "b": b}, samples_per_param=10, rng=np.random.default_rng(0))
         assert report.passed
 
-    @pytest.mark.parametrize("a_shape,b_shape", [((2, 3, 4), (4, 5)), ((3, 4), (4, 5)), ((3, 4), (2, 4, 5))])
+    @pytest.mark.parametrize("a_shape,b_shape", [((2, 3, 4), (4, 5)), ((3, 4), (4, 5)), ((2, 3, 4), (2, 4, 5))])
     def test_vjp_skips_operands_without_grad(self, a_shape, b_shape):
         rng = np.random.default_rng(23)
         for a_grad, b_grad in ((True, False), (False, True)):
@@ -573,3 +579,9 @@ class TestFiniteDiffCheck:
 
         report = finite_diff_check(f, {"x": x})
         assert "PASS" in report.summary()
+
+    @pytest.mark.parametrize("kw", [{"h": 0.0}, {"h": -1e-5}, {"samples_per_param": 0}, {"samples_per_param": -2}])
+    def test_settings_that_check_nothing_rejected(self, kw):
+        x = Tensor(np.ones(2), requires_grad=True)
+        with pytest.raises(ValueError, match=next(iter(kw))):
+            finite_diff_check(lambda: sum_all(mul(x, x)), {"x": x}, **kw)

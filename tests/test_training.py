@@ -263,6 +263,38 @@ class TestTrainLoop:
         assert seconds == [1.0, 2.0, 3.0]
 
 
+MISFITS = [
+    ({"patches": 5}, "P=5"),
+    ({"dim": 12}, "D=12"),
+    ({"num_classes": 5}, "5 classes"),
+]
+
+
+def misfit_data(patches=6, dim=16, num_classes=4):
+    return gen_clusters(patches=patches, dim=dim, num_classes=num_classes, per_class=4, sigma=0.3, seed=14)
+
+
+class TestDataMustFitModel:
+    @pytest.mark.parametrize("data_kw,named", MISFITS)
+    def test_train_loop_rejects(self, data_kw, named, tmp_path):
+        with pytest.raises(ValueError, match=named) as e:
+            train_loop(desk_config(), TrainConfig(steps=1), misfit_data(**data_kw), out_dir=tmp_path / "run")
+        assert "patches=6, base_dim=16, num_classes=4" in str(e.value)
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("data_kw,named", MISFITS)
+    def test_predict_and_evaluate_reject(self, data_kw, named):
+        cfg = desk_config()
+        params = build_params(cfg)
+        for run in (predict, evaluate):
+            with pytest.raises(ValueError, match=named):
+                run(params, cfg, misfit_data(**data_kw))
+
+    def test_fewer_classes_than_the_model_fit(self):
+        cfg = desk_config()
+        assert predict(build_params(cfg), cfg, misfit_data(num_classes=2)).shape == (8,)
+
+
 class TestEvaluate:
     def test_model_predicting_true_labels_scores_one(self):
         # make the labels whatever the model already predicts
