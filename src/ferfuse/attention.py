@@ -26,9 +26,9 @@ from .tensor import (
     Tensor,
     linear,
     matmul,
-    reshape,
-    scale,
+    merge_heads,
     softmax_rows,
+    split_heads,
     swap_axes,
 )
 
@@ -67,31 +67,14 @@ def _check_input(x: Tensor, p: MsaParams, label: str) -> None:
         raise ShapeError(f"{label}: dim {d} not divisible by heads {p.heads}")
 
 
-def _split_heads(t: Tensor, heads: int) -> Tensor:
-    # (.., P, D) -> (.., heads, P, d)
-    p, d = t.shape[-2], t.shape[-1]
-    t = reshape(t, t.shape[:-1] + (heads, d // heads))
-    return swap_axes(t, -3, -2)
-
-
-def _merge_heads(t: Tensor) -> Tensor:
-    # (.., heads, P, d) -> (.., P, heads * d)
-    heads, p, dh = t.shape[-3], t.shape[-2], t.shape[-1]
-    t = swap_axes(t, -3, -2)
-    return reshape(t, t.shape[:-2] + (heads * dh,))
-
-
 def _attend(q: Tensor, k: Tensor, v: Tensor, heads: int, sink: list | None) -> Tensor:
     """Head-split scaled-dot attention; appends the weight tensor to sink."""
     dh = q.shape[-1] // heads
-    qh = _split_heads(q, heads)
-    kh = _split_heads(k, heads)
-    vh = _split_heads(v, heads)
-    scores = scale(matmul(qh, swap_axes(kh, -1, -2)), 1.0 / math.sqrt(dh))
-    weights = softmax_rows(scores)
+    scores = matmul(split_heads(q, heads), swap_axes(split_heads(k, heads), -1, -2))
+    weights = softmax_rows(scores, 1.0 / math.sqrt(dh))
     if sink is not None:
         sink.append(weights)
-    return _merge_heads(matmul(weights, vh))
+    return merge_heads(matmul(weights, split_heads(v, heads)))
 
 
 def mhsa(xs: list, ps: list, swapped: bool = False, sinks: list | None = None) -> list:

@@ -8,9 +8,9 @@
         u32 LE        rank, then one u32 LE extent per axis
         f64 LE        row-major data
 
-Names are unique. Round trips are bitwise lossless. Loading into an
-existing parameter set checks names and shapes and reports the first
-mismatch by name.
+Names are unique and data is finite. Round trips are bitwise lossless.
+Loading into an existing parameter set checks names and shapes and reports
+the first mismatch by name.
 """
 
 from __future__ import annotations
@@ -81,13 +81,18 @@ def load_checkpoint(path) -> "OrderedDict[str, np.ndarray]":
             n = math.prod(shape)
             expect_bytes(f, 8 * n, f"data of {name} {shape}")
             raw = read_exact(f, 8 * n, f"data of {name}")
-            out[name] = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+            arr = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+            if not np.isfinite(arr).all():
+                raise BadFieldError(f"{path}: data of tensor {i} ({name}) contains NaN/Inf")
+            out[name] = arr
     return out
 
 
 def load_into(params, path) -> None:
     """Load a checkpoint into a ModelParams, matching names and shapes.
 
+    Copies into each parameter's existing array, so views into an Adam
+    arena (``training.init_adam_state``) keep reading the loaded values.
     Raises ShapeError naming the offending tensor on any dimension
     mismatch, and KeyError on missing or unexpected names.
     """
@@ -103,7 +108,7 @@ def load_into(params, path) -> None:
                 f"{path}: tensor {name!r} has shape {arr.shape}, model expects {t.data.shape}"
             )
     for name, t in params.named.items():
-        t.data = loaded[name]
+        t.data[...] = loaded[name]
         t.grad = None
 
 

@@ -198,10 +198,11 @@ def cmd_gen_data(args) -> int:
 def cmd_train(args) -> int:
     cfg = resolve_config(args)
     train_ds = _load_features(args.data)
-    out_dir = Path(args.out)
-    write_effective_config(cfg, out_dir)
     mcfg = cfg.model_config()
     tcfg = cfg.train_config()
+    check_fits(mcfg, train_ds)  # a misfit leaves no output directory behind
+    out_dir = Path(args.out)
+    write_effective_config(cfg, out_dir)
     result = train_loop(mcfg, tcfg, train_ds, out_dir=out_dir)
     print(f"trained {mcfg.variant} for {tcfg.steps} steps, final loss {result.log[-1][1]:.6f}")
     print(f"checkpoint: {result.checkpoint_path}")

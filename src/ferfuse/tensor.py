@@ -12,7 +12,13 @@ A VJP may return ``None`` for an input that does not require grad, and
 ``matmul``'s does, so no work goes into gradients nobody asked for.
 
 All data is float64 and row-major. Any NaN or Inf entering or leaving an
-op is a contract violation and raises ``NonFiniteError`` immediately.
+op is a contract violation and raises ``NonFiniteError`` immediately,
+naming the op. The screen is one reduction: an array is finite when its
+sum is; only when the sum is not finite (NaN/Inf, or finite entries whose
+sum overflows) does the exact elementwise check decide. ``Tensor(...)``
+screens its data the same way. Ops that only move data (``reshape``,
+``swap_axes``, ``concat``, ``split_heads``, ``merge_heads``) skip the
+screen: their outputs are entries of inputs already screened.
 A graph and its tensors belong to a single thread; detached value arrays
 are plain numpy and safe to share read-only.
 
@@ -25,6 +31,7 @@ no wait for Python's cyclic garbage collector.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,13 +57,15 @@ class Tensor:
     and keep a reference to the op that created them, which is all the
     graph structure backward needs. ``backward`` stores ``grad`` on leaves;
     an op output keeps its gradient only when ``retain_grad`` is set.
+    ``screen=False`` skips the NaN/Inf screen; ops pass it, since they
+    screen their outputs themselves, or move only screened entries.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "creator", "retain_grad")
 
-    def __init__(self, data, requires_grad: bool = False):
-        arr = np.asarray(data, dtype=np.float64)
-        if not np.all(np.isfinite(arr)):
+    def __init__(self, data, requires_grad: bool = False, screen: bool = True):
+        arr = data if type(data) is np.ndarray and data.dtype == np.float64 else np.asarray(data, dtype=np.float64)
+        if screen and not _finite(arr):
             raise NonFiniteError(f"tensor data contains NaN/Inf (shape {arr.shape})")
         self.data = arr
         self.requires_grad = bool(requires_grad)
@@ -86,6 +95,13 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
+
+
+def _finite(arr: np.ndarray) -> bool:
+    """Whether every entry of ``arr`` is finite, by one sum when it is finite."""
+    with np.errstate(over="ignore"):
+        total = arr.sum()
+    return math.isfinite(total) or bool(np.isfinite(arr).all())
 
 
 class OpNode:
@@ -196,8 +212,15 @@ def zero_grads(tensors) -> None:
         t.zero_grad()
 
 
+# Ops that only move entries of their inputs, which were screened already;
+# their outputs skip the screen.
+_MOVES_DATA = frozenset(("reshape", "swap_axes", "concat", "split_heads", "merge_heads"))
+
+
 def _record(name, inputs, out_data, vjp) -> Tensor:
-    out = Tensor(out_data)
+    out = Tensor(out_data, screen=False)
+    if name not in _MOVES_DATA and not _finite(out.data):
+        raise NonFiniteError(f"{name}: output contains NaN/Inf (shape {out.shape})")
     if any(t.requires_grad for t in inputs):
         out.requires_grad = True
         out.creator = OpNode(name, tuple(inputs), vjp)
@@ -317,27 +340,44 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 
 def gelu(x: Tensor) -> Tensor:
     """Gaussian error linear unit, exact form 0.5 * x * (1 + erf(x / sqrt(2)))."""
-    cdf = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
     xd = x.data
+    cdf = xd * _INV_SQRT2
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
 
     def vjp(g):
-        pdf = np.exp(-0.5 * xd * xd) * _INV_SQRT_2PI
-        return (g * (cdf + xd * pdf),)
+        # g * (cdf + xd * pdf), pdf = exp(-0.5 * xd * xd) / sqrt(2 pi)
+        d = -0.5 * xd
+        d *= xd
+        np.exp(d, out=d)
+        d *= _INV_SQRT_2PI
+        d *= xd
+        d += cdf
+        d *= g
+        return (d,)
 
     return _record("gelu", (x,), xd * cdf, vjp)
 
 
-def softmax_rows(x: Tensor) -> Tensor:
-    """Softmax along the last axis, stabilised by per-row max subtraction.
+def softmax_rows(x: Tensor, factor: float = 1.0) -> Tensor:
+    """Softmax of ``factor * x`` along the last axis, stabilised by per-row
+    max subtraction.
 
     Output rows are non-negative and sum to 1.
     """
-    z = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=-1, keepdims=True)
+    y = x.data * factor
+    y -= y.max(axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
 
     def vjp(g):
-        return (y * (g - (g * y).sum(axis=-1, keepdims=True)),)
+        # y * (g - rowsum(g * y)), then times factor
+        d = g * y
+        np.subtract(g, d.sum(axis=-1, keepdims=True), out=d)
+        d *= y
+        d *= factor
+        return (d,)
 
     return _record("softmax_rows", (x,), y, vjp)
 
@@ -366,20 +406,31 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
             f"layer_norm affine shapes {gamma.shape}/{beta.shape} do not match last axis of {x.shape}"
         )
     mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
+    inv = x.data.var(axis=-1, keepdims=True)
+    inv += eps
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    xhat = x.data - mu
+    xhat *= inv
+    out = gamma.data * xhat
+    out += beta.data
 
     def vjp(g):
+        # dx = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))
         dxhat = g * gamma.data
-        dgamma = (g * xhat).reshape(-1, d).sum(axis=0)
+        t = g * xhat
+        dgamma = t.reshape(-1, d).sum(axis=0)
         dbeta = g.reshape(-1, d).sum(axis=0)
         m1 = dxhat.mean(axis=-1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-        dx = inv * (dxhat - m1 - xhat * m2)
-        return dx, dgamma, dbeta
+        np.multiply(dxhat, xhat, out=t)
+        m2 = t.mean(axis=-1, keepdims=True)
+        np.multiply(xhat, m2, out=t)
+        dxhat -= m1
+        dxhat -= t
+        dxhat *= inv
+        return dxhat, dgamma, dbeta
 
-    return _record("layer_norm", (x, gamma, beta), gamma.data * xhat + beta.data, vjp)
+    return _record("layer_norm", (x, gamma, beta), out, vjp)
 
 
 def concat(tensors, axis: int) -> Tensor:
@@ -437,6 +488,24 @@ def swap_axes(x: Tensor, ax1: int, ax2: int) -> Tensor:
     return _record(
         "swap_axes", (x,), np.swapaxes(x.data, ax1, ax2), lambda g: (np.swapaxes(g, ax1, ax2),)
     )
+
+
+def split_heads(x: Tensor, heads: int) -> Tensor:
+    """(.., P, D) -> (.., heads, P, D // heads): head h holds columns
+    [h * D // heads, (h + 1) * D // heads) of every row."""
+    if x.ndim < 2 or heads < 1 or x.shape[-1] % heads:
+        raise ShapeError(f"split_heads needs (.., P, D) with D divisible by {heads} heads, got {x.shape}")
+    out = np.swapaxes(x.data.reshape(x.shape[:-1] + (heads, x.shape[-1] // heads)), -3, -2)
+    return _record("split_heads", (x,), out, lambda g: (np.swapaxes(g, -3, -2).reshape(x.shape),))
+
+
+def merge_heads(x: Tensor) -> Tensor:
+    """(.., heads, P, d) -> (.., P, heads * d), the inverse of ``split_heads``."""
+    if x.ndim < 3:
+        raise ShapeError(f"merge_heads needs (.., heads, P, d), got {x.shape}")
+    lead, (heads, p, dh) = x.shape[:-3], x.shape[-3:]
+    out = np.swapaxes(x.data, -3, -2).reshape(lead + (p, heads * dh))
+    return _record("merge_heads", (x,), out, lambda g: (np.swapaxes(g.reshape(lead + (p, heads, dh)), -3, -2),))
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,12 @@ Everything downstream of the seed is deterministic: the per-step rng is
 derived from (seed, step) alone, so two runs with the same config and data
 produce identical parameters, losses, and reports. Wall-clock seconds in
 the training log are the only nondeterministic output column.
+
+Ownership of parameter memory: ``init_adam_state`` (run once per
+``train_loop``) packs every parameter into one flat arena and rebinds each
+``data`` to its view. After that nothing may rebind a parameter's
+``data``; ``adam_step`` raises if one was. Copy new values into the view
+instead, as ``checkpoint.load_into`` does.
 """
 
 from __future__ import annotations
@@ -70,27 +76,52 @@ def label_smoothing_ce(logits: Tensor, labels, smoothing: float) -> Tensor:
     return scale(sum_all(scale(logp, q)), -1.0 / b)
 
 
+# Entries updated together: the update is elementwise, so running it over
+# spans of at most this many entries keeps its temporaries in cache
+# without changing any result bit.
+_ADAM_CHUNK = 1 << 14
+
+
 @dataclass
 class OptimizerState:
-    """Adam moment accumulators, mirroring the parameter shapes."""
+    """Adam over a flat parameter arena.
 
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    ``flat`` holds the arena and the two moment buffers, each with every
+    parameter end to end, in order; ``views``, ``m`` and ``v`` map each
+    name to its view into them. ``spans`` lists (lo, hi, names): a run of
+    consecutive tensors of at most ``_ADAM_CHUNK`` entries in all, or one
+    larger tensor.
+    """
+
+    flat: tuple
+    views: dict
+    m: dict
+    v: dict
+    spans: list
     step: int = 0
 
 
 def init_adam_state(named) -> OptimizerState:
-    state = OptimizerState()
-    for name, t in named.items():
-        state.m[name] = np.zeros_like(t.data)
-        state.v[name] = np.zeros_like(t.data)
-    return state
+    """Pack every parameter of ``named``, in order, into one arena.
 
-
-# Rows of a parameter updated together: the update is elementwise, so
-# running it over slices of about this many entries keeps its temporaries
-# in cache without changing any result bit.
-_ADAM_CHUNK = 1 << 14
+    Each ``t.data`` is copied into the arena and rebound to its view there.
+    From then on nothing may rebind a parameter's ``data``: ``adam_step``
+    updates the arena and raises if a tensor no longer reads it. Copy
+    into ``t.data`` instead.
+    """
+    offsets = np.cumsum([0] + [t.size for t in named.values()]).tolist()
+    flat = tuple(np.zeros(offsets[-1]) for _ in range(3))
+    views, m, v, spans = {}, {}, {}, []
+    for (name, t), lo, hi in zip(named.items(), offsets, offsets[1:]):
+        views[name], m[name], v[name] = (a[lo:hi].reshape(t.shape) for a in flat)
+        views[name][...] = t.data
+        t.data = views[name]
+        if spans and hi - spans[-1][0] <= _ADAM_CHUNK:
+            spans[-1][1] = hi
+            spans[-1][2].append(name)
+        else:
+            spans.append([lo, hi, [name]])
+    return OptimizerState(flat, views, m, v, spans)
 
 
 def adam_step(
@@ -101,27 +132,38 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> None:
-    """One bias-corrected Adam update, in place. Missing grads count as zero.
+    """One bias-corrected Adam update of ``state``'s arena, in place.
+    Missing grads count as zero.
 
-    Moments and ``p.data`` are updated in their own buffers, with the
-    arithmetic in the order of ``p - lr * (m / bc1) / (sqrt(v / bc2) + eps)``,
-    so the result is bitwise that formula's.
+    Moments and parameters are updated in their flat buffers, span by
+    span, with the arithmetic in the order of
+    ``p - lr * (m / bc1) / (sqrt(v / bc2) + eps)``, so the result is
+    bitwise that formula's. A span's grads are gathered into one temporary
+    of at most ``_ADAM_CHUNK`` entries; a larger tensor is read from its
+    own grad. Raises ValueError if a parameter's ``data`` is no longer its
+    arena view.
     """
+    if named.keys() != state.views.keys():
+        raise ValueError("adam_step needs the parameters its state was built from")
     state.step += 1
     t = state.step
     bc1 = 1.0 - beta1**t
     bc2 = 1.0 - beta2**t
-    for name, p in named.items():
-        g = p.grad
-        if g is None:
-            g = np.zeros_like(p.data)
-        if g.shape != p.data.shape:
-            raise ValueError(f"gradient shape {g.shape} does not match param {name!r} {p.data.shape}")
-        data, g, m, v = (np.atleast_1d(a) for a in (p.data, g, state.m[name], state.v[name]))
-        rows = max(1, _ADAM_CHUNK * data.shape[0] // max(data.size, 1))
-        for lo in range(0, data.shape[0], rows):
-            s = slice(lo, lo + rows)
-            _adam_update(data[s], g[s], m[s], v[s], lr, beta1, beta2, eps, bc1, bc2)
+    arena, m, v = state.flat
+    for lo, hi, names in state.spans:
+        grads = []
+        for name in names:
+            p = named[name]
+            if p.data is not state.views[name]:
+                raise ValueError(f"param {name!r} was rebound after init_adam_state; copy into its data instead")
+            g = np.zeros(p.shape) if p.grad is None else p.grad
+            if g.shape != p.shape:
+                raise ValueError(f"gradient shape {g.shape} does not match param {name!r} {p.shape}")
+            grads.append(g)
+        g = grads[0].reshape(-1) if len(grads) == 1 else np.concatenate(grads, axis=None)
+        for a in range(lo, hi, _ADAM_CHUNK):
+            s = slice(a, min(a + _ADAM_CHUNK, hi))
+            _adam_update(arena[s], g[a - lo : s.stop - lo], m[s], v[s], lr, beta1, beta2, eps, bc1, bc2)
 
 
 def _adam_update(p, g, m, v, lr, beta1, beta2, eps, bc1, bc2) -> None:

@@ -150,7 +150,7 @@ class TestTrainEval:
         assert run("train", "--data", misfit, "--out", tmp_path / "bad", *desk_flags("--steps", 2)) == 1
         err = capsys.readouterr().err
         assert named in err and "num_classes=3" in err and len(err.splitlines()) == 1
-        assert not (tmp_path / "bad" / "checkpoint_final.pckpt").exists()
+        assert not (tmp_path / "bad").exists()
         good = tmp_path / "good"
         assert run("train", "--data", cluster_file, "--out", good, *desk_flags("--steps", 2)) == 0
         ckpt = good / "checkpoint_final.pckpt"

@@ -19,8 +19,8 @@ from ferfuse.model import (
     estimate_flops,
     forward,
 )
-from ferfuse.tensor import ShapeError, Tensor, backward, concat, gelu, linear, mean_pool_patches, sum_all
-from ferfuse.training import label_smoothing_ce
+from ferfuse.tensor import Graph, ShapeError, Tensor, backward, concat, gelu, linear, mean_pool_patches, sum_all
+from ferfuse.training import adam_step, init_adam_state, label_smoothing_ce
 from helpers import msa_tensor, stream_tensor
 
 
@@ -192,6 +192,20 @@ class TestPosterForward:
         h = params.head
         want = linear(gelu(linear(feat, h[0].w, h[0].b)), h[1].w, h[1].b).data
         assert np.max(np.abs(got - want)) < 1e-12
+
+    def test_desk_training_step_records_340_ops(self):
+        # Per stream and block, attention is 3 linear maps, 3 split_heads, the
+        # key swap, 2 matmuls, the scaled softmax, merge_heads and the output map.
+        cfg = desk_config()
+        rng = np.random.default_rng(16)
+        x = [Tensor(rng.standard_normal((4, 8, 32))) for _ in range(2)]
+        logits = forward(*x, build_params(cfg), cfg, training=True, rng=rng)
+        loss = label_smoothing_ce(logits, np.arange(4), 0.1)
+        ops = Graph.trace(loss).ops
+        assert len(ops) == 340
+        names = [op.name for op in ops]
+        assert names.count("split_heads") == 36 and names.count("merge_heads") == 12
+        assert "reshape" not in names
 
     def test_tied_streams_match_baseline_pyramid_on_duplicated_input(self):
         # with identical stream weights and x_img == x_lm, the query swap is
@@ -539,6 +553,30 @@ class TestCheckpoint:
             load_checkpoint(path)
         with pytest.raises(BadFieldError):
             load_into(build_params(cfg), path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_data_named(self, tmp_path, bad):
+        path = tmp_path / "model.pckpt"
+        save_checkpoint(path, {"a": np.zeros(2), "b": np.ones(3)})
+        raw = path.read_bytes()
+        path.write_bytes(raw[:-8] + np.array([bad], dtype="<f8").tobytes())
+        with pytest.raises(BadFieldError, match=r"tensor 1 \(b\) contains NaN/Inf"):
+            load_checkpoint(path)
+
+    def test_load_into_keeps_adam_arena_views(self, tmp_path):
+        cfg = desk_config(pyramid_dims=(16, 8), base_dim=16, patches=4)
+        source = build_params(cfg)
+        path = tmp_path / "model.pckpt"
+        save_checkpoint(path, source.named)
+        target = build_params(desk_config(pyramid_dims=(16, 8), base_dim=16, patches=4, seed=5))
+        state = init_adam_state(target.named)
+        load_into(target, path)
+        for name, t in target.named.items():
+            assert t.data is state.views[name]
+            assert np.array_equal(t.data, source.named[name].data)
+            t.grad = np.ones_like(t.data)
+        adam_step(target.named, state, lr=1e-3)
+        assert not np.array_equal(target.named["head.w1"].data, source.named["head.w1"].data)
 
     def test_truncated_payload(self, tmp_path):
         path = tmp_path / "model.pckpt"

@@ -22,10 +22,12 @@ from ferfuse.tensor import (
     log_softmax_rows,
     matmul,
     mean_pool_patches,
+    merge_heads,
     mul,
     reshape,
     scale,
     softmax_rows,
+    split_heads,
     sum_all,
     swap_axes,
 )
@@ -196,6 +198,17 @@ class TestSoftmax:
 
         def f():
             return sum_all(scale(softmax_rows(x), c))
+
+        assert finite_diff_check(f, {"x": x}).passed
+
+    def test_factor_scales_inputs_and_gradients(self):
+        rng = np.random.default_rng(7)
+        x = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
+        c = rng.standard_normal((2, 3, 4))
+        assert np.array_equal(softmax_rows(x, 0.35).data, softmax_rows(scale(x, 0.35)).data)
+
+        def f():
+            return sum_all(scale(softmax_rows(x, 0.35), c))
 
         assert finite_diff_check(f, {"x": x}).passed
 
@@ -399,6 +412,37 @@ class TestElementwiseAndStructural:
             reshape(Tensor(np.zeros((2, 3))), (4, 2))
 
 
+class TestHeads:
+    def test_split_puts_column_blocks_on_a_head_axis(self):
+        x = np.arange(2 * 3 * 8, dtype=np.float64).reshape(2, 3, 8)
+        out = split_heads(Tensor(x), 4).data
+        assert out.shape == (2, 4, 3, 2)
+        for h in range(4):
+            assert np.array_equal(out[:, h], x[:, :, 2 * h : 2 * h + 2])
+
+    def test_merge_inverts_split(self):
+        x = Tensor(np.random.default_rng(8).standard_normal((2, 5, 12)))
+        for heads in (1, 3, 4, 12):
+            assert np.array_equal(merge_heads(split_heads(x, heads)).data, x.data)
+
+    def test_gradients(self):
+        rng = np.random.default_rng(9)
+        x = Tensor(rng.standard_normal((2, 3, 6)), requires_grad=True)
+        y = Tensor(rng.standard_normal((2, 3, 3, 2)), requires_grad=True)
+        cx = rng.standard_normal((2, 3, 3, 2))
+        cy = rng.standard_normal((2, 3, 6))
+        assert finite_diff_check(lambda: sum_all(scale(split_heads(x, 3), cx)), {"x": x}).passed
+        assert finite_diff_check(lambda: sum_all(scale(merge_heads(y), cy)), {"y": y}).passed
+
+    def test_bad_shapes_rejected(self):
+        with pytest.raises(ShapeError):
+            split_heads(Tensor(np.zeros((3, 6))), 4)
+        with pytest.raises(ShapeError):
+            split_heads(Tensor(np.zeros(6)), 2)
+        with pytest.raises(ShapeError):
+            merge_heads(Tensor(np.zeros((3, 6))))
+
+
 class TestBackward:
     def test_sum_gives_ones(self):
         x = Tensor(np.arange(5.0), requires_grad=True)
@@ -527,6 +571,28 @@ class TestPurityAndFiniteness:
         x = Tensor([1e300])
         with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
             scale(scale(x, 1e300), 1e300)
+
+    def test_screen_names_the_op(self):
+        with np.errstate(over="ignore"), pytest.raises(
+            NonFiniteError, match=r"^scale: output contains NaN/Inf \(shape \(1,\)\)$"
+        ):
+            scale(Tensor([1e300]), 1e300)
+
+    def test_finite_output_whose_sum_overflows_passes_silently(self, recwarn):
+        x = Tensor(np.full(8, np.finfo(np.float64).max / 2))
+        out = scale(x, 1.5)
+        assert not recwarn.list
+        with np.errstate(over="ignore"):
+            assert np.all(np.isfinite(out.data)) and out.data.sum() == np.inf
+
+    def test_op_making_nan_raises(self):
+        # the row mean overflows to inf, so (x - mean) * 1/sqrt(var) is -inf * 0
+        big = np.finfo(np.float64).max
+        x = Tensor([[big, big]])
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            NonFiniteError, match=r"^layer_norm: output contains NaN/Inf"
+        ):
+            layer_norm(x, Tensor(np.ones(2)), Tensor(np.zeros(2)))
 
 
 class TestFiniteDiffCheck:

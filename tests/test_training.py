@@ -9,6 +9,7 @@ from ferfuse.data import gen_clusters
 from ferfuse.model import VARIANTS, ModelConfig, build_params, forward
 from ferfuse.tensor import NonFiniteError, Tensor, finite_diff_check
 from ferfuse.training import (
+    _ADAM_CHUNK,
     OptimizerState,
     TrainConfig,
     adam_step,
@@ -148,6 +149,47 @@ class TestAdam:
             assert np.array_equal(t.data, p)
             assert t.data is data
 
+    def test_arena_matches_per_tensor_formula_bitwise(self):
+        # small tensors, one over a chunk, a 0-d one, and one that gets no grad
+        rng = np.random.default_rng(42)
+        shapes = {"a": (3, 4), "big": (3, _ADAM_CHUNK // 2 + 5), "s": (), "b": (7,), "none": (2, 2), "c": (5, 6)}
+        named = {name: Tensor(rng.standard_normal(shape), requires_grad=True) for name, shape in shapes.items()}
+        state = init_adam_state(named)
+        assert isinstance(state, OptimizerState)
+        held = {name: t.data for name, t in named.items()}
+        ref = {name: (t.data.copy(), np.zeros(t.shape), np.zeros(t.shape)) for name, t in named.items()}
+        lr, b1, b2, eps = 1e-3, 0.9, 0.999, 1e-8
+        for step in range(1, 6):
+            for name, t in named.items():
+                t.grad = None if name == "none" else rng.standard_normal(t.shape)
+            adam_step(named, state, lr, b1, b2, eps)
+            for name, t in named.items():
+                g = np.zeros(t.shape) if t.grad is None else t.grad
+                p, m, v = ref[name]
+                m = b1 * m + (1.0 - b1) * g
+                v = b2 * v + (1.0 - b2) * g * g
+                p = p - lr * (m / (1.0 - b1**step)) / (np.sqrt(v / (1.0 - b2**step)) + eps)
+                ref[name] = p, m, v
+                assert t.data is held[name]
+                assert np.array_equal(t.data, p) and np.array_equal(state.m[name], m) and np.array_equal(state.v[name], v)
+        assert np.array_equal(named["none"].data, ref["none"][0])
+
+    def test_rebinding_a_parameter_after_init_raises(self):
+        named = {"a": Tensor(np.ones(3), requires_grad=True), "b": Tensor(np.ones(2), requires_grad=True)}
+        state = init_adam_state(named)
+        named["b"].data = np.ones(2)
+        with pytest.raises(ValueError, match="'b' was rebound"):
+            adam_step(named, state, lr=0.1)
+        named["b"].data = state.views["b"]
+        named["b"].data[...] = 2.0  # copying into the view is the supported way
+        adam_step(named, state, lr=0.1)
+
+    def test_other_parameters_rejected(self):
+        named = {"a": Tensor(np.ones(3), requires_grad=True)}
+        state = init_adam_state(named)
+        with pytest.raises(ValueError, match="parameters its state was built from"):
+            adam_step({"z": named["a"]}, state, lr=0.1)
+
     def test_moment_shapes_mirror_params(self):
         t = Tensor(np.zeros((2, 3)), requires_grad=True)
         state = init_adam_state({"t": t})
@@ -222,6 +264,14 @@ class TestTrainLoop:
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteError) as e:
             train_loop(cfg, tcfg, ds)
         assert "step" in str(e.value)
+
+    def test_non_finite_abort_names_the_step_and_the_op(self):
+        ds = gen_clusters(patches=6, dim=16, num_classes=4, per_class=10, sigma=0.2, seed=7)
+        tcfg = TrainConfig(batch_size=16, learning_rate=1e150, steps=10, seed=0)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            NonFiniteError, match=r"^non-finite loss at step [2-9]: [a-z_]+: output contains NaN/Inf \(shape \("
+        ):
+            train_loop(desk_config(), tcfg, ds)
 
     def test_steps_and_checkpoint_cadence_validated(self):
         for bad in (0, -2):
