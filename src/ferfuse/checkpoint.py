@@ -11,28 +11,33 @@
 Names are unique and data is finite. Round trips are bitwise lossless.
 Loading into an existing parameter set checks names and shapes and reports
 the first mismatch by name.
+
+A model file is a checkpoint plus its ``ModelConfig`` as JSON in a sidecar
+named ``<checkpoint>.json``; ``save_model`` and ``load_model`` are the only
+code that knows that rule.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from collections import OrderedDict
+from pathlib import Path
 
 import numpy as np
 
 from .binio import (
     BadFieldError,
-    BadMagicError,
-    FileFormatError,
     FormatVersionError,
-    TruncatedFileError,
     check_magic,
     check_shape,
     expect_bytes,
     read_exact,
     read_u32,
+    write_json,
     write_u32,
 )
+from .model import ModelConfig, ModelParams, build_params
 from .tensor import ShapeError, Tensor
 
 MAGIC = b"PCKPT"
@@ -112,15 +117,24 @@ def load_into(params, path) -> None:
         t.grad = None
 
 
-__all__ = [
-    "MAGIC",
-    "VERSION",
-    "save_checkpoint",
-    "load_checkpoint",
-    "load_into",
-    "BadMagicError",
-    "FormatVersionError",
-    "TruncatedFileError",
-    "BadFieldError",
-    "FileFormatError",
-]
+def save_model(path, params: ModelParams, cfg: ModelConfig) -> None:
+    """Write ``params`` to ``path`` and ``cfg`` to the sidecar ``<path>.json``."""
+    save_checkpoint(path, params.named)
+    write_json(cfg.to_dict(), f"{path}.json")
+
+
+def load_model(path) -> tuple:
+    """Build the model the sidecar of ``path`` describes and load ``path``
+    into it; returns ``(params, cfg)``. Raises FileNotFoundError naming the
+    checkpoint or the sidecar when either is missing."""
+    path = Path(path)
+    if not path.exists():
+        raise FileNotFoundError(f"checkpoint not found: {path}")
+    sidecar = Path(f"{path}.json")
+    if not sidecar.exists():
+        raise FileNotFoundError(f"missing model config sidecar: {sidecar}")
+    with open(sidecar) as f:
+        cfg = ModelConfig.from_dict(json.load(f))
+    params = build_params(cfg)
+    load_into(params, path)
+    return params, cfg

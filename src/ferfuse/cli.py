@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .binio import FileFormatError, write_csv, write_json
-from .checkpoint import load_into
+from .checkpoint import load_model
 from .data import FeatureDataset, gen_clusters, gen_xor, read_features, split_dataset, write_features
 from .metrics import round_percent, write_confusion_csv, write_metrics_csv
 from .model import VARIANTS, ModelConfig, build_params, count_params, estimate_flops, forward
@@ -161,20 +161,6 @@ def _load_features(path) -> FeatureDataset:
     return read_features(path)
 
 
-def _load_model_from_checkpoint(ckpt_path):
-    ckpt_path = Path(ckpt_path)
-    if not ckpt_path.exists():
-        raise CliError(f"checkpoint not found: {ckpt_path}")
-    sidecar = Path(str(ckpt_path) + ".json")
-    if not sidecar.exists():
-        raise CliError(f"missing model config sidecar: {sidecar}")
-    with open(sidecar) as f:
-        mcfg = ModelConfig.from_dict(json.load(f))
-    params = build_params(mcfg)
-    load_into(params, ckpt_path)
-    return params, mcfg
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -210,7 +196,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    params, mcfg = _load_model_from_checkpoint(args.checkpoint)
+    params, mcfg = load_model(args.checkpoint)
     ds = _load_features(args.data)
     report = evaluate(params, mcfg, ds)
     out_dir = Path(args.out)
@@ -359,7 +345,7 @@ def cmd_params(args) -> int:
 
 
 def cmd_visualize(args) -> int:
-    params, mcfg = _load_model_from_checkpoint(args.checkpoint)
+    params, mcfg = load_model(args.checkpoint)
     if not mcfg.layout.two_stream:
         raise CliError(f"visualize needs a two-stream variant checkpoint, got {mcfg.variant!r}")
     ds = _load_features(args.data)

@@ -28,8 +28,6 @@ from dataclasses import dataclass
 from .attention import AttentionRecord, MsaParams, mhsa
 from .tensor import Tensor, add, gelu, layer_norm, linear, scale
 
-LN_EPS = 1e-5
-
 
 @dataclass
 class StreamBlockParams:
@@ -99,7 +97,7 @@ def mlp(x: Tensor, layers: tuple) -> Tensor:
 
 def _residual_tail(x: Tensor, attn_out: Tensor, s: StreamBlockParams, rate, training, rng) -> Tensor:
     x1 = add(drop_path(attn_out, rate, training, rng), x)
-    m = mlp(layer_norm(x1, s.norm2_gamma, s.norm2_beta, LN_EPS), s.mlp)
+    m = mlp(layer_norm(x1, s.norm2_gamma, s.norm2_beta), s.mlp)
     return add(drop_path(m, rate, training, rng), x1)
 
 
@@ -120,7 +118,7 @@ def block(
     """
     if len(xs) != len(p.streams):
         raise ValueError(f"block has {len(p.streams)} stream weight sets, got {len(xs)} inputs")
-    hs = [layer_norm(x, s.norm1_gamma, s.norm1_beta, LN_EPS) if pre_msa_norm else x for x, s in zip(xs, p.streams)]
+    hs = [layer_norm(x, s.norm1_gamma, s.norm1_beta) if pre_msa_norm else x for x, s in zip(xs, p.streams)]
     attn = mhsa(hs, [s.msa for s in p.streams], swapped, sinks)
     return [_residual_tail(x, a, s, p.drop_path_rate, training, rng) for x, a, s in zip(xs, attn, p.streams)]
 

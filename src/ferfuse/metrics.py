@@ -11,7 +11,7 @@ as zero. Two-decimal rounding is presentation-only (``round_percent``).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +21,6 @@ from .binio import write_csv
 @dataclass
 class ConfusionMatrix:
     counts: np.ndarray  # (N, N) int64, rows = truth, cols = prediction
-    class_names: list = field(default_factory=list)
 
     def __post_init__(self):
         counts = np.asarray(self.counts, dtype=np.int64)
@@ -30,21 +29,22 @@ class ConfusionMatrix:
         if (counts < 0).any():
             raise ValueError("confusion matrix entries must be non-negative")
         self.counts = counts
-        if not self.class_names:
-            self.class_names = [f"class{i}" for i in range(counts.shape[0])]
-        elif len(self.class_names) != counts.shape[0]:
-            raise ValueError("class_names length does not match matrix size")
 
     @property
     def num_classes(self) -> int:
         return self.counts.shape[0]
 
     @property
+    def class_names(self) -> list:
+        """``class0`` .. ``class{N-1}``, the row and column labels of every table."""
+        return [f"class{i}" for i in range(self.num_classes)]
+
+    @property
     def total(self) -> int:
         return int(self.counts.sum())
 
 
-def confusion_matrix(truth, pred, num_classes: int, class_names=None) -> ConfusionMatrix:
+def confusion_matrix(truth, pred, num_classes: int) -> ConfusionMatrix:
     """Count (truth, prediction) pairs into an N x N matrix."""
     truth = np.asarray(truth, dtype=np.int64)
     pred = np.asarray(pred, dtype=np.int64)
@@ -55,7 +55,7 @@ def confusion_matrix(truth, pred, num_classes: int, class_names=None) -> Confusi
             raise ValueError(f"{name} labels out of range [0, {num_classes})")
     counts = np.zeros((num_classes, num_classes), dtype=np.int64)
     np.add.at(counts, (truth, pred), 1)
-    return ConfusionMatrix(counts=counts, class_names=list(class_names) if class_names else [])
+    return ConfusionMatrix(counts=counts)
 
 
 def overall_accuracy(cm: ConfusionMatrix) -> float:
@@ -111,9 +111,9 @@ def prediction_percentage_table(cm: ConfusionMatrix) -> np.ndarray:
     return table
 
 
-def round_percent(values, decimals: int = 2):
-    """Presentation-time rounding for percentage tables."""
-    return np.round(np.asarray(values, dtype=np.float64), decimals)
+def round_percent(values):
+    """Presentation-time rounding for percentage tables, to two decimals."""
+    return np.round(np.asarray(values, dtype=np.float64), 2)
 
 
 @dataclass
@@ -125,8 +125,8 @@ class EvalReport:
     row_percentages: np.ndarray
 
 
-def build_report(truth, pred, num_classes: int, class_names=None) -> EvalReport:
-    cm = confusion_matrix(truth, pred, num_classes, class_names)
+def build_report(truth, pred, num_classes: int) -> EvalReport:
+    cm = confusion_matrix(truth, pred, num_classes)
     return EvalReport(
         confusion=cm,
         accuracy=overall_accuracy(cm),

@@ -184,14 +184,14 @@ class ModelParams:
         return sum(t.size for t in self.named.values())
 
 
-def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02, clip: float = 2.0) -> np.ndarray:
-    """Normal samples rejected outside +-clip sigma, then scaled by std."""
+def trunc_normal(rng: np.random.Generator, shape) -> np.ndarray:
+    """Normal samples redrawn until within +-2 sigma, then scaled by 0.02."""
     out = rng.standard_normal(shape)
-    bad = np.abs(out) > clip
+    bad = np.abs(out) > 2.0
     while bad.any():
         out[bad] = rng.standard_normal(int(bad.sum()))
-        bad = np.abs(out) > clip
-    return out * std
+        bad = np.abs(out) > 2.0
+    return out * 0.02
 
 
 class _Registry:

@@ -49,21 +49,19 @@ class RelevanceMap:
 def capture_attention(
     params: ModelParams,
     cfg: ModelConfig,
-    x_img,
-    x_lm,
+    x_img: np.ndarray,
+    x_lm: np.ndarray,
     target_class: int,
 ) -> list:
-    """Run one eval forward on a single sample and record, for every block
-    and head, the attention weights and their gradient with respect to the
-    target-class logit."""
+    """Run one eval forward on a single sample, given as two (P, D) arrays,
+    and record, for every block and head, the attention weights and their
+    gradient with respect to the target-class logit."""
     if not 0 <= target_class < cfg.num_classes:
         raise ValueError(f"target_class {target_class} out of range [0, {cfg.num_classes})")
-    x_img = x_img if isinstance(x_img, Tensor) else Tensor(x_img)
-    x_lm = x_lm if isinstance(x_lm, Tensor) else Tensor(x_lm)
     if x_img.ndim != 2:
         raise ValueError(f"capture works on a single (P, D) sample, got {x_img.shape}")
     trace = []
-    logits = forward(x_img, x_lm, params, cfg, training=False, trace=trace)
+    logits = forward(Tensor(x_img), Tensor(x_lm), params, cfg, training=False, trace=trace)
     onehot = np.zeros(cfg.num_classes)
     onehot[target_class] = 1.0
     for rec in trace:
@@ -84,19 +82,17 @@ def capture_attention(
     return captured
 
 
-def relevance_rollout(captured: list, patches: int | None = None, stream: str = "") -> RelevanceMap:
-    """Roll a sequence of captured blocks (one stream, one level, in block
-    order) into a relevance map. An empty sequence needs ``patches`` and
-    yields the identity map."""
+def relevance_rollout(captured: list) -> RelevanceMap:
+    """Roll a non-empty sequence of captured blocks (one stream, one level,
+    in block order) into a relevance map for their stream."""
+    if not captured:
+        raise ValueError("relevance rollout needs at least one captured block")
     blocks = sorted(captured, key=lambda c: c.block)
-    if blocks:
-        patches = blocks[0].weights.shape[-1]
-        if [c.block for c in blocks] != list(range(len(blocks))):
-            raise ValueError(
-                f"incomplete trace: expected consecutive blocks from 0, got {[c.block for c in blocks]}"
-            )
-    elif patches is None:
-        raise ValueError("empty trace needs an explicit patch count")
+    if [c.block for c in blocks] != list(range(len(blocks))):
+        raise ValueError(
+            f"incomplete trace: expected consecutive blocks from 0, got {[c.block for c in blocks]}"
+        )
+    patches = blocks[0].weights.shape[-1]
     r = np.eye(patches)
     for cap in blocks:
         if cap.weights.shape[-2:] != (patches, patches):
@@ -108,7 +104,7 @@ def relevance_rollout(captured: list, patches: int | None = None, stream: str = 
         per_patch = np.array([1.0])
     else:
         per_patch = (r.sum(axis=0) - np.diag(r)) / (patches - 1)
-    return RelevanceMap(stream=stream or (blocks[0].stream if blocks else ""), matrix=r, per_patch=per_patch)
+    return RelevanceMap(stream=blocks[0].stream, matrix=r, per_patch=per_patch)
 
 
 def stream_relevance(captured: list, stream: str) -> RelevanceMap:
@@ -117,7 +113,7 @@ def stream_relevance(captured: list, stream: str) -> RelevanceMap:
     if not records:
         raise ValueError(f"no captured attention for stream {stream!r}")
     levels = sorted({c.level for c in records})
-    maps = [relevance_rollout([c for c in records if c.level == lvl], stream=stream) for lvl in levels]
+    maps = [relevance_rollout([c for c in records if c.level == lvl]) for lvl in levels]
     per_patch = np.mean([m.per_patch for m in maps], axis=0)
     matrix = np.mean([m.matrix for m in maps], axis=0)
     return RelevanceMap(stream=stream, matrix=matrix, per_patch=per_patch)

@@ -39,6 +39,7 @@ from scipy.special import erf
 
 _INV_SQRT2 = 0.7071067811865476
 _INV_SQRT_2PI = 0.3989422804014327
+LN_EPS = 1e-5  # added to the variance in every layer norm
 
 
 class ShapeError(ValueError):
@@ -89,9 +90,6 @@ class Tensor:
         if self.size != 1:
             raise ShapeError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -164,7 +162,7 @@ def backward(loss: Tensor) -> None:
     ``loss``.
 
     Each call adds one more copy of the gradient; callers reset with
-    ``zero_grad`` between steps. Leaves with ``requires_grad=False`` are
+    ``zero_grads`` between steps. Leaves with ``requires_grad=False`` are
     simply left alone. The gradient of any other op output lives only
     until its op's VJP has consumed it, so a step holds the gradients in
     flight rather than one per activation.
@@ -204,12 +202,10 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
     t.grad = g if t.grad is None else t.grad + g
 
 
-def zero_grads(tensors) -> None:
-    """Clear ``grad`` on an iterable (or name->Tensor mapping) of tensors."""
-    if hasattr(tensors, "values"):
-        tensors = tensors.values()
-    for t in tensors:
-        t.zero_grad()
+def zero_grads(named) -> None:
+    """Clear ``grad`` on every tensor of a name -> Tensor mapping."""
+    for t in named.values():
+        t.grad = None
 
 
 # Ops that only move entries of their inputs, which were screened already;
@@ -394,23 +390,22 @@ def log_softmax_rows(x: Tensor) -> Tensor:
     return _record("log_softmax_rows", (x,), out, vjp)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalise the last axis to zero mean / unit variance, then apply
-    the gamma/beta affine. Variance is the population variance (divide by D).
+    the gamma/beta affine. Variance is the population variance (divide by
+    D), plus ``LN_EPS``.
     """
-    if eps <= 0:
-        raise ValueError(f"layer_norm eps must be positive, got {eps}")
     d = x.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
         raise ShapeError(
             f"layer_norm affine shapes {gamma.shape}/{beta.shape} do not match last axis of {x.shape}"
         )
-    mu = x.data.mean(axis=-1, keepdims=True)
-    inv = x.data.var(axis=-1, keepdims=True)
-    inv += eps
+    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    # np.var's own arithmetic on the centred rows, so bitwise its result.
+    inv = (xhat * xhat).sum(axis=-1, keepdims=True) / d
+    inv += LN_EPS
     np.sqrt(inv, out=inv)
     np.divide(1.0, inv, out=inv)
-    xhat = x.data - mu
     xhat *= inv
     out = gamma.data * xhat
     out += beta.data
@@ -569,24 +564,18 @@ def finite_diff_check(
         raise ValueError(f"finite-difference step h must be > 0, got {h}")
     if samples_per_param is not None and samples_per_param < 1:
         raise ValueError(f"samples_per_param must be >= 1 when set, got {samples_per_param}")
-    if hasattr(params, "items"):
-        named = list(params.items())
-    else:
-        named = list(params)
     loss = f()
     if loss.size != 1:
         raise ShapeError(f"finite_diff_check needs a scalar f(), got shape {loss.shape}")
-    for _, t in named:
-        t.zero_grad()
+    zero_grads(params)
     backward(loss)
-    analytic = {name: (np.zeros_like(t.data) if t.grad is None else t.grad.copy()) for name, t in named}
-    for _, t in named:
-        t.zero_grad()
+    analytic = {name: (np.zeros_like(t.data) if t.grad is None else t.grad.copy()) for name, t in params.items()}
+    zero_grads(params)
 
     report = FiniteDiffReport(h=h, tol=tol)
     if rng is None:
         rng = np.random.default_rng(0)
-    for name, t in named:
+    for name, t in params.items():
         flat = t.data.reshape(-1)
         n = flat.size
         if samples_per_param is None or samples_per_param >= n:

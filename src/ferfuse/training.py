@@ -15,14 +15,14 @@ instead, as ``checkpoint.load_into`` does.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import metrics
-from .binio import write_csv, write_json
-from .checkpoint import save_checkpoint
+from .binio import write_csv
+from .checkpoint import save_model
 from .data import FeatureDataset
 from .model import ModelConfig, ModelParams, build_params, forward
 from .tensor import NonFiniteError, Tensor, backward, log_softmax_rows, scale, sum_all, zero_grads
@@ -212,11 +212,6 @@ def check_fits(cfg: ModelConfig, dataset: FeatureDataset) -> None:
         )
 
 
-def _save_with_sidecar(path: Path, params: ModelParams, model_cfg: ModelConfig) -> None:
-    save_checkpoint(path, params.named)
-    write_json(model_cfg.to_dict(), f"{path}.json")
-
-
 def train_loop(
     model_cfg: ModelConfig,
     train_cfg: TrainConfig,
@@ -267,11 +262,11 @@ def train_loop(
         # The loss roots this step's tape; free it before the next forward.
         del logits, loss
         if out_path is not None and train_cfg.checkpoint_every and step % train_cfg.checkpoint_every == 0:
-            _save_with_sidecar(out_path / f"checkpoint_{step:06d}.pckpt", params, model_cfg)
+            save_model(out_path / f"checkpoint_{step:06d}.pckpt", params, model_cfg)
     ckpt = None
     if out_path is not None:
         ckpt = out_path / "checkpoint_final.pckpt"
-        _save_with_sidecar(ckpt, params, model_cfg)
+        save_model(ckpt, params, model_cfg)
         rows = ([step, repr(loss), repr(lr), f"{seconds:.3f}"] for step, loss, lr, seconds in log)
         write_csv(out_path / "train_log.csv", ["step", "loss", "lr", "seconds"], rows)
     return TrainResult(params=params, log=log, checkpoint_path=ckpt)
@@ -300,10 +295,9 @@ def evaluate(
     cfg: ModelConfig,
     dataset: FeatureDataset,
     batch_size: int = 256,
-    class_names=None,
 ) -> metrics.EvalReport:
     """Eval-mode predictions scored into an EvalReport."""
     if len(dataset) == 0:
         raise ValueError("empty evaluation dataset")
     preds = predict(params, cfg, dataset, batch_size)
-    return metrics.build_report(dataset.labels, preds, cfg.num_classes, class_names)
+    return metrics.build_report(dataset.labels, preds, cfg.num_classes)

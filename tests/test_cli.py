@@ -6,6 +6,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from ferfuse.checkpoint import save_checkpoint
 from ferfuse.cli import RunConfig, _add_config_flags, build_parser, main, resolve_config
 from ferfuse.data import read_features
 from ferfuse.model import ModelConfig
@@ -130,6 +131,18 @@ class TestTrainEval:
         code = run("eval", "--checkpoint", out / "checkpoint_final.pckpt", "--data", cluster_file, "--out", tmp_path / "e")
         assert code == 1
         assert "level1" in capsys.readouterr().err
+
+    def test_missing_checkpoint_or_sidecar_named(self, cluster_file, tmp_path, capsys):
+        ckpt = tmp_path / "model.pckpt"
+        commands = (("eval",), ("visualize", "--class", 0))
+        for cmd in commands:
+            assert run(*cmd, "--checkpoint", ckpt, "--data", cluster_file, "--out", tmp_path / "o") == 1
+            assert capsys.readouterr().err == f"error: checkpoint not found: {ckpt}\n"
+        save_checkpoint(ckpt, {"w": np.zeros(2)})
+        for cmd in commands:
+            assert run(*cmd, "--checkpoint", ckpt, "--data", cluster_file, "--out", tmp_path / "o") == 1
+            assert capsys.readouterr().err == f"error: missing model config sidecar: {ckpt}.json\n"
+        assert not (tmp_path / "o").exists()
 
     def test_periodic_checkpoint_evaluates(self, cluster_file, tmp_path):
         out = tmp_path / "run"

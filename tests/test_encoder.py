@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from ferfuse.encoder import (
-    LN_EPS,
     EncoderParams,
     StackParams,
     block,
@@ -11,7 +10,7 @@ from ferfuse.encoder import (
     stack_forward,
 )
 from ferfuse.model import ModelConfig, build_params
-from ferfuse.tensor import LinearParams, Tensor, add, finite_diff_check, scale, sum_all
+from ferfuse.tensor import LN_EPS, LinearParams, Tensor, add, finite_diff_check, scale, sum_all
 from helpers import (
     FakeRng,
     make_cross_block_params,

@@ -160,12 +160,12 @@ class TestReportAndCsv:
     def test_csv_round_trip(self, tmp_path):
         truth = [0, 0, 1, 1, 2, 2]
         pred = [0, 1, 1, 1, 2, 0]
-        report = build_report(truth, pred, 3, class_names=["neutral", "happy", "sad"])
+        report = build_report(truth, pred, 3)
         write_confusion_csv(report.confusion, tmp_path / "confusion.csv")
         write_metrics_csv(report, tmp_path / "metrics.csv")
         with open(tmp_path / "confusion.csv") as f:
             rows = list(csv.reader(f))
-        assert rows[0] == ["truth\\pred", "neutral", "happy", "sad"]
+        assert rows[0] == ["truth\\pred", "class0", "class1", "class2"]
         grid = np.array([[int(v) for v in row[1:]] for row in rows[1:]])
         assert np.array_equal(grid, report.confusion.counts)
         with open(tmp_path / "metrics.csv") as f:

@@ -1,15 +1,8 @@
 import numpy as np
 import pytest
 
-from ferfuse.checkpoint import (
-    BadFieldError,
-    BadMagicError,
-    FormatVersionError,
-    TruncatedFileError,
-    load_checkpoint,
-    load_into,
-    save_checkpoint,
-)
+from ferfuse.binio import BadFieldError, BadMagicError, FormatVersionError, TruncatedFileError
+from ferfuse.checkpoint import load_checkpoint, load_into, load_model, save_checkpoint, save_model
 from ferfuse.encoder import stack_forward
 from ferfuse.model import (
     VARIANTS,
@@ -461,6 +454,18 @@ class TestCheckpoint:
         assert list(loaded.keys()) == list(params.named.keys())
         for name, t in params.named.items():
             assert np.array_equal(loaded[name], t.data)
+
+    def test_model_file_round_trip(self, tmp_path):
+        cfg = desk_config(pyramid_dims=(16, 8), base_dim=16, patches=4, swap_depth=1)
+        params = build_params(cfg)
+        path = tmp_path / "model.pckpt"
+        save_model(path, params, cfg)
+        assert (tmp_path / "model.pckpt.json").exists()
+        loaded, loaded_cfg = load_model(path)
+        assert loaded_cfg == cfg
+        assert list(loaded.named) == list(params.named)
+        for name, t in params.named.items():
+            assert np.array_equal(loaded.named[name].data, t.data)
 
     def test_forward_identical_after_reload(self, tmp_path):
         cfg = desk_config(pyramid_dims=(16, 8), base_dim=16, patches=4)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ferfuse.tensor import (
+    LN_EPS,
     Graph,
     NonFiniteError,
     ShapeError,
@@ -232,12 +233,13 @@ class TestSoftmax:
 class TestLayerNorm:
     def test_constant_row_gives_zeros(self):
         x = Tensor([[5.0, 5.0, 5.0]])
-        out = layer_norm(x, Tensor(np.ones(3)), Tensor(np.zeros(3)), eps=1e-5)
+        out = layer_norm(x, Tensor(np.ones(3)), Tensor(np.zeros(3)))
         assert np.allclose(out.data, 0.0, atol=1e-12)
 
     def test_two_point_closed_form(self):
-        out = layer_norm(Tensor([[1.0, 3.0]]), Tensor(np.ones(2)), Tensor(np.zeros(2)), eps=1e-12)
-        assert np.allclose(out.data, [[-1.0, 1.0]], atol=1e-9)
+        out = layer_norm(Tensor([[1.0, 3.0]]), Tensor(np.ones(2)), Tensor(np.zeros(2)))
+        r = 1.0 / np.sqrt(1.0 + LN_EPS)
+        assert np.allclose(out.data, [[-r, r]], atol=1e-9)
 
     def test_matches_scalar_loop_oracle(self):
         for seed in range(100):
@@ -245,13 +247,9 @@ class TestLayerNorm:
             x = rng.standard_normal((3, 6))
             gamma = rng.standard_normal(6)
             beta = rng.standard_normal(6)
-            got = layer_norm(Tensor(x), Tensor(gamma), Tensor(beta), eps=1e-5).data
-            want = np.stack([naive_layer_norm_row(row, gamma, beta, 1e-5) for row in x])
+            got = layer_norm(Tensor(x), Tensor(gamma), Tensor(beta)).data
+            want = np.stack([naive_layer_norm_row(row, gamma, beta, LN_EPS) for row in x])
             assert np.max(np.abs(got - want)) < 1e-10
-
-    def test_eps_must_be_positive(self):
-        with pytest.raises(ValueError):
-            layer_norm(Tensor([[1.0, 2.0]]), Tensor(np.ones(2)), Tensor(np.zeros(2)), eps=0.0)
 
     def test_gradients(self):
         rng = np.random.default_rng(9)
@@ -261,7 +259,7 @@ class TestLayerNorm:
         c = rng.standard_normal((2, 5))
 
         def f():
-            return sum_all(scale(layer_norm(x, gamma, beta, eps=1e-5), c))
+            return sum_all(scale(layer_norm(x, gamma, beta), c))
 
         assert finite_diff_check(f, {"x": x, "gamma": gamma, "beta": beta}).passed
 
