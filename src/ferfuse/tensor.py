@@ -16,9 +16,9 @@ op is a contract violation and raises ``NonFiniteError`` immediately,
 naming the op. The screen is one reduction: an array is finite when its
 sum is; only when the sum is not finite (NaN/Inf, or finite entries whose
 sum overflows) does the exact elementwise check decide. ``Tensor(...)``
-screens its data the same way. Ops that only move data (``reshape``,
-``swap_axes``, ``concat``, ``split_heads``, ``merge_heads``) skip the
-screen: their outputs are entries of inputs already screened.
+screens its data the same way. Ops that only move data (``swap_axes``,
+``concat``, ``split_heads``, ``merge_heads``) skip the screen: their
+outputs are entries of inputs already screened.
 A graph and its tensors belong to a single thread; detached value arrays
 are plain numpy and safe to share read-only.
 
@@ -31,6 +31,7 @@ no wait for Python's cyclic garbage collector.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass, field
 
@@ -40,6 +41,20 @@ from scipy.special import erf
 _INV_SQRT2 = 0.7071067811865476
 _INV_SQRT_2PI = 0.3989422804014327
 LN_EPS = 1e-5  # added to the variance in every layer norm
+
+
+def _keep_freed_memory() -> None:
+    """glibc only: one arena for all threads, heap blocks up to 32 MB and no trim
+    below 1 GB, so freed activations stay for the next step or batch to reuse."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    for param, value in ((-8, 1), (-3, 32 << 20), (-1, 1 << 30)):  # M_ARENA_MAX, M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
+        mallopt(param, value)
+
+
+_keep_freed_memory()
 
 
 class ShapeError(ValueError):
@@ -210,7 +225,7 @@ def zero_grads(named) -> None:
 
 # Ops that only move entries of their inputs, which were screened already;
 # their outputs skip the screen.
-_MOVES_DATA = frozenset(("reshape", "swap_axes", "concat", "split_heads", "merge_heads"))
+_MOVES_DATA = frozenset(("swap_axes", "concat", "split_heads", "merge_heads"))
 
 
 def _record(name, inputs, out_data, vjp) -> Tensor:
@@ -221,10 +236,6 @@ def _record(name, inputs, out_data, vjp) -> Tensor:
         out.requires_grad = True
         out.creator = OpNode(name, tuple(inputs), vjp)
     return out
-
-
-def _swap_last2(a: np.ndarray) -> np.ndarray:
-    return np.swapaxes(a, -1, -2)
 
 
 # OpenBLAS, as bundled with numpy, runs a product of up to about this many
@@ -275,8 +286,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         out = a.data @ b.data
 
         def vjp(g):
-            ga = g @ _swap_last2(b.data) if a.requires_grad else None
-            gb = _swap_last2(a.data) @ g if b.requires_grad else None
+            ga = g @ np.swapaxes(b.data, -1, -2) if a.requires_grad else None
+            gb = np.swapaxes(a.data, -1, -2) @ g if b.requires_grad else None
             return ga, gb
 
     return _record("matmul", (a, b), out, vjp)
@@ -472,13 +483,6 @@ def sum_all(x: Tensor) -> Tensor:
     return _record("sum_all", (x,), x.data.sum(), vjp)
 
 
-def reshape(x: Tensor, shape) -> Tensor:
-    shape = tuple(int(s) for s in shape)
-    if int(np.prod(shape, dtype=np.int64)) != x.size:
-        raise ShapeError(f"reshape {x.shape} -> {shape} changes element count")
-    return _record("reshape", (x,), x.data.reshape(shape), lambda g: (g.reshape(x.shape),))
-
-
 def swap_axes(x: Tensor, ax1: int, ax2: int) -> Tensor:
     return _record(
         "swap_axes", (x,), np.swapaxes(x.data, ax1, ax2), lambda g: (np.swapaxes(g, ax1, ax2),)
@@ -583,7 +587,6 @@ def finite_diff_check(
         else:
             indices = sorted(rng.choice(n, size=samples_per_param, replace=False).tolist())
         worst = 0.0
-        checked = 0
         aflat = analytic[name].reshape(-1)
         for i in indices:
             orig = flat[i]
@@ -596,6 +599,5 @@ def finite_diff_check(
             a = aflat[i]
             err = abs(a - numeric) / max(1.0, abs(a), abs(numeric))
             worst = max(worst, err)
-            checked += 1
-        report.params.append(ParamCheck(name=name, checked=checked, max_rel_err=worst))
+        report.params.append(ParamCheck(name=name, checked=len(indices), max_rel_err=worst))
     return report

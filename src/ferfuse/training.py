@@ -282,11 +282,9 @@ def predict(
     check_fits(cfg, dataset)
     preds = []
     for lo in range(0, len(dataset), batch_size):
-        idx = np.arange(lo, min(lo + batch_size, len(dataset)))
-        x_img, x_lm, _ = _batch_tensors(dataset, idx)
-        logits = forward(x_img, x_lm, params, cfg, training=False)
-        preds.append(np.argmax(logits.data, axis=-1))
-        del logits
+        x_img, x_lm, _ = _batch_tensors(dataset, slice(lo, lo + batch_size))
+        # The logits are never named, so their tape is freed before the argmax.
+        preds.append(np.argmax(forward(x_img, x_lm, params, cfg, training=False).data, axis=-1))
     return np.concatenate(preds)
 
 

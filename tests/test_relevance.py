@@ -88,9 +88,9 @@ class TestCaptureAttention:
             scale,
             concat,
             gelu,
-            reshape,
+            merge_heads,
+            split_heads,
             sum_all,
-            swap_axes,
         )
 
         cfg = tiny_config()
@@ -109,7 +109,7 @@ class TestCaptureAttention:
         xi = linear(Tensor(xi_raw), lvl.projs[0].w, lvl.projs[0].b)
         xl = linear(Tensor(xl_raw), lvl.projs[1].w, lvl.projs[1].b)
         v_img = linear(xi, block.streams[0].msa.v.w, block.streams[0].msa.v.b)
-        vh = swap_axes(reshape(v_img, (2, 1, 4)), -3, -2)  # one head
+        vh = split_heads(v_img, 1)  # one head
 
         # the landmark stream does not depend on the image attention weights,
         # so its pooled output is a constant here
@@ -123,7 +123,7 @@ class TestCaptureAttention:
         s = block.streams[0]
 
         def f():
-            mixed = reshape(swap_axes(matmul(a_leaf, vh), -3, -2), (2, 4))
+            mixed = merge_heads(matmul(a_leaf, vh))
             att = linear(mixed, block.streams[0].msa.o.w, block.streams[0].msa.o.b)
             x1 = add(att, xi)
             m = linear(gelu(linear(layer_norm(x1, s.norm2_gamma, s.norm2_beta), s.mlp[0].w, s.mlp[0].b)), s.mlp[1].w, s.mlp[1].b)

@@ -1,3 +1,4 @@
+import ctypes
 import gc
 import math
 import weakref
@@ -11,6 +12,7 @@ from ferfuse.tensor import (
     NonFiniteError,
     ShapeError,
     Tensor,
+    _keep_freed_memory,
     _record,
     add,
     add_bias,
@@ -25,7 +27,6 @@ from ferfuse.tensor import (
     mean_pool_patches,
     merge_heads,
     mul,
-    reshape,
     scale,
     softmax_rows,
     split_heads,
@@ -394,20 +395,16 @@ class TestElementwiseAndStructural:
         with pytest.raises(ShapeError):
             scale(x, np.ones(3))
 
-    def test_reshape_and_swap_axes_round_trip(self):
+    def test_split_heads_and_swap_axes_round_trip(self):
         x = Tensor(np.arange(24.0).reshape(2, 3, 4), requires_grad=True)
-        y = swap_axes(reshape(x, (2, 3, 2, 2)), -3, -2)
-        assert y.shape == (2, 2, 3, 2)
+        y = swap_axes(split_heads(x, 2), -3, -2)
+        assert np.array_equal(y.data, x.data.reshape(2, 3, 2, 2))
 
         def f():
-            z = swap_axes(reshape(x, (2, 3, 2, 2)), -3, -2)
+            z = swap_axes(split_heads(x, 2), -3, -2)
             return sum_all(mul(z, z))
 
         assert finite_diff_check(f, {"x": x}).passed
-
-    def test_reshape_size_mismatch(self):
-        with pytest.raises(ShapeError):
-            reshape(Tensor(np.zeros((2, 3))), (4, 2))
 
 
 class TestHeads:
@@ -649,3 +646,30 @@ class TestFiniteDiffCheck:
         x = Tensor(np.ones(2), requires_grad=True)
         with pytest.raises(ValueError, match=next(iter(kw))):
             finite_diff_check(lambda: sum_all(mul(x, x)), {"x": x}, **kw)
+
+
+def _no_c_library(name):
+    raise OSError("no C library")
+
+
+class TestKeepFreedMemory:
+    # Off glibc: a C library without mallopt, or none that loads.
+    @pytest.mark.parametrize("cdll", [lambda name: object(), _no_c_library], ids=["no_mallopt", "no_library"])
+    def test_without_mallopt_does_nothing(self, monkeypatch, cdll):
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        assert _keep_freed_memory() is None
+
+    def test_sets_arena_max_mmap_and_trim_thresholds_in_order(self, monkeypatch):
+        calls = []
+
+        class FakeLibc:
+            def mallopt(self, param, value):
+                calls.append((param, value))
+                return 1
+
+        opened = []
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: opened.append(name) or FakeLibc())
+        _keep_freed_memory()
+        assert opened == [None]
+        # M_ARENA_MAX = 1, M_MMAP_THRESHOLD = 32 MB, M_TRIM_THRESHOLD = 1 GB
+        assert calls == [(-8, 1), (-3, 32 * 2**20), (-1, 2**30)]
