@@ -3,7 +3,7 @@ recognition, built on an in-package reverse-mode autodiff tensor core."""
 
 from .attention import MsaParams, mhsa
 from .data import FeatureDataset, gen_clusters, gen_xor, read_features, write_features
-from .encoder import EncoderParams, StackParams, StreamBlockParams, block, drop_path, stack_forward
+from .encoder import StreamBlockParams, block, drop_path, stack_forward
 from .metrics import EvalReport, build_report, confusion_matrix, mean_class_accuracy, overall_accuracy
 from .model import ModelConfig, ModelParams, build_params, count_params, estimate_flops, forward
 from .tensor import LinearParams, Tensor, backward, finite_diff_check

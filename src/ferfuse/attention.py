@@ -53,7 +53,7 @@ class AttentionRecord:
 
     level: int
     block: int
-    stream: str  # "img" | "lm" | "fused"
+    stream: int  # position of the stream in the forward's stream list
     weights: Tensor  # (.., heads, P, P), rows sum to 1
 
 

@@ -32,7 +32,7 @@ from .relevance import (
     write_pgm,
     write_scores_csv,
 )
-from .tensor import ShapeError, Tensor, finite_diff_check
+from .tensor import NonFiniteError, ShapeError, Tensor, finite_diff_check
 from .training import TrainConfig, check_fits, evaluate, label_smoothing_ce, train_loop
 
 
@@ -430,7 +430,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, FileFormatError, ShapeError, ValueError, KeyError, FileNotFoundError) as e:
+    except (CliError, FileFormatError, ShapeError, ValueError, KeyError, FileNotFoundError, NonFiniteError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -19,7 +19,7 @@ PFER file layout (all little-endian):
     per sample: P*D f32 image stream, P*D f32 landmark stream, u32 label
                 (below the class count)
 
-f32 on disk, widened to f64 in memory.
+f32 on disk, widened to f64 in memory. Every feature is finite.
 """
 
 from __future__ import annotations
@@ -246,6 +246,9 @@ def read_features(path) -> FeatureDataset:
     if bad.size:
         i = int(bad[0])
         raise BadFieldError(f"{path}: label {labels[i]} of sample {i} is not below the class count {num_classes}")
+    if not np.isfinite(x_img.sum() + x_lm.sum()):  # widened f32 values cannot overflow the sum
+        i = int(np.flatnonzero(~np.isfinite(x_img + x_lm).all(axis=(1, 2)))[0])
+        raise BadFieldError(f"{path}: features of sample {i} contain NaN/Inf")
     metadata = {"source": str(path)}
     return FeatureDataset(x_img=x_img, x_lm=x_lm, labels=labels, num_classes=num_classes, metadata=metadata)
 

@@ -12,13 +12,14 @@ flag turns on a conventional pre-attention norm for experiments; its
 gamma/beta are allocated either way so parameter layouts do not depend on
 the flag.
 
-Each stream owns one weight set (``StreamBlockParams``: attention, norms
-and MLP); a tied two-stream block holds the same set twice. Every affine
-map is a ``LinearParams``, and one ``mlp`` runs both the block MLP and the
-model's classifier head. The attention is per-stream self-attention,
-except in the first ``swap_depth`` blocks of a two-stream stack, where the
-streams exchange queries (cross-fusion). A one-stream stack has
-``swap_depth`` 0.
+A block is a tuple of per-stream weight sets (``StreamBlockParams``:
+attention, norms and MLP); a tied two-stream block holds the same set
+twice. Every affine map is a ``LinearParams``, and one ``mlp`` runs both
+the block MLP and the model's classifier head. The attention is
+per-stream self-attention, except in the first ``swap_depth`` blocks of a
+two-stream stack, where the streams exchange queries (cross-fusion). The
+drop-path rate, swap depth and ``pre_msa_norm`` are arguments, not
+weights: ``model.forward`` reads them from the config on every call.
 """
 
 from __future__ import annotations
@@ -39,31 +40,6 @@ class StreamBlockParams:
     norm2_gamma: Tensor  # pre-MLP site
     norm2_beta: Tensor
     mlp: tuple  # (fc1, fc2) LinearParams: D -> ratio * D -> D
-
-
-@dataclass
-class EncoderParams:
-    """One encoder block: one ``StreamBlockParams`` per input stream.
-
-    A two-stream block with shared weights holds the same set twice.
-    """
-
-    streams: tuple
-    drop_path_rate: float = 0.0
-
-
-@dataclass
-class StackParams:
-    """An ordered run of encoder blocks with a query-swap prefix length."""
-
-    blocks: list
-    swap_depth: int
-
-    def __post_init__(self):
-        if not 0 <= self.swap_depth <= len(self.blocks):
-            raise ValueError(
-                f"swap_depth {self.swap_depth} out of range for {len(self.blocks)} blocks"
-            )
 
 
 def drop_path(branch: Tensor, rate: float, training: bool, rng=None) -> Tensor:
@@ -103,46 +79,47 @@ def _residual_tail(x: Tensor, attn_out: Tensor, s: StreamBlockParams, rate, trai
 
 def block(
     xs: list,
-    p: EncoderParams,
+    ps: tuple,
     training: bool,
     rng=None,
     swapped: bool = False,
+    drop_path_rate: float = 0.0,
     pre_msa_norm: bool = False,
     sinks: list | None = None,
 ) -> list:
     """One encoder block over a list of one or two token streams.
 
-    Stream k runs with ``p.streams[k]``: attention (queries exchanged
-    between the two streams when ``swapped``), then the residual and MLP
-    tail. ``sinks`` holds one attention-weight list per stream.
+    Stream k runs with ``ps[k]``: attention (queries exchanged between the
+    two streams when ``swapped``), then the residual and MLP tail.
+    ``sinks`` holds one attention-weight list per stream.
     """
-    if len(xs) != len(p.streams):
-        raise ValueError(f"block has {len(p.streams)} stream weight sets, got {len(xs)} inputs")
-    hs = [layer_norm(x, s.norm1_gamma, s.norm1_beta) if pre_msa_norm else x for x, s in zip(xs, p.streams)]
-    attn = mhsa(hs, [s.msa for s in p.streams], swapped, sinks)
-    return [_residual_tail(x, a, s, p.drop_path_rate, training, rng) for x, a, s in zip(xs, attn, p.streams)]
+    if len(xs) != len(ps):
+        raise ValueError(f"block has {len(ps)} stream weight sets, got {len(xs)} inputs")
+    hs = [layer_norm(x, s.norm1_gamma, s.norm1_beta) if pre_msa_norm else x for x, s in zip(xs, ps)]
+    attn = mhsa(hs, [s.msa for s in ps], swapped, sinks)
+    return [_residual_tail(x, a, s, drop_path_rate, training, rng) for x, a, s in zip(xs, attn, ps)]
 
 
 def stack_forward(
     xs: list,
-    stack: StackParams,
+    blocks: list,
     training: bool,
     rng=None,
+    swap_depth: int = 0,
+    drop_path_rate: float = 0.0,
     pre_msa_norm: bool = False,
     trace: list | None = None,
     level: int = 0,
 ) -> list:
-    """Run a stack over one or two token streams: blocks below
-    ``stack.swap_depth`` swap queries, the rest self-attend per stream.
+    """Run a stack of blocks over one or two token streams: blocks below
+    ``swap_depth`` swap queries, the rest self-attend per stream.
 
     Attention weights are appended to ``trace`` as ``AttentionRecord``s
-    under the stream label ``"fused"`` for a one-stream stack and
-    ``"img"`` / ``"lm"`` for a two-stream one.
+    holding the position of their stream in ``xs``.
     """
-    labels = ("fused",) if len(xs) == 1 else ("img", "lm")
-    for i, p in enumerate(stack.blocks):
+    for i, ps in enumerate(blocks):
         sinks = [[] for _ in xs]
-        xs = block(xs, p, training, rng, i < stack.swap_depth, pre_msa_norm, sinks)
+        xs = block(xs, ps, training, rng, i < swap_depth, drop_path_rate, pre_msa_norm, sinks)
         if trace is not None:
-            trace.extend(AttentionRecord(level, i, label, w) for label, sink in zip(labels, sinks) for w in sink)
+            trace.extend(AttentionRecord(level, i, k, w) for k, sink in enumerate(sinks) for w in sink)
     return xs

@@ -17,12 +17,13 @@ the streams they feed the stack and in whether they have a pyramid:
 ``baseline_pyramid`` and ``poster`` run one level per ``pyramid_dims``
 entry; the others run a single level at ``base_dim``.
 
-Each level holds one input projection per stream, and each block one
-weight set (attention, norms, MLP) per stream. Every affine map, from the
-input projections to the head, is a ``tensor.LinearParams``.
+Each level holds one input projection per stream, and each block is a
+tuple of one weight set (attention, norms, MLP) per stream. Every affine
+map, from the input projections to the head, is a ``tensor.LinearParams``.
 ``ModelConfig.block_sets`` names the distinct sets of a block; a two-stream
 block past the swap prefix with ``share_unswapped`` has one set, used by
-both streams.
+both streams. The parameters hold weights only: ``forward`` reads the swap
+depth, drop-path rate and ``pre_msa_norm`` from the config it is given.
 
 Every learnable tensor is registered under a hierarchical dotted name
 (level0.block1.img.attn.w_q, head.w2, ...); the name -> shape map is stable
@@ -37,7 +38,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .attention import MsaParams
-from .encoder import EncoderParams, StackParams, StreamBlockParams, mlp, stack_forward
+from .encoder import StreamBlockParams, mlp, stack_forward
 from .tensor import LinearParams, Tensor, concat, linear, mean_pool_patches
 
 
@@ -171,7 +172,7 @@ class ModelConfig:
 @dataclass
 class LevelParams:
     projs: tuple  # one LinearParams per stream
-    stack: StackParams
+    blocks: list  # per block, a tuple of one StreamBlockParams per stream
 
 
 @dataclass
@@ -236,13 +237,12 @@ def _init_stream(reg, prefix, msa, dim, ratio, rng) -> StreamBlockParams:
     )
 
 
-def _init_block(reg, prefix, cfg, dim, j, rng) -> EncoderParams:
+def _init_block(reg, prefix, cfg, dim, j, rng) -> tuple:
     # All attention sets are registered before the norm/MLP sets.
     prefixes = [f"{prefix}.{tag}" if tag else prefix for tag in cfg.block_sets(j)]
     msas = [_init_msa(reg, f"{pre}.attn", dim, cfg.heads_for(dim), rng, cfg.qkv_bias) for pre in prefixes]
     sets = tuple(_init_stream(reg, pre, msa, dim, cfg.mlp_ratio, rng) for pre, msa in zip(prefixes, msas))
-    streams = sets * (len(cfg.layout.streams) // len(sets))  # a shared set serves both streams
-    return EncoderParams(streams=streams, drop_path_rate=cfg.drop_path)
+    return sets * (len(cfg.layout.streams) // len(sets))  # a shared set serves both streams
 
 
 def build_params(cfg: ModelConfig) -> ModelParams:
@@ -257,12 +257,11 @@ def build_params(cfg: ModelConfig) -> ModelParams:
     reg = _Registry()
     streams = cfg.layout.streams
     proj_names = ["proj"] if len(streams) == 1 else [f"proj_{s}" for s in streams]
-    swap = cfg.effective_swap_depth() if cfg.layout.two_stream else 0
     levels = []
     for i, dim in enumerate(cfg.level_dims()):
         projs = tuple(_init_linear(reg, f"level{i}.{name}", cfg.base_dim, dim, rng) for name in proj_names)
         blocks = [_init_block(reg, f"level{i}.block{j}", cfg, dim, j, rng) for j in range(cfg.depth)]
-        levels.append(LevelParams(projs=projs, stack=StackParams(blocks=blocks, swap_depth=swap)))
+        levels.append(LevelParams(projs=projs, blocks=blocks))
     head = _init_mlp(reg, "head", cfg.feature_dim(), cfg.head_hidden_dim(), cfg.num_classes, rng)
     return ModelParams(levels=levels, head=head, named=reg.named)
 
@@ -282,13 +281,15 @@ def forward(
 ) -> Tensor:
     """Inputs are (.., P, base_dim) per stream; output is (.., num_classes)
     logits. Per level: project each stream, run the stack, mean-pool every
-    output stream into the head's feature vector."""
+    output stream into the head's feature vector. The swap depth, drop-path
+    rate and ``pre_msa_norm`` come from ``cfg`` on every call."""
     inputs = {"img": x_img, "lm": x_lm}
     xs = [concat((x_img, x_lm), axis=-2) if s == "fused" else inputs[s] for s in cfg.layout.streams]
+    swap = cfg.effective_swap_depth() if cfg.layout.two_stream else 0
     pooled = []
     for i, lvl in enumerate(params.levels):
         zs = [linear(x, proj.w, proj.b) for x, proj in zip(xs, lvl.projs)]
-        ys = stack_forward(zs, lvl.stack, training, rng, pre_msa_norm=cfg.pre_msa_norm, trace=trace, level=i)
+        ys = stack_forward(zs, lvl.blocks, training, rng, swap, cfg.drop_path, cfg.pre_msa_norm, trace, level=i)
         pooled.extend(mean_pool_patches(y) for y in ys)
     return mlp(concat(pooled, axis=-1), params.head)
 

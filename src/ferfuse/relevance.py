@@ -74,7 +74,7 @@ def capture_attention(
             CapturedAttention(
                 level=rec.level,
                 block=rec.block,
-                stream=rec.stream,
+                stream=cfg.layout.streams[rec.stream],
                 weights=rec.weights.data.copy(),
                 grads=np.zeros_like(rec.weights.data) if grads is None else grads.copy(),
             )

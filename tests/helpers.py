@@ -9,7 +9,7 @@ bug in the implementation cannot hide in its own oracle.
 import numpy as np
 
 from ferfuse.attention import MsaParams
-from ferfuse.encoder import EncoderParams, StreamBlockParams
+from ferfuse.encoder import StreamBlockParams
 from ferfuse.tensor import LinearParams, Tensor
 
 
@@ -63,17 +63,14 @@ def make_stream_params(dim, ratio, rng, msa, scale=0.3):
     )
 
 
-def make_vanilla_block_params(dim, heads, ratio, rng, drop_path_rate=0.0):
-    msa = make_msa_params(dim, heads, rng)
-    return EncoderParams(streams=(make_stream_params(dim, ratio, rng, msa),), drop_path_rate=drop_path_rate)
+def make_vanilla_block_params(dim, heads, ratio, rng):
+    """A one-stream block: a 1-tuple of ``StreamBlockParams``."""
+    return (make_stream_params(dim, ratio, rng, make_msa_params(dim, heads, rng)),)
 
 
-def make_cross_block_params(dim, heads, ratio, rng, drop_path_rate=0.0):
-    msas = make_cross_params(dim, heads, rng)
-    return EncoderParams(
-        streams=tuple(make_stream_params(dim, ratio, rng, msa) for msa in msas),
-        drop_path_rate=drop_path_rate,
-    )
+def make_cross_block_params(dim, heads, ratio, rng):
+    """A two-stream block: independent (img, lm) ``StreamBlockParams``."""
+    return tuple(make_stream_params(dim, ratio, rng, msa) for msa in make_cross_params(dim, heads, rng))
 
 
 class FakeRng:
@@ -173,14 +170,14 @@ def _oracle_stream_tail(x, attn_out, s: StreamBlockParams, eps):
     return m + x1
 
 
-def oracle_vanilla_block(x, p: EncoderParams, eps):
+def oracle_vanilla_block(x, p: tuple, eps):
     """Residual attention then residual MLP over a norm, written literally."""
-    return _oracle_stream_tail(x, oracle_mhsa(x, p.streams[0].msa), p.streams[0], eps)
+    return _oracle_stream_tail(x, oracle_mhsa(x, p[0].msa), p[0], eps)
 
 
-def oracle_cross_fusion_block(x_img, x_lm, p: EncoderParams, eps):
-    a_img, a_lm = oracle_query_swap_mhsa(x_img, x_lm, [s.msa for s in p.streams])
+def oracle_cross_fusion_block(x_img, x_lm, p: tuple, eps):
+    a_img, a_lm = oracle_query_swap_mhsa(x_img, x_lm, [s.msa for s in p])
     return (
-        _oracle_stream_tail(x_img, a_img, p.streams[0], eps),
-        _oracle_stream_tail(x_lm, a_lm, p.streams[-1], eps),
+        _oracle_stream_tail(x_img, a_img, p[0], eps),
+        _oracle_stream_tail(x_lm, a_lm, p[-1], eps),
     )

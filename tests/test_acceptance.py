@@ -20,12 +20,7 @@ from ferfuse.binio import BadMagicError, FormatVersionError, TruncatedFileError
 from ferfuse.checkpoint import load_checkpoint, save_checkpoint
 from ferfuse.cli import main as cli_main
 from ferfuse.data import gen_clusters, gen_xor, read_features, split_dataset, write_features
-from ferfuse.encoder import (
-    EncoderParams,
-    StackParams,
-    block,
-    stack_forward,
-)
+from ferfuse.encoder import block, stack_forward
 from ferfuse.metrics import ConfusionMatrix, mean_class_accuracy, prediction_percentage_table, round_percent
 from ferfuse.model import ModelConfig, build_params, count_params, forward
 from ferfuse.relevance import CapturedAttention, relevance_rollout
@@ -151,9 +146,9 @@ class TestCriterion01GradientSuite:
         vb = make_vanilla_block_params(4, 2, 2, rng)
         named = {"x": xa}
         for tag in ("w_q", "w_v", "w_o"):
-            named[tag] = msa_tensor(vb.streams[0].msa, tag)
-        named["mlp_w1"] = vb.streams[0].mlp[0].w
-        named["norm2_gamma"] = vb.streams[0].norm2_gamma
+            named[tag] = msa_tensor(vb[0].msa, tag)
+        named["mlp_w1"] = vb[0].mlp[0].w
+        named["norm2_gamma"] = vb[0].norm2_gamma
         worst = max(
             worst,
             self._check_op(
@@ -162,9 +157,9 @@ class TestCriterion01GradientSuite:
         )
 
         cb = make_cross_block_params(4, 2, 2, rng)
-        named = {"xi": xi, "xl": xl, "img.w_q": cb.streams[0].msa.q.w, "lm.w_k": cb.streams[1].msa.k.w}
-        named["img.mlp_w2"] = cb.streams[0].mlp[1].w
-        named["lm.norm2_beta"] = cb.streams[1].norm2_beta
+        named = {"xi": xi, "xl": xl, "img.w_q": cb[0].msa.q.w, "lm.w_k": cb[1].msa.k.w}
+        named["img.mlp_w2"] = cb[0].mlp[1].w
+        named["lm.norm2_beta"] = cb[1].norm2_beta
 
         def f_block():
             oi, ol = block([xi, xl], cb, False, swapped=True)
@@ -237,17 +232,10 @@ class TestCriterion03TiedStreamReduction:
         for seed, depth in ((0, 1), (1, 3), (2, 5)):
             rng = np.random.default_rng(seed)
             vanilla_blocks = [make_vanilla_block_params(4, 2, 2, rng) for _ in range(depth)]
-            cross_blocks = [
-                EncoderParams(
-                    streams=(vb.streams[0], vb.streams[0]),
-                    drop_path_rate=0.0,
-                )
-                for vb in vanilla_blocks
-            ]
-            stack = StackParams(blocks=cross_blocks, swap_depth=depth)
+            cross_blocks = [(vb[0], vb[0]) for vb in vanilla_blocks]
             x = Tensor(rng.standard_normal((5, 4)))
-            out_img, out_lm = stack_forward([x, x], stack, training=False)
-            want = stack_forward([x], StackParams(vanilla_blocks, 0), training=False)[0].data
+            out_img, out_lm = stack_forward([x, x], cross_blocks, training=False, swap_depth=depth)
+            want = stack_forward([x], vanilla_blocks, training=False)[0].data
             assert np.max(np.abs(out_img.data - want)) < 1e-12
             assert np.max(np.abs(out_lm.data - want)) < 1e-12
         _report(3, "(depths 1, 3, 5 at 1e-12)")

@@ -1,6 +1,7 @@
 import argparse
 import csv
 import json
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -169,6 +170,27 @@ class TestTrainEval:
         ckpt = good / "checkpoint_final.pckpt"
         assert run("eval", "--checkpoint", ckpt, "--data", misfit, "--out", tmp_path / "e") == 1
         assert named in capsys.readouterr().err
+
+    def test_non_finite_features_rejected(self, cluster_file, tmp_path, capsys):
+        raw = bytearray(cluster_file.read_bytes())
+        sample = 3
+        at = 24 + sample * (2 * 4 * 6 * 16 + 4) + 4 * 6 * 16  # first landmark entry of the sample
+        raw[at : at + 4] = np.float32(np.nan).tobytes()
+        hostile = tmp_path / "nan.pfer"
+        hostile.write_bytes(bytes(raw))
+        assert run("train", "--data", hostile, "--out", tmp_path / "bad", *desk_flags("--steps", 2)) == 1
+        assert capsys.readouterr().err == f"error: {hostile}: features of sample {sample} contain NaN/Inf\n"
+        assert not (tmp_path / "bad").exists()
+
+    def test_diverging_run_exits_with_step_diagnostic(self, tmp_path, capsys):
+        data = tmp_path / "c.pfer"
+        gen = ("--p", 6, "--d", 16, "--classes", 4, "--count", 10, "--sigma", 0.2, "--seed", 7)
+        assert run("gen-data", "--task", "clusters", *gen, "--out", data) == 0
+        flags = desk_flags("--num-classes", 4, "--batch-size", 16, "--learning-rate", 1e150, "--steps", 10)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert run("train", "--data", data, "--out", tmp_path / "run", *flags) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: non-finite loss at step [2-9]: [a-z_]+: output contains NaN/Inf \(shape \(.*\)\)\n", err)
 
     def test_missing_data_path_fails(self, tmp_path, capsys):
         code = run("train", "--data", tmp_path / "nope.pfer", "--out", tmp_path / "o", *desk_flags())

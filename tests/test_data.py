@@ -278,6 +278,20 @@ class TestFeatureFiles:
         with pytest.raises(BadFieldError, match=f"sample {first_bad} "):
             read_features(path)
 
+    @pytest.mark.parametrize("stream,value", [(0, np.nan), (1, np.inf), (1, -np.inf)])
+    def test_non_finite_feature(self, tmp_path, stream, value):
+        ds = self._small()
+        path = tmp_path / "a.pfer"
+        write_features(ds, path)
+        raw = bytearray(path.read_bytes())
+        plane = 4 * ds.patches * ds.dim
+        sample, entry = 5, 7
+        at = 24 + sample * (2 * plane + 4) + stream * plane + 4 * entry
+        raw[at : at + 4] = np.float32(value).tobytes()
+        path.write_bytes(bytes(raw))
+        with pytest.raises(BadFieldError, match=f"{path}: features of sample {sample} contain NaN/Inf"):
+            read_features(path)
+
     def test_reads_from_a_pipe(self, tmp_path):
         # A pipe has no size to check a header against; it is read as before.
         ds = self._small()

@@ -1,14 +1,7 @@
 import numpy as np
 import pytest
 
-from ferfuse.encoder import (
-    EncoderParams,
-    StackParams,
-    block,
-    drop_path,
-    mlp,
-    stack_forward,
-)
+from ferfuse.encoder import block, drop_path, mlp, stack_forward
 from ferfuse.model import ModelConfig, build_params
 from ferfuse.tensor import LN_EPS, LinearParams, Tensor, add, finite_diff_check, scale, sum_all
 from helpers import (
@@ -23,13 +16,13 @@ from helpers import (
 )
 
 
-def _zeroed(params: EncoderParams) -> EncoderParams:
-    for p in (s.msa for s in params.streams):
+def _zeroed(params: tuple) -> tuple:
+    for p in (s.msa for s in params):
         for tag in ("w_q", "w_k", "w_v", "w_o", "b_q", "b_k", "b_v", "b_o"):
             t = msa_tensor(p, tag)
             if t is not None:
                 t.data = np.zeros_like(t.data)
-    for s in params.streams:
+    for s in params:
         for tag in ("norm1_gamma", "norm1_beta", "norm2_gamma", "norm2_beta", "mlp_w1", "mlp_b1", "mlp_w2", "mlp_b2"):
             t = stream_tensor(s, tag)
             t.data = np.zeros_like(t.data)
@@ -96,7 +89,7 @@ class TestMlp:
         for qkv_bias in (True, False):
             cfg = ModelConfig(patches=4, base_dim=16, pyramid_dims=(16, 8), depth=2, heads_divisor=8, qkv_bias=qkv_bias)
             params = build_params(cfg)
-            streams = [s for lvl in params.levels for b in lvl.stack.blocks for s in b.streams]
+            streams = [s for lvl in params.levels for b in lvl.blocks for s in b]
             for pair in [params.head] + [s.mlp for s in streams]:
                 assert len(pair) == 2 and all(isinstance(lp, LinearParams) for lp in pair)
             for msa in (s.msa for s in streams):
@@ -128,19 +121,19 @@ class TestVanillaBlock:
         # one of the four (attention kept/dropped x mlp kept/dropped) candidates
         rng = np.random.default_rng(1)
         rate = 0.01
-        p = make_vanilla_block_params(2, 1, 2, rng, drop_path_rate=rate)
+        p = make_vanilla_block_params(2, 1, 2, rng)
         x = Tensor(rng.standard_normal((2, 2)))
         candidates = {}
         for attn_keep in (0, 1):
             for mlp_keep in (0, 1):
                 draws = [0.5 if attn_keep else 0.0, 0.5 if mlp_keep else 0.0]
-                out = block([x], p, training=True, rng=FakeRng(draws))[0]
+                out = block([x], p, training=True, rng=FakeRng(draws), drop_path_rate=rate)[0]
                 candidates[(attn_keep, mlp_keep)] = out.data
         n = 10_000
         mc = np.random.default_rng(42)
         attn_drops = 0
         for _ in range(n):
-            out = block([x], p, training=True, rng=mc)[0].data
+            out = block([x], p, training=True, rng=mc, drop_path_rate=rate)[0].data
             matches = [key for key, cand in candidates.items() if np.array_equal(out, cand)]
             assert len(matches) == 1
             if matches[0][0] == 0:
@@ -149,10 +142,10 @@ class TestVanillaBlock:
 
     def test_eval_forwards_bitwise_identical(self):
         rng = np.random.default_rng(2)
-        p = make_vanilla_block_params(4, 2, 2, rng, drop_path_rate=0.5)
+        p = make_vanilla_block_params(4, 2, 2, rng)
         x = Tensor(rng.standard_normal((3, 4)))
-        a = block([x], p, training=False)[0].data
-        b = block([x], p, training=False)[0].data
+        a = block([x], p, training=False, drop_path_rate=0.5)[0].data
+        b = block([x], p, training=False, drop_path_rate=0.5)[0].data
         assert np.array_equal(a, b)
 
     def test_pre_msa_norm_changes_output(self):
@@ -177,10 +170,7 @@ class TestCrossFusionBlock:
     def test_tied_streams_reduce_to_vanilla_block(self):
         rng = np.random.default_rng(5)
         vp = make_vanilla_block_params(4, 2, 2, rng)
-        cp = EncoderParams(
-            streams=(vp.streams[0], vp.streams[0]),
-            drop_path_rate=0.0,
-        )
+        cp = (vp[0], vp[0])
         x = Tensor(rng.standard_normal((3, 4)))
         want = block([x], vp, training=False)[0].data
         oi, ol = block([x, x], cp, training=False, swapped=True)
@@ -205,10 +195,8 @@ class TestCrossFusionBlock:
         xl = Tensor(rng.standard_normal((3, 4)))
         oi, ol = block([xi, xl], p, training=False, swapped=False)
         # image stream must equal a vanilla block built from its own pieces
-        vp_img = EncoderParams(streams=(p.streams[0],), drop_path_rate=0.0)
-        vp_lm = EncoderParams(streams=(p.streams[1],), drop_path_rate=0.0)
-        assert np.array_equal(oi.data, block([xi], vp_img, training=False)[0].data)
-        assert np.array_equal(ol.data, block([xl], vp_lm, training=False)[0].data)
+        assert np.array_equal(oi.data, block([xi], (p[0],), training=False)[0].data)
+        assert np.array_equal(ol.data, block([xl], (p[1],), training=False)[0].data)
 
     def test_input_count_must_match_weight_sets(self):
         rng = np.random.default_rng(15)
@@ -232,22 +220,14 @@ class TestStackForward:
         """A cross-fusion stack whose streams share every tensor, plus the
         matching single-stream blocks."""
         vps = [make_vanilla_block_params(dim, heads, 2, rng) for _ in range(depth)]
-        cps = [
-            EncoderParams(
-                streams=(vp.streams[0], vp.streams[0]),
-                drop_path_rate=0.0,
-            )
-            for vp in vps
-        ]
-        return vps, cps
+        return vps, [(vp[0], vp[0]) for vp in vps]
 
     def test_full_swap_equals_manual_composition(self):
         rng = np.random.default_rng(8)
         blocks = [make_cross_block_params(4, 2, 2, rng) for _ in range(2)]
-        s = StackParams(blocks=blocks, swap_depth=2)
         xi = Tensor(rng.standard_normal((3, 4)))
         xl = Tensor(rng.standard_normal((3, 4)))
-        oi, ol = stack_forward([xi, xl], s, training=False)
+        oi, ol = stack_forward([xi, xl], blocks, training=False, swap_depth=2)
         mi, ml = xi, xl
         for b in blocks:
             mi, ml = block([mi, ml], b, training=False, swapped=True)
@@ -257,22 +237,20 @@ class TestStackForward:
     def test_zero_swap_equals_independent_vanilla_stacks(self):
         rng = np.random.default_rng(9)
         blocks = [make_cross_block_params(4, 2, 2, rng) for _ in range(3)]
-        s = StackParams(blocks=blocks, swap_depth=0)
         xi = Tensor(rng.standard_normal((3, 4)))
         xl = Tensor(rng.standard_normal((3, 4)))
-        oi, ol = stack_forward([xi, xl], s, training=False)
-        img_blocks = [EncoderParams(streams=(b.streams[0],), drop_path_rate=0.0) for b in blocks]
-        lm_blocks = [EncoderParams(streams=(b.streams[1],), drop_path_rate=0.0) for b in blocks]
-        assert np.array_equal(oi.data, stack_forward([xi], StackParams(img_blocks, 0), training=False)[0].data)
-        assert np.array_equal(ol.data, stack_forward([xl], StackParams(lm_blocks, 0), training=False)[0].data)
+        oi, ol = stack_forward([xi, xl], blocks, training=False, swap_depth=0)
+        img_blocks = [(b[0],) for b in blocks]
+        lm_blocks = [(b[1],) for b in blocks]
+        assert np.array_equal(oi.data, stack_forward([xi], img_blocks, training=False)[0].data)
+        assert np.array_equal(ol.data, stack_forward([xl], lm_blocks, training=False)[0].data)
 
     def test_partial_swap_composition(self):
         rng = np.random.default_rng(10)
         blocks = [make_cross_block_params(4, 2, 2, rng) for _ in range(3)]
-        s = StackParams(blocks=blocks, swap_depth=1)
         xi = Tensor(rng.standard_normal((3, 4)))
         xl = Tensor(rng.standard_normal((3, 4)))
-        oi, ol = stack_forward([xi, xl], s, training=False)
+        oi, ol = stack_forward([xi, xl], blocks, training=False, swap_depth=1)
         mi, ml = block([xi, xl], blocks[0], training=False, swapped=True)
         for b in blocks[1:]:
             mi, ml = block([mi, ml], b, training=False, swapped=False)
@@ -282,36 +260,28 @@ class TestStackForward:
     def test_tied_stream_reduction_arbitrary_depth(self):
         rng = np.random.default_rng(11)
         vps, cps = self._tied_stack(rng, depth=3)
-        s = StackParams(blocks=cps, swap_depth=3)
         x = Tensor(rng.standard_normal((4, 4)))
-        oi, ol = stack_forward([x, x], s, training=False)
-        want = stack_forward([x], StackParams(vps, 0), training=False)[0].data
+        oi, ol = stack_forward([x, x], cps, training=False, swap_depth=3)
+        want = stack_forward([x], vps, training=False)[0].data
         assert np.max(np.abs(oi.data - want)) < 1e-12
         assert np.max(np.abs(ol.data - want)) < 1e-12
-
-    def test_swap_depth_validation(self):
-        rng = np.random.default_rng(12)
-        blocks = [make_cross_block_params(4, 1, 2, rng)]
-        with pytest.raises(ValueError):
-            StackParams(blocks=blocks, swap_depth=2)
 
     def test_gradients_through_depth_two_stack(self):
         rng = np.random.default_rng(13)
         blocks = [make_cross_block_params(4, 2, 2, rng) for _ in range(2)]
-        s = StackParams(blocks=blocks, swap_depth=1)
         xi = Tensor(rng.standard_normal((2, 4)), requires_grad=True)
         xl = Tensor(rng.standard_normal((2, 4)), requires_grad=True)
         ci = rng.standard_normal((2, 4))
         cl = rng.standard_normal((2, 4))
         params = {"xi": xi, "xl": xl}
         for k, b in enumerate(blocks):
-            params[f"b{k}.img.w_q"] = b.streams[0].msa.q.w
-            params[f"b{k}.lm.w_v"] = b.streams[1].msa.v.w
-            params[f"b{k}.img.mlp_w1"] = b.streams[0].mlp[0].w
-            params[f"b{k}.lm.norm2_gamma"] = b.streams[1].norm2_gamma
+            params[f"b{k}.img.w_q"] = b[0].msa.q.w
+            params[f"b{k}.lm.w_v"] = b[1].msa.v.w
+            params[f"b{k}.img.mlp_w1"] = b[0].mlp[0].w
+            params[f"b{k}.lm.norm2_gamma"] = b[1].norm2_gamma
 
         def f():
-            oi, ol = stack_forward([xi, xl], s, training=False)
+            oi, ol = stack_forward([xi, xl], blocks, training=False, swap_depth=1)
             return add(sum_all(scale(oi, ci)), sum_all(scale(ol, cl)))
 
         assert finite_diff_check(f, params).passed
@@ -324,8 +294,8 @@ class TestStackForward:
         c = rng.standard_normal((3, 4))
         named = {"x": x}
         for tag in ("w_q", "w_k", "w_v", "w_o", "b_q", "b_k", "b_v", "b_o"):
-            named[f"msa.{tag}"] = msa_tensor(p.streams[0].msa, tag)
-        s = p.streams[0]
+            named[f"msa.{tag}"] = msa_tensor(p[0].msa, tag)
+        s = p[0]
         for tag in ("norm2_gamma", "norm2_beta", "mlp_w1", "mlp_b1", "mlp_w2", "mlp_b2"):
             named[f"stream.{tag}"] = stream_tensor(s, tag)
 

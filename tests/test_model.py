@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,8 @@ from ferfuse.model import (
     forward,
 )
 from ferfuse.tensor import Graph, ShapeError, Tensor, backward, concat, gelu, linear, mean_pool_patches, sum_all
-from ferfuse.training import adam_step, init_adam_state, label_smoothing_ce
+from ferfuse.data import gen_clusters
+from ferfuse.training import TrainConfig, adam_step, init_adam_state, label_smoothing_ce, train_loop
 from helpers import msa_tensor, stream_tensor
 
 
@@ -165,6 +168,47 @@ class TestVariantMatrix:
         assert not np.allclose(eval_logits, train_logits)
 
 
+class TestForwardReadsConfig:
+    """The block settings come from the config given to ``forward``, not from
+    the config the parameters were built with."""
+
+    def _inputs(self, seed):
+        rng = np.random.default_rng(seed)
+        return Tensor(rng.standard_normal((4, 8, 32))), Tensor(rng.standard_normal((4, 8, 32)))
+
+    def test_drop_path_rate(self):
+        cfg = desk_config(drop_path=0.5)
+        params = build_params(cfg)
+        xi, xl = self._inputs(17)
+        eval_logits = forward(xi, xl, params, cfg, training=False).data
+        undropped = forward(xi, xl, params, replace(cfg, drop_path=0.0), True, rng=np.random.default_rng(0))
+        dropped = forward(xi, xl, params, cfg, True, rng=np.random.default_rng(0))
+        assert np.array_equal(undropped.data, eval_logits)
+        assert not np.array_equal(dropped.data, eval_logits)
+
+    def test_swap_depth(self):
+        cfg = desk_config(swap_depth=0)
+        params = build_params(cfg)
+        xi, xl = self._inputs(18)
+        logits = [forward(xi, xl, params, replace(cfg, swap_depth=k), False).data for k in (0, 1, None)]
+        assert not np.array_equal(logits[0], logits[1])
+        assert not np.array_equal(logits[1], logits[2])
+        assert np.array_equal(logits[2], forward(xi, xl, params, replace(cfg, swap_depth=2), False).data)
+
+    def test_fine_tune_under_new_swap_depth_round_trips(self, tmp_path):
+        ds = gen_clusters(patches=8, dim=32, num_classes=7, per_class=4, sigma=0.2, seed=3)
+        cfg = desk_config(swap_depth=0)
+        tcfg = TrainConfig(batch_size=8, steps=2, seed=0)
+        tuned_cfg = replace(cfg, swap_depth=1)
+        tuned = train_loop(tuned_cfg, tcfg, ds, params=train_loop(cfg, tcfg, ds).params).params
+        save_model(tmp_path / "tuned.pckpt", tuned, tuned_cfg)
+        loaded, loaded_cfg = load_model(tmp_path / "tuned.pckpt")
+        assert loaded_cfg == tuned_cfg
+        xi, xl = Tensor(ds.x_img), Tensor(ds.x_lm)
+        want = forward(xi, xl, tuned, tuned_cfg, training=False).data
+        assert np.array_equal(forward(xi, xl, loaded, loaded_cfg, training=False).data, want)
+
+
 class TestPosterForward:
     def test_matches_hand_composed_pipeline(self):
         cfg = desk_config()
@@ -178,7 +222,7 @@ class TestPosterForward:
         for lvl in params.levels:
             zi = linear(xi, lvl.projs[0].w, lvl.projs[0].b)
             zl = linear(xl, lvl.projs[1].w, lvl.projs[1].b)
-            yi, yl = stack_forward([zi, zl], lvl.stack, training=False)
+            yi, yl = stack_forward([zi, zl], lvl.blocks, training=False, swap_depth=cfg.depth)
             pooled.append(mean_pool_patches(yi))
             pooled.append(mean_pool_patches(yl))
         feat = concat(pooled, axis=-1)
@@ -214,10 +258,9 @@ class TestPosterForward:
         for lvl in params_p.levels:
             lvl.projs[1].w.data = lvl.projs[0].w.data.copy()
             lvl.projs[1].b.data = lvl.projs[0].b.data.copy()
-            for block in lvl.stack.blocks:
+            for img_s, lm_s in lvl.blocks:
                 for tag in ("w_q", "w_k", "w_v", "w_o", "b_q", "b_k", "b_v", "b_o"):
-                    msa_tensor(block.streams[1].msa, tag).data = msa_tensor(block.streams[0].msa, tag).data.copy()
-                img_s, lm_s = block.streams
+                    msa_tensor(lm_s.msa, tag).data = msa_tensor(img_s.msa, tag).data.copy()
                 for tag in (
                     "norm1_gamma",
                     "norm1_beta",
@@ -233,11 +276,11 @@ class TestPosterForward:
         for lvl_b, lvl_p in zip(params_b.levels, params_p.levels):
             lvl_b.projs[0].w.data = lvl_p.projs[0].w.data.copy()
             lvl_b.projs[0].b.data = lvl_p.projs[0].b.data.copy()
-            for block_b, block_p in zip(lvl_b.stack.blocks, lvl_p.stack.blocks):
+            for block_b, block_p in zip(lvl_b.blocks, lvl_p.blocks):
+                s_b = block_b[0]
+                s_p = block_p[0]
                 for tag in ("w_q", "w_k", "w_v", "w_o", "b_q", "b_k", "b_v", "b_o"):
-                    msa_tensor(block_b.streams[0].msa, tag).data = msa_tensor(block_p.streams[0].msa, tag).data.copy()
-                s_b = block_b.streams[0]
-                s_p = block_p.streams[0]
+                    msa_tensor(s_b.msa, tag).data = msa_tensor(s_p.msa, tag).data.copy()
                 for tag in (
                     "norm1_gamma",
                     "norm1_beta",
@@ -315,7 +358,7 @@ class TestBaselineForward:
         pooled = []
         for lvl in params.levels:
             z = linear(fused, lvl.projs[0].w, lvl.projs[0].b)
-            y = stack_forward([z], lvl.stack, training=False)[0]
+            y = stack_forward([z], lvl.blocks, training=False)[0]
             pooled.append(mean_pool_patches(y))
         h = params.head
         want = linear(gelu(linear(concat(pooled, axis=-1), h[0].w, h[0].b)), h[1].w, h[1].b).data
@@ -349,7 +392,7 @@ class TestSingleStreamForward:
         got = forward(xi, Tensor(np.zeros((8, 32))), params, cfg, False).data
         lvl = params.levels[0]
         z = linear(xi, lvl.projs[0].w, lvl.projs[0].b)
-        y = stack_forward([z], lvl.stack, training=False)[0]
+        y = stack_forward([z], lvl.blocks, training=False)[0]
         h = params.head
         want = linear(gelu(linear(mean_pool_patches(y), h[0].w, h[0].b)), h[1].w, h[1].b).data
         assert np.max(np.abs(got - want)) < 1e-12
@@ -395,8 +438,8 @@ class TestCountParams:
         cfg = desk_config(swap_depth=1, share_unswapped=True)
         params = build_params(cfg)
         assert count_params(cfg)["total"] == params.scalar_count()
-        shared_block = params.levels[0].stack.blocks[1]
-        assert shared_block.streams[0] is shared_block.streams[1]
+        shared_block = params.levels[0].blocks[1]
+        assert shared_block[0] is shared_block[1]
         rng = np.random.default_rng(14)
         logits = forward(
             Tensor(rng.standard_normal((8, 32))), Tensor(rng.standard_normal((8, 32))), params, cfg, False

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ferfuse.model import ModelConfig, build_params, forward
+from ferfuse.model import VARIANTS, ModelConfig, build_params, forward
 from ferfuse.relevance import (
     CapturedAttention,
     GridLayout,
@@ -67,8 +67,19 @@ class TestCaptureAttention:
         forward(Tensor(xi), Tensor(xl), params, cfg, training=False, trace=trace)
         assert len(captured) == len(trace)
         for cap, rec in zip(captured, trace):
-            assert (cap.level, cap.block, cap.stream) == (rec.level, rec.block, rec.stream)
+            assert (cap.level, cap.block, cap.stream) == (rec.level, rec.block, cfg.layout.streams[rec.stream])
             assert np.array_equal(cap.weights, rec.weights.data)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_records_named_by_layout_stream(self, variant):
+        cfg = tiny_config(variant=variant, depth=2)
+        rng = np.random.default_rng(3)
+        captured = capture_attention(
+            build_params(cfg), cfg, rng.standard_normal((2, 4)), rng.standard_normal((2, 4)), target_class=0
+        )
+        assert [(c.block, c.stream) for c in captured] == [(j, s) for j in range(2) for s in cfg.layout.streams]
+        for stream in cfg.layout.streams:
+            assert stream_relevance(captured, stream).stream == stream
 
     def test_target_class_range(self):
         cfg = tiny_config()
@@ -105,10 +116,10 @@ class TestCaptureAttention:
         assert len(img_caps) == 1 and len(lm_caps) == 1
 
         lvl = params.levels[0]
-        block = lvl.stack.blocks[0]
+        block = lvl.blocks[0]
         xi = linear(Tensor(xi_raw), lvl.projs[0].w, lvl.projs[0].b)
         xl = linear(Tensor(xl_raw), lvl.projs[1].w, lvl.projs[1].b)
-        v_img = linear(xi, block.streams[0].msa.v.w, block.streams[0].msa.v.b)
+        v_img = linear(xi, block[0].msa.v.w, block[0].msa.v.b)
         vh = split_heads(v_img, 1)  # one head
 
         # the landmark stream does not depend on the image attention weights,
@@ -116,15 +127,15 @@ class TestCaptureAttention:
         logits_full = forward(Tensor(xi_raw), Tensor(xl_raw), params, cfg, training=False)
         from ferfuse.encoder import stack_forward
 
-        _, lm_out = stack_forward([xi, xl], lvl.stack, training=False)
+        _, lm_out = stack_forward([xi, xl], lvl.blocks, training=False, swap_depth=cfg.depth)
         lm_pooled_const = Tensor(lm_out.data.mean(axis=0))
 
         a_leaf = Tensor(img_caps[0].weights, requires_grad=True)
-        s = block.streams[0]
+        s = block[0]
 
         def f():
             mixed = merge_heads(matmul(a_leaf, vh))
-            att = linear(mixed, block.streams[0].msa.o.w, block.streams[0].msa.o.b)
+            att = linear(mixed, s.msa.o.w, s.msa.o.b)
             x1 = add(att, xi)
             m = linear(gelu(linear(layer_norm(x1, s.norm2_gamma, s.norm2_beta), s.mlp[0].w, s.mlp[0].b)), s.mlp[1].w, s.mlp[1].b)
             out_img = add(m, x1)
