@@ -212,7 +212,11 @@ def write_features(dataset: FeatureDataset, path) -> None:
     count = len(dataset)
     buf = np.empty(count * (8 * dataset.patches * dataset.dim + 4), dtype=np.uint8)
     img, lm, labels = _records(buf, count, dataset.patches, dataset.dim)
-    img[...], lm[...], labels[...] = dataset.x_img, dataset.x_lm, dataset.labels
+    with np.errstate(over="ignore"):  # an f64 value beyond the f32 range narrows to Inf
+        img[...], lm[...], labels[...] = dataset.x_img, dataset.x_lm, dataset.labels
+    bad = np.flatnonzero(~np.isfinite(img.sum(axis=(1, 2), dtype=np.float64) + lm.sum(axis=(1, 2), dtype=np.float64)))
+    if bad.size:  # checked before the file opens, so nothing unreadable is left behind
+        raise ValueError(f"{path}: features of sample {bad[0]} are NaN/Inf or beyond the float32 range")
     with open(path, "wb") as f:
         f.write(MAGIC)
         write_u32(f, VERSION)

@@ -3,14 +3,15 @@
 Every variant runs the same stack over a list of one or two token
 streams. Each block computes, stream by stream,
 
-    x'  = drop_path(attention(x)) + x
-    out = drop_path(mlp(norm(x'))) + x'
+    x'  = x  + keep * attention(x)
+    out = x' + keep * mlp(norm(x'))
 
-i.e. the attention branch runs on the raw input with no preceding
-normalisation; the only norm sits in front of the MLP. A ``pre_msa_norm``
-flag turns on a conventional pre-attention norm for experiments; its
-gamma/beta are allocated either way so parameter layouts do not depend on
-the flag.
+with ``keep`` drawn by ``drop_path`` per branch (stochastic depth), one
+tape op per residual step. The attention branch runs on the raw input
+with no preceding normalisation; the only norm sits in front of the MLP.
+A ``pre_msa_norm`` flag turns on a conventional pre-attention norm for
+experiments; its gamma/beta are allocated either way so parameter
+layouts do not depend on the flag.
 
 A block is a tuple of per-stream weight sets (``StreamBlockParams``:
 attention, norms and MLP); a tied two-stream block holds the same set
@@ -27,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .attention import AttentionRecord, MsaParams, mhsa
-from .tensor import Tensor, add, gelu, layer_norm, linear, scale
+from .tensor import Tensor, add, gelu, layer_norm, linear
 
 
 @dataclass
@@ -42,26 +43,22 @@ class StreamBlockParams:
     mlp: tuple  # (fc1, fc2) LinearParams: D -> ratio * D -> D
 
 
-def drop_path(branch: Tensor, rate: float, training: bool, rng=None) -> Tensor:
-    """Stochastic depth on a residual branch.
+def drop_path(x: Tensor, branch: Tensor, rate: float, training: bool, rng=None) -> Tensor:
+    """The residual step ``x + keep * branch`` as one op, under stochastic depth.
 
-    In eval mode, or at rate 0, the branch passes through untouched. In
-    training mode the whole branch is zeroed with probability ``rate`` and
-    scaled by 1/(1-rate) otherwise, keeping the expectation equal to the
-    branch itself. One Bernoulli draw per call, so a batched branch is
-    kept or dropped as a unit (stochastic depth as in Huang et al. 2016
-    draws per sample; per batch is kept so that training numbers stay
-    those of earlier builds).
+    ``keep`` is 1 in eval mode or at rate 0. In training mode it is 0 with
+    probability ``rate`` and 1/(1-rate) otherwise, so the expectation is
+    ``x + branch``. One Bernoulli draw per call, so a batched branch is kept
+    or dropped as a unit (Huang et al. 2016 draw per sample; per batch keeps
+    the training numbers of earlier builds).
     """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"drop_path rate must be in [0, 1), got {rate}")
     if not training or rate == 0.0:
-        return branch
+        return add(branch, x)
     if rng is None:
         raise ValueError("drop_path needs an rng in training mode with rate > 0")
-    if rng.random() < rate:
-        return scale(branch, 0.0)
-    return scale(branch, 1.0 / (1.0 - rate))
+    return add(branch, x, 0.0 if rng.random() < rate else 1.0 / (1.0 - rate))
 
 
 def mlp(x: Tensor, layers: tuple) -> Tensor:
@@ -72,9 +69,8 @@ def mlp(x: Tensor, layers: tuple) -> Tensor:
 
 
 def _residual_tail(x: Tensor, attn_out: Tensor, s: StreamBlockParams, rate, training, rng) -> Tensor:
-    x1 = add(drop_path(attn_out, rate, training, rng), x)
-    m = mlp(layer_norm(x1, s.norm2_gamma, s.norm2_beta), s.mlp)
-    return add(drop_path(m, rate, training, rng), x1)
+    x1 = drop_path(x, attn_out, rate, training, rng)
+    return drop_path(x1, mlp(layer_norm(x1, s.norm2_gamma, s.norm2_beta), s.mlp), rate, training, rng)
 
 
 def block(

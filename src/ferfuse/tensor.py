@@ -10,6 +10,8 @@ leaves that require grad and on intermediates marked ``retain_grad``; every
 other intermediate's gradient is freed as soon as its op's VJP has run.
 A VJP may return ``None`` for an input that does not require grad, and
 ``matmul``'s does, so no work goes into gradients nobody asked for.
+``matmul`` adds a linear map's bias and ``add`` scales a residual branch
+in the same op, so neither keeps a second activation on the tape.
 
 All data is float64 and row-major. Any NaN or Inf entering or leaving an
 op is a contract violation and raises ``NonFiniteError`` immediately,
@@ -250,8 +252,8 @@ _SMALL_GEMM_MACS = 1_000_000
 # primitive ops
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product over the last two axes.
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
+    """Matrix product over the last two axes, plus an (n,) ``bias`` if ``b`` is (k, n).
 
     2-D operands give the plain m x k @ k x n product. Higher-rank operands
     are stacks of matrices; a stacked right operand needs a left operand
@@ -268,6 +270,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul inner extents differ: {a.shape} vs {b.shape}")
     if b.ndim > 2 and a.shape[:-2] != b.shape[:-2]:
         raise ShapeError(f"matmul leading axes differ: {a.shape} vs {b.shape}")
+    if bias is not None and (b.ndim != 2 or bias.shape != b.shape[-1:]):
+        raise ShapeError(f"matmul bias {bias.shape} needs a 2-D right operand with as many columns: {b.shape}")
     if b.ndim == 2:
         k, n = b.shape
         if a.ndim > 2 and a.shape[-2] * k * n <= _SMALL_GEMM_MACS < a.size * n:
@@ -275,12 +279,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             out = a.data @ b.data
         else:
             out = (a.data.reshape(-1, k) @ b.data).reshape(a.shape[:-1] + (n,))
+        if bias is not None:
+            out += bias.data
 
         def vjp(g):
             g2 = g.reshape(-1, n)
             ga = (g2 @ b.data.T).reshape(a.shape) if a.requires_grad else None
             gb = a.data.reshape(-1, k).T @ g2 if b.requires_grad else None
-            return ga, gb
+            return (ga, gb) if bias is None else (ga, gb, g2.sum(axis=0) if bias.requires_grad else None)
 
     else:
         out = a.data @ b.data
@@ -290,14 +296,20 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             gb = np.swapaxes(a.data, -1, -2) @ g if b.requires_grad else None
             return ga, gb
 
-    return _record("matmul", (a, b), out, vjp)
+    return _record("matmul", (a, b) if bias is None else (a, b, bias), out, vjp)
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum of two same-shape tensors."""
+def add(a: Tensor, b: Tensor, factor: float = 1.0) -> Tensor:
+    """``factor * a + b`` for same-shape tensors and a python scalar: one op
+    for a residual step whose branch is scaled (drop-path), rounded as
+    ``scale`` then ``add`` would round it."""
     if a.shape != b.shape:
         raise ShapeError(f"add shapes differ: {a.shape} vs {b.shape}")
-    return _record("add", (a, b), a.data + b.data, lambda g: (g, g))
+    if factor == 1.0:
+        return _record("add", (a, b), a.data + b.data, lambda g: (g, g))
+    out = a.data * factor
+    out += b.data
+    return _record("add", (a, b), out, lambda g: (g * factor, g))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -316,18 +328,6 @@ def scale(x: Tensor, factor) -> Tensor:
     return _record("scale", (x,), x.data * c, lambda g: (g * c,))
 
 
-def add_bias(x: Tensor, b: Tensor) -> Tensor:
-    """Add a length-D bias vector along the last axis of x (.., D)."""
-    if b.ndim != 1 or x.ndim < 1 or x.shape[-1] != b.shape[0]:
-        raise ShapeError(f"add_bias shapes incompatible: {x.shape} vs {b.shape}")
-    d = b.shape[0]
-
-    def vjp(g):
-        return g, g.reshape(-1, d).sum(axis=0)
-
-    return _record("add_bias", (x, b), x.data + b.data, vjp)
-
-
 @dataclass
 class LinearParams:
     """Weight (Din, Dout) and optional bias (Dout,) of one affine map, the
@@ -341,8 +341,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """Affine map along the last axis: x @ w (+ b), for x of shape (.., Din) or (Din,)."""
     if w.ndim != 2:
         raise ShapeError(f"linear weight must be 2-D, got {w.shape}")
-    y = matmul(x, w)
-    return add_bias(y, b) if b is not None else y
+    return matmul(x, w, b)
 
 
 def gelu(x: Tensor) -> Tensor:

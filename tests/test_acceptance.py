@@ -28,7 +28,6 @@ from ferfuse.tensor import (
     LN_EPS,
     Tensor,
     add,
-    add_bias,
     backward,
     concat,
     finite_diff_check,
@@ -95,6 +94,9 @@ class TestCriterion01GradientSuite:
         b = Tensor(rng.standard_normal(5), requires_grad=True)
         c34 = rng.standard_normal((3, 4))
         c35 = rng.standard_normal((3, 5))
+        rng3 = np.random.default_rng(1)  # a stream of its own keeps the draws below as they were
+        x3 = Tensor(rng3.standard_normal((2, 3, 4)), requires_grad=True)
+        c235 = rng3.standard_normal((2, 3, 5))
 
         ops = {
             "matmul": (lambda: sum_all(scale(matmul(x, w), c35)), {"x": x, "w": w}),
@@ -103,7 +105,8 @@ class TestCriterion01GradientSuite:
             "log_softmax_rows": (lambda: sum_all(scale(log_softmax_rows(x), c34)), {"x": x}),
             "gelu": (lambda: sum_all(scale(gelu(x), c34)), {"x": x}),
             "add+mul": (lambda: sum_all(mul(add(x, x), x)), {"x": x}),
-            "add_bias": (lambda: sum_all(scale(add_bias(matmul(x, w), b), c35)), {"x": x, "b": b}),
+            "matmul+bias": (lambda: sum_all(scale(matmul(x3, w, b), c235)), {"x3": x3, "w": w, "b": b}),
+            "add*factor": (lambda: sum_all(mul(add(x, scale(x, c34), 1.25), x)), {"x": x}),
             "mean_pool": (lambda: sum_all(scale(mean_pool_patches(x), c34[0])), {"x": x}),
             "concat": (lambda: sum_all(mul(concat((x, x), axis=-2), concat((x, x), axis=-2))), {"x": x}),
         }

@@ -292,6 +292,26 @@ class TestFeatureFiles:
         with pytest.raises(BadFieldError, match=f"{path}: features of sample {sample} contain NaN/Inf"):
             read_features(path)
 
+    @pytest.mark.parametrize("stream,value", [(0, np.nan), (1, np.inf), (0, 1e39), (1, -1e39)])
+    def test_write_refuses_features_not_finite_in_float32(self, tmp_path, stream, value, recwarn):
+        # 1e39 is finite in float64 but narrows to Inf, which read_features refuses
+        ds = self._small()
+        (ds.x_img, ds.x_lm)[stream][5, 1, 2] = value
+        path = tmp_path / "a.pfer"
+        with pytest.raises(ValueError, match=f"{path}: features of sample 5 are NaN/Inf"):
+            write_features(ds, path)
+        assert not path.exists() and not os.path.exists(f"{path}.json")
+        assert not recwarn.list
+
+    def test_largest_float32_round_trips(self, tmp_path):
+        ds = self._small()
+        top = float(np.finfo(np.float32).max)
+        ds.x_img[5, 1, 2], ds.x_lm[0, 0, 0] = top, -top
+        path = tmp_path / "a.pfer"
+        write_features(ds, path)
+        back = read_features(path)
+        assert back.x_img[5, 1, 2] == top and back.x_lm[0, 0, 0] == -top
+
     def test_reads_from_a_pipe(self, tmp_path):
         # A pipe has no size to check a header against; it is read as before.
         ds = self._small()

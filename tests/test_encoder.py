@@ -3,7 +3,7 @@ import pytest
 
 from ferfuse.encoder import block, drop_path, mlp, stack_forward
 from ferfuse.model import ModelConfig, build_params
-from ferfuse.tensor import LN_EPS, LinearParams, Tensor, add, finite_diff_check, scale, sum_all
+from ferfuse.tensor import LN_EPS, Graph, LinearParams, Tensor, add, finite_diff_check, scale, sum_all
 from helpers import (
     FakeRng,
     make_cross_block_params,
@@ -30,43 +30,57 @@ def _zeroed(params: tuple) -> tuple:
 
 
 class TestDropPath:
-    def test_rate_zero_is_identity_in_both_modes(self):
+    """``drop_path(x, branch, ...)`` is the residual step ``x + keep * branch``."""
+
+    def _pair(self):
         x = Tensor(np.arange(6.0).reshape(2, 3))
-        assert drop_path(x, 0.0, training=False) is x
-        assert drop_path(x, 0.0, training=True) is x
+        return x, Tensor(np.linspace(-1.0, 1.5, 6).reshape(2, 3), requires_grad=True)
+
+    def test_rate_zero_is_identity_in_both_modes(self):
+        x, branch = self._pair()
+        for training in (False, True):
+            out = drop_path(x, branch, 0.0, training=training)
+            assert out.data.tobytes() == (x.data + branch.data).tobytes()
 
     def test_eval_mode_is_identity_at_any_rate(self):
-        x = Tensor(np.arange(6.0).reshape(2, 3))
-        assert drop_path(x, 0.9, training=False) is x
+        x, branch = self._pair()
+        out = drop_path(x, branch, 0.9, training=False)
+        assert out.data.tobytes() == (x.data + branch.data).tobytes()
+        assert [node.name for node in Graph.trace(out).ops] == ["add"]
 
     def test_rate_validation(self):
-        x = Tensor([1.0])
+        x, branch = self._pair()
         for bad in (-0.1, 1.0, 1.5):
             with pytest.raises(ValueError):
-                drop_path(x, bad, training=True, rng=FakeRng([0.5]))
+                drop_path(x, branch, bad, training=True, rng=FakeRng([0.5]))
 
     def test_scripted_draws(self):
-        x = Tensor(np.array([2.0, 4.0]))
-        dropped = drop_path(x, 0.25, training=True, rng=FakeRng([0.1]))  # 0.1 < 0.25: drop
-        kept = drop_path(x, 0.25, training=True, rng=FakeRng([0.9]))
-        assert np.array_equal(dropped.data, [0.0, 0.0])
-        assert np.allclose(kept.data, x.data / 0.75, atol=1e-15)
+        x = Tensor(np.array([1.0, -3.0]))
+        branch = Tensor(np.array([2.0, 4.0]), requires_grad=True)
+        dropped = drop_path(x, branch, 0.25, training=True, rng=FakeRng([0.1]))  # 0.1 < 0.25: drop
+        kept = drop_path(x, branch, 0.25, training=True, rng=FakeRng([0.9]))
+        assert np.array_equal(dropped.data, x.data)
+        assert kept.data.tobytes() == (branch.data * (1.0 / 0.75) + x.data).tobytes()
+        # one op per residual step, bitwise the scale-then-add it replaces
+        for out, keep in ((dropped, 0.0), (kept, 1.0 / 0.75)):
+            assert [node.name for node in Graph.trace(out).ops] == ["add"]
+            assert out.data.tobytes() == add(scale(branch, keep), x).data.tobytes()
 
     def test_expectation_preserved_monte_carlo(self):
-        # E[output] == branch: mean of 1e5 draws of the scale factor is 1
+        # E[output] == x + branch: the mean of 1e5 draws of keep is 1
         rate = 0.3
         rng = np.random.default_rng(123)
-        x = Tensor(np.array([1.0]))
+        x, branch = Tensor(np.array([0.0])), Tensor(np.array([1.0]))
         total = 0.0
         n = 100_000
         for _ in range(n):
-            total += drop_path(x, rate, training=True, rng=rng).data[0]
+            total += drop_path(x, branch, rate, training=True, rng=rng).data[0]
         # std of the mean is sqrt(rate/(1-rate))/sqrt(n) ~ 0.002
         assert abs(total / n - 1.0) < 0.01
 
     def test_missing_rng_in_training(self):
         with pytest.raises(ValueError):
-            drop_path(Tensor([1.0]), 0.5, training=True)
+            drop_path(Tensor([0.0]), Tensor([1.0]), 0.5, training=True)
 
 
 class TestMlp:

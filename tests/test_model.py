@@ -230,19 +230,32 @@ class TestPosterForward:
         want = linear(gelu(linear(feat, h[0].w, h[0].b)), h[1].w, h[1].b).data
         assert np.max(np.abs(got - want)) < 1e-12
 
-    def test_desk_training_step_records_340_ops(self):
+    def test_desk_training_step_records_236_ops(self):
         # Per stream and block, attention is 3 linear maps, 3 split_heads, the
-        # key swap, 2 matmuls, the scaled softmax, merge_heads and the output map.
+        # key swap, 2 matmuls, the scaled softmax, merge_heads and the output
+        # map; a linear map is one matmul, its bias added inside, and each
+        # residual step is one add, its drop-path factor applied inside.
         cfg = desk_config()
+        assert cfg.drop_path > 0
         rng = np.random.default_rng(16)
         x = [Tensor(rng.standard_normal((4, 8, 32))) for _ in range(2)]
         logits = forward(*x, build_params(cfg), cfg, training=True, rng=rng)
         loss = label_smoothing_ce(logits, np.arange(4), 0.1)
         ops = Graph.trace(loss).ops
-        assert len(ops) == 340
+        assert len(ops) == 236
         names = [op.name for op in ops]
         assert names.count("split_heads") == 36 and names.count("merge_heads") == 12
+        assert names.count("scale") == 2  # the loss's own two; drop-path adds none
         assert "reshape" not in names
+
+    def test_desk_eval_forward_records_232_ops(self):
+        # The same ops as a training forward: drop-path changes the factor of
+        # each residual add, never the count.
+        cfg = desk_config()
+        rng = np.random.default_rng(16)
+        x = [Tensor(rng.standard_normal((4, 8, 32))) for _ in range(2)]
+        ops = Graph.trace(forward(*x, build_params(cfg), cfg, training=False)).ops
+        assert len(ops) == 232 and "scale" not in [op.name for op in ops]
 
     def test_tied_streams_match_baseline_pyramid_on_duplicated_input(self):
         # with identical stream weights and x_img == x_lm, the query swap is

@@ -12,10 +12,10 @@ from ferfuse.tensor import (
     NonFiniteError,
     ShapeError,
     Tensor,
+    _SMALL_GEMM_MACS,
     _keep_freed_memory,
     _record,
     add,
-    add_bias,
     backward,
     concat,
     finite_diff_check,
@@ -169,6 +169,82 @@ class TestFoldedMatmul:
             assert grad.shape == (a_shape if a_grad else b_shape)
 
 
+class TestBiasedMatmul:
+    """``matmul(a, b, bias)`` records one op: the GEMM plus the bias, bitwise."""
+
+    @pytest.mark.parametrize("a_shape", [(5, 16), (3, 7, 16), (1000, 8, 16), (16,)])
+    def test_forward_and_grads_bitwise_equal_numpy(self, a_shape):
+        k, n = 16, 12
+        stacked = len(a_shape) > 2 and a_shape[-2] * k * n <= _SMALL_GEMM_MACS < math.prod(a_shape) * n
+        assert stacked == (a_shape == (1000, 8, 16))  # one case runs the small-GEMM stack
+        rng = np.random.default_rng(31)
+        x = Tensor(rng.standard_normal(a_shape), requires_grad=True)
+        w = Tensor(rng.standard_normal((k, n)), requires_grad=True)
+        b = Tensor(rng.standard_normal(n), requires_grad=True)
+        y = matmul(x, w, b)
+        assert [node.name for node in Graph.trace(y).ops] == ["matmul"]
+        x2 = x.data.reshape(-1, k)
+        product = x.data @ w.data if stacked else (x2 @ w.data).reshape(a_shape[:-1] + (n,))
+        assert y.data.tobytes() == (product + b.data).tobytes()
+        g = rng.standard_normal(y.shape)
+        g2 = g.reshape(-1, n)
+        gx, gw, gb = y.creator.vjp(g)
+        assert gx.tobytes() == (g2 @ w.data.T).reshape(a_shape).tobytes()
+        assert gw.tobytes() == (x2.T @ g2).tobytes()
+        assert gb.tobytes() == g2.sum(0).tobytes()
+
+    def test_gradients(self):
+        rng = np.random.default_rng(32)
+        x = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
+        w = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
+        b = Tensor(rng.standard_normal(5), requires_grad=True)
+        c = rng.standard_normal((2, 3, 5))
+        assert finite_diff_check(lambda: sum_all(scale(matmul(x, w, b), c)), {"x": x, "w": w, "b": b}).passed
+
+    def test_bias_without_grad_gets_none(self):
+        rng = np.random.default_rng(33)
+        x = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+        y = matmul(x, Tensor(np.ones((3, 4))), Tensor(np.ones(4)))
+        gx, gw, gb = y.creator.vjp(np.ones(y.shape))
+        assert gx.shape == (2, 3) and gw is None and gb is None
+
+    @pytest.mark.parametrize("b_shape,bias_shape", [((2, 4, 5), (5,)), ((4, 5), (4,)), ((4, 5), (1, 5))])
+    def test_bias_needs_a_matrix_and_one_entry_per_column(self, b_shape, bias_shape):
+        with pytest.raises(ShapeError, match="bias"):
+            matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros(b_shape)), Tensor(np.zeros(bias_shape)))
+
+    def test_finite_product_plus_finite_bias_that_overflows_names_matmul(self):
+        big = np.finfo(np.float64).max
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match=r"^matmul: output contains"):
+            matmul(Tensor([[1.0, 1.0]]), Tensor([[big], [0.0]]), Tensor([big]))
+
+
+class TestResidualAdd:
+    """``add(a, b, factor)`` is ``factor * a + b``: one op for a drop-path residual step."""
+
+    @pytest.mark.parametrize("factor", [0.0, 1.0, 1.0 / (1.0 - 0.3)])
+    def test_bitwise_equal_to_scale_then_add(self, factor):
+        rng = np.random.default_rng(41)
+        a = Tensor(rng.standard_normal((4, 6, 8)), requires_grad=True)
+        b = Tensor(rng.standard_normal((4, 6, 8)), requires_grad=True)
+        c = rng.standard_normal((4, 6, 8))
+        results = []
+        for fused in (True, False):
+            y = add(a, b, factor) if fused else add(scale(a, factor), b)
+            backward(sum_all(scale(y, c)))
+            results.append((y.data.tobytes(), a.grad.tobytes(), b.grad.tobytes(), len(Graph.trace(y).ops)))
+            a.grad = b.grad = None
+        assert results[0][:3] == results[1][:3]
+        assert results[0][3] == 1
+
+    def test_gradients(self):
+        rng = np.random.default_rng(42)
+        a = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        b = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        c = rng.standard_normal((3, 4))
+        assert finite_diff_check(lambda: sum_all(scale(add(a, b, 1.7), c)), {"a": a, "b": b}).passed
+
+
 class TestSoftmax:
     def test_single_element_row(self):
         assert softmax_rows(Tensor([[3.7]])).data[0, 0] == pytest.approx(1.0, abs=1e-15)
@@ -292,7 +368,7 @@ class TestLinear:
         w = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
         b = Tensor(rng.standard_normal(4), requires_grad=True)
         y = linear(x, w, b)
-        assert [node.name for node in Graph.trace(y).ops] == ["matmul", "add_bias"]
+        assert [node.name for node in Graph.trace(y).ops] == ["matmul"]
         row = linear(Tensor(x.data.reshape(1, 3)), w, b)
         assert y.shape == (4,) and np.array_equal(y.data, row.data[0])
 
@@ -378,14 +454,15 @@ class TestElementwiseAndStructural:
         with pytest.raises(ShapeError):
             mul(Tensor([1.0]), Tensor([1.0, 2.0]))
 
-    def test_scale_and_add_bias(self):
+    def test_scale_and_linear(self):
         x = Tensor(np.ones((2, 3)), requires_grad=True)
+        w = Tensor(np.eye(3), requires_grad=True)
         b = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
 
         def f():
-            return sum_all(mul(scale(add_bias(x, b), 2.0), add_bias(x, b)))
+            return sum_all(mul(scale(linear(x, w, b), 2.0), linear(x, w, b)))
 
-        assert finite_diff_check(f, {"x": x, "b": b}).passed
+        assert finite_diff_check(f, {"x": x, "w": w, "b": b}).passed
 
     def test_scale_by_array_is_elementwise(self):
         rng = np.random.default_rng(15)
