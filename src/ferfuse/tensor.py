@@ -2,12 +2,15 @@
 
 Every higher-level piece (attention, encoder blocks, the training loop) is
 built from the primitives in this module. Ops record themselves onto a
-dynamic graph as they run; ``backward`` walks that graph once, in reverse
-topological order, and accumulates vector-Jacobian products.
+dynamic graph as they run; ``leaf_grads`` walks that graph once, in reverse
+topological order, and yields each leaf's gradient as soon as the last op
+that reads the leaf has run its VJP. ``backward`` accumulates those into
+``.grad``; ``training.adam_step`` uses each one and drops it, so a step
+never holds every parameter gradient at once.
 
-``backward`` keeps only the gradients something reads: ``.grad`` is set on
-leaves that require grad and on intermediates marked ``retain_grad``; every
-other intermediate's gradient is freed as soon as its op's VJP has run.
+The walk keeps only the gradients something reads: intermediates marked
+``retain_grad`` get ``.grad``; every other intermediate's gradient is freed
+as soon as its op's VJP has run.
 A VJP may return ``None`` for an input that does not require grad, and
 ``matmul``'s does, so no work goes into gradients nobody asked for.
 ``matmul`` adds a linear map's bias and ``add`` scales a residual branch
@@ -139,21 +142,24 @@ class Graph:
 
     ``ops`` is topologically sorted: every op appears after the ops that
     produced its inputs, and each op appears exactly once. ``outputs[i]``
-    is the tensor ``ops[i]`` produced.
+    is the tensor ``ops[i]`` produced. ``leaf_uses`` counts, by ``id``, the
+    input slots of ``ops`` that hold each leaf requiring grad.
 
     Ownership: an output holds its node; a node holds its inputs, never
     its output. So the tape behind a root lives as long as the root does.
     """
 
-    def __init__(self, ops: list, outputs: list):
+    def __init__(self, ops: list, outputs: list, leaf_uses: dict):
         self.ops = ops
         self.outputs = outputs
+        self.leaf_uses = leaf_uses
 
     @staticmethod
     def trace(root: Tensor) -> "Graph":
         ops: list[OpNode] = []
         outputs: list[Tensor] = []
         visited: set[int] = set()
+        uses: dict[int, int] = {}
         stack: list[tuple[Tensor, bool]] = [(root, False)]
         while stack:
             tensor, ready = stack.pop()
@@ -170,27 +176,25 @@ class Graph:
             stack.append((tensor, True))
             for parent in node.inputs:
                 stack.append((parent, False))
-        return Graph(ops, outputs)
+                if parent.creator is None and parent.requires_grad:
+                    uses[id(parent)] = uses.get(id(parent), 0) + 1
+        return Graph(ops, outputs, uses)
 
 
-def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(tensor) into ``grad`` for every leaf that
-    requires grad, and every tensor marked ``retain_grad``, reachable from
-    ``loss``.
+def leaf_grads(loss: Tensor):
+    """Yield ``(leaf, d(loss)/d(leaf))``, once per leaf, for every leaf
+    reachable from ``loss`` that requires grad and gets a gradient.
 
-    Each call adds one more copy of the gradient; callers reset with
-    ``zero_grads`` between steps. Leaves with ``requires_grad=False`` are
-    simply left alone. The gradient of any other op output lives only
-    until its op's VJP has consumed it, so a step holds the gradients in
-    flight rather than one per activation.
-
-    ``backward`` does not free the graph: it lives until the caller drops
-    ``loss``, and a second call on the same loss stacks one more gradient.
+    This is the one backward walk. A leaf is yielded as soon as the last op
+    that reads it has run its VJP, and the walk then drops its gradient. A
+    leaf some of whose readers got no gradient is yielded after the walk, as
+    is a ``loss`` that is itself a leaf. ``retain_grad`` intermediates get
+    ``grad`` as the walk passes them. The graph is not freed.
     """
     if loss.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
     graph = Graph.trace(loss)
-    # Fresh per-call accumulators so repeated backward calls stack cleanly.
+    uses = graph.leaf_uses
     fresh: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     leaves: dict[int, Tensor] = {id(loss): loss} if loss.creator is None and loss.requires_grad else {}
     for node, out in zip(reversed(graph.ops), reversed(graph.outputs)):
@@ -202,17 +206,31 @@ def backward(loss: Tensor) -> None:
         if out.retain_grad:
             _accumulate(out, gout)
         for parent, g in zip(node.inputs, node.vjp(gout)):
-            if g is None or not parent.requires_grad:
+            if not parent.requires_grad:
                 continue
             pid = id(parent)
-            if pid in fresh:
-                fresh[pid] = fresh[pid] + g
-            else:
-                fresh[pid] = g
+            if g is not None:
+                fresh[pid] = fresh[pid] + g if pid in fresh else g
                 if parent.creator is None:
                     leaves[pid] = parent
-    for tid, t in leaves.items():
-        _accumulate(t, fresh[tid])
+            if parent.creator is None:
+                uses[pid] -= 1
+                if not uses[pid] and pid in leaves:
+                    yield leaves.pop(pid), fresh.pop(pid)
+    for pid, t in leaves.items():
+        yield t, fresh.pop(pid)
+
+
+def backward(loss: Tensor) -> None:
+    """Add the gradients of ``leaf_grads(loss)`` to each leaf's ``grad``.
+
+    Each call adds one more copy, so callers reset with ``zero_grads``
+    between steps, and a second call on the same loss stacks one more
+    gradient. Leaves with ``requires_grad=False`` are left alone. The graph
+    lives until the caller drops ``loss``.
+    """
+    for t, g in leaf_grads(loss):
+        _accumulate(t, g)
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
@@ -565,15 +583,15 @@ def finite_diff_check(
     """
     if not h > 0:
         raise ValueError(f"finite-difference step h must be > 0, got {h}")
+    if not tol > 0:
+        raise ValueError(f"tolerance tol must be > 0, got {tol}")
     if samples_per_param is not None and samples_per_param < 1:
         raise ValueError(f"samples_per_param must be >= 1 when set, got {samples_per_param}")
     loss = f()
     if loss.size != 1:
         raise ShapeError(f"finite_diff_check needs a scalar f(), got shape {loss.shape}")
-    zero_grads(params)
-    backward(loss)
-    analytic = {name: (np.zeros_like(t.data) if t.grad is None else t.grad.copy()) for name, t in params.items()}
-    zero_grads(params)
+    grads = {id(t): g for t, g in leaf_grads(loss)}
+    analytic = {name: grads.get(id(t), np.zeros_like(t.data)) for name, t in params.items()}
 
     report = FiniteDiffReport(h=h, tol=tol)
     if rng is None:

@@ -9,7 +9,9 @@ Ownership of parameter memory: ``init_adam_state`` (run once per
 ``train_loop``) packs every parameter into one flat arena and rebinds each
 ``data`` to its view. After that nothing may rebind a parameter's
 ``data``; ``adam_step`` raises if one was. Copy new values into the view
-instead, as ``checkpoint.load_into`` does.
+instead, as ``checkpoint.load_into`` does. ``train_loop`` sets no ``.grad``:
+it feeds ``tensor.leaf_grads`` to ``adam_step``, so a parameter gradient
+lives only until the update of its span, and the step never holds them all.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .binio import write_csv
 from .checkpoint import save_model
 from .data import FeatureDataset
 from .model import ModelConfig, ModelParams, build_params, forward
-from .tensor import NonFiniteError, Tensor, backward, log_softmax_rows, scale, sum_all, zero_grads
+from .tensor import NonFiniteError, Tensor, leaf_grads, log_softmax_rows, scale, sum_all
 
 
 @dataclass
@@ -127,43 +129,64 @@ def init_adam_state(named) -> OptimizerState:
 def adam_step(
     named,
     state: OptimizerState,
+    grads,
     lr: float,
     beta1: float = 0.9,
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> None:
-    """One bias-corrected Adam update of ``state``'s arena, in place.
-    Missing grads count as zero.
+    """One bias-corrected Adam update of ``state``'s arena, in place, from
+    ``grads``: ``(tensor, grad)`` pairs such as ``tensor.leaf_grads(loss)``.
 
-    Moments and parameters are updated in their flat buffers, span by
-    span, with the arithmetic in the order of
-    ``p - lr * (m / bc1) / (sqrt(v / bc2) + eps)``, so the result is
-    bitwise that formula's. A span's grads are gathered into one temporary
-    of at most ``_ADAM_CHUNK`` entries; a larger tensor is read from its
-    own grad. Raises ValueError if a parameter's ``data`` is no longer its
-    arena view.
+    A span is updated, and its grads dropped, as soon as the last grad of
+    its tensors arrives; spans still short of one when the pairs run out
+    are updated last, with zeros for the missing grads. Span updates are
+    independent and bitwise ``p - lr * (m / bc1) / (sqrt(v / bc2) + eps)``,
+    so their order changes no bit. A span's grads are gathered into one
+    temporary of at most ``_ADAM_CHUNK`` entries; a larger tensor is read
+    from its own grad.
+
+    Raises ValueError before any update if a parameter's ``data`` is no
+    longer its arena view, and before a grad's span updates if the grad has
+    the wrong shape, is for a tensor outside the state or is given twice.
+    ``state.step`` counts the calls that updated a span.
     """
     if named.keys() != state.views.keys():
         raise ValueError("adam_step needs the parameters its state was built from")
-    state.step += 1
-    t = state.step
+    for name, p in named.items():
+        if p.data is not state.views[name]:
+            raise ValueError(f"param {name!r} was rebound after init_adam_state; copy into its data instead")
+    t = state.step + 1
     bc1 = 1.0 - beta1**t
     bc2 = 1.0 - beta2**t
     arena, m, v = state.flat
-    for lo, hi, names in state.spans:
-        grads = []
-        for name in names:
-            p = named[name]
-            if p.data is not state.views[name]:
-                raise ValueError(f"param {name!r} was rebound after init_adam_state; copy into its data instead")
-            g = np.zeros(p.shape) if p.grad is None else p.grad
-            if g.shape != p.shape:
-                raise ValueError(f"gradient shape {g.shape} does not match param {name!r} {p.shape}")
-            grads.append(g)
-        g = grads[0].reshape(-1) if len(grads) == 1 else np.concatenate(grads, axis=None)
+    where = {id(named[name]): (k, name) for k, (_, _, names) in enumerate(state.spans) for name in names}
+    got = [{} for _ in state.spans]  # per span, name -> grad; None once updated
+
+    def update(k):
+        lo, hi, names = state.spans[k]
+        span, got[k] = got[k], None
+        parts = [span[name] if name in span else np.zeros(named[name].shape) for name in names]
+        g = parts[0].reshape(-1) if len(parts) == 1 else np.concatenate(parts, axis=None)
+        state.step = t
         for a in range(lo, hi, _ADAM_CHUNK):
             s = slice(a, min(a + _ADAM_CHUNK, hi))
             _adam_update(arena[s], g[a - lo : s.stop - lo], m[s], v[s], lr, beta1, beta2, eps, bc1, bc2)
+
+    for p, g in grads:
+        k, name = where.get(id(p), (None, None))
+        if k is None:
+            raise ValueError(f"gradient for a tensor of shape {p.shape} that is not a parameter of this state")
+        if got[k] is None or name in got[k]:
+            raise ValueError(f"gradient for param {name!r} given twice")
+        if g.shape != p.shape:
+            raise ValueError(f"gradient shape {g.shape} does not match param {name!r} {p.shape}")
+        got[k][name] = g
+        if len(got[k]) == len(state.spans[k][2]):
+            update(k)
+    for k, span in enumerate(got):
+        if span is not None:
+            update(k)
 
 
 def _adam_update(p, g, m, v, lr, beta1, beta2, eps, bc1, bc2) -> None:
@@ -248,16 +271,9 @@ def train_loop(
             loss = label_smoothing_ce(logits, labels, model_cfg.label_smoothing)
         except NonFiniteError as e:
             raise NonFiniteError(f"non-finite loss at step {step}: {e}") from e
-        zero_grads(params.named)
-        backward(loss)
-        adam_step(
-            params.named,
-            state,
-            train_cfg.learning_rate,
-            train_cfg.beta1,
-            train_cfg.beta2,
-            train_cfg.adam_eps,
-        )
+        # Each gradient is applied, and freed, as soon as its span is complete.
+        adam_step(params.named, state, leaf_grads(loss), train_cfg.learning_rate,
+                  train_cfg.beta1, train_cfg.beta2, train_cfg.adam_eps)
         log.append((step, loss.item(), train_cfg.learning_rate, clock() - start))
         # The loss roots this step's tape; free it before the next forward.
         del logits, loss

@@ -441,6 +441,8 @@ class TestGradcheckAndParams:
             ("gradcheck", "--samples", 0, "samples_per_param"),
             ("gradcheck", "--samples", -1, "samples_per_param"),
             ("gradcheck", "--h", 0, "step h"),
+            ("gradcheck", "--tol", 0, "tol"),
+            ("gradcheck", "--tol", -1, "tol"),
             ("params", "--pyramid-dims", ",", "pyramid_dims"),
         ],
     )

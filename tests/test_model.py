@@ -635,8 +635,7 @@ class TestCheckpoint:
         for name, t in target.named.items():
             assert t.data is state.views[name]
             assert np.array_equal(t.data, source.named[name].data)
-            t.grad = np.ones_like(t.data)
-        adam_step(target.named, state, lr=1e-3)
+        adam_step(target.named, state, [(t, np.ones_like(t.data)) for t in target.named.values()], lr=1e-3)
         assert not np.array_equal(target.named["head.w1"].data, source.named["head.w1"].data)
 
     def test_truncated_payload(self, tmp_path):

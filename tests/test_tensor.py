@@ -21,6 +21,7 @@ from ferfuse.tensor import (
     finite_diff_check,
     gelu,
     layer_norm,
+    leaf_grads,
     linear,
     log_softmax_rows,
     matmul,
@@ -620,6 +621,75 @@ class TestBackward:
             gc.enable()
 
 
+class TestLeafGrads:
+    def test_leaf_used_twice_by_one_op_is_yielded_once(self):
+        a = Tensor(np.array([1.5, -2.0, 0.25]), requires_grad=True)
+        pairs = list(leaf_grads(sum_all(mul(a, a))))
+        assert len(pairs) == 1 and pairs[0][0] is a
+        assert np.array_equal(pairs[0][1], 2 * a.data)
+
+    def test_each_leaf_yielded_when_its_last_reader_has_run(self):
+        rng = np.random.default_rng(51)
+        x = Tensor(rng.standard_normal((3, 4)))
+        w1, b1 = Tensor(rng.standard_normal((4, 5)), requires_grad=True), Tensor(rng.standard_normal(5), requires_grad=True)
+        w2, b2 = Tensor(rng.standard_normal((5, 5)), requires_grad=True), Tensor(rng.standard_normal(5), requires_grad=True)
+        first = matmul(x, w1, b1)
+        ran = []
+        vjp = first.creator.vjp
+        first.creator.vjp = lambda g: (ran.append(True), vjp(g))[1]
+        loss = sum_all(gelu(matmul(gelu(first), w2, b2)))
+        walk = leaf_grads(loss)
+        assert [next(walk)[0] for _ in range(2)] == [w2, b2]
+        assert not ran  # yielded before the walk reached the first layer
+        assert [t for t, _ in walk] == [w1, b1] and ran
+        # The same gradients backward accumulates, bit for bit.
+        got = {id(t): g for t, g in leaf_grads(loss)}
+        backward(loss)
+        for t in (w1, b1, w2, b2):
+            assert np.array_equal(got[id(t)], t.grad)
+
+    def test_leaf_read_by_two_ops_waits_for_both(self):
+        rng = np.random.default_rng(52)
+        x = Tensor(rng.standard_normal((2, 3)))
+        w = Tensor(rng.standard_normal((3, 3)), requires_grad=True)
+        v = Tensor(rng.standard_normal((3, 3)), requires_grad=True)
+        loss = sum_all(matmul(gelu(matmul(x, w)), add(w, v)))
+        pairs = list(leaf_grads(loss))
+        assert [t for t, _ in pairs] == [w, v]  # w once, complete, with the later reader
+        backward(loss)
+        assert np.array_equal(pairs[0][1], w.grad) and np.array_equal(pairs[1][1], v.grad)
+        assert not np.array_equal(w.grad, v.grad)
+
+    def test_leaf_whose_other_reader_gets_no_gradient_is_flushed_after_the_walk(self):
+        rng = np.random.default_rng(53)
+        w = Tensor(rng.standard_normal(4), requires_grad=True)
+        v = Tensor(rng.standard_normal(4), requires_grad=True)
+        x = mul(v, Tensor(rng.standard_normal(4)))
+        y = Tensor(rng.standard_normal(4))
+        blocked = _record("stop", (mul(w, y),), np.zeros(4), lambda g: (None,))
+        loss = sum_all(add(mul(w, x), blocked))
+        pairs = list(leaf_grads(loss))
+        # v's reader runs after w's only reader that ran, yet w comes last.
+        assert [t for t, _ in pairs] == [v, w]
+        assert np.array_equal(pairs[1][1], x.data)
+
+    def test_loss_that_is_a_leaf(self):
+        x = Tensor(np.array(3.0), requires_grad=True)
+        pairs = list(leaf_grads(x))
+        assert len(pairs) == 1 and pairs[0][0] is x and np.array_equal(pairs[0][1], np.ones(()))
+        assert list(leaf_grads(Tensor(np.array(3.0)))) == []
+
+    def test_sets_no_grad_on_leaves(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        list(leaf_grads(sum_all(mul(x, x))))
+        assert x.grad is None
+
+    def test_non_scalar_loss_rejected(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        with pytest.raises(ShapeError):
+            next(leaf_grads(mul(x, x)))
+
+
 class TestPurityAndFiniteness:
     def test_identical_inputs_bitwise_identical_outputs(self):
         rng = np.random.default_rng(21)
@@ -718,7 +788,11 @@ class TestFiniteDiffCheck:
         report = finite_diff_check(f, {"x": x})
         assert "PASS" in report.summary()
 
-    @pytest.mark.parametrize("kw", [{"h": 0.0}, {"h": -1e-5}, {"samples_per_param": 0}, {"samples_per_param": -2}])
+    @pytest.mark.parametrize(
+        "kw",
+        [{"h": 0.0}, {"h": -1e-5}, {"samples_per_param": 0}, {"samples_per_param": -2},
+         {"tol": 0.0}, {"tol": -1.0}, {"tol": float("nan")}],
+    )
     def test_settings_that_check_nothing_rejected(self, kw):
         x = Tensor(np.ones(2), requires_grad=True)
         with pytest.raises(ValueError, match=next(iter(kw))):

@@ -2,17 +2,21 @@ import gc
 import json
 import math
 import platform
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from ferfuse import training
 from ferfuse.cli import PRESETS, RunConfig
 from ferfuse.data import gen_clusters
 from ferfuse.model import VARIANTS, ModelConfig, build_params, forward
-from ferfuse.tensor import NonFiniteError, Tensor, finite_diff_check
+from ferfuse.tensor import Graph, NonFiniteError, Tensor, backward, finite_diff_check, leaf_grads, zero_grads
 from ferfuse.training import (
     _ADAM_CHUNK,
     OptimizerState,
+    _batch_tensors,
+    _step_rng,
     TrainConfig,
     adam_step,
     evaluate,
@@ -36,6 +40,37 @@ def desk_config(**kw):
     )
     base.update(kw)
     return ModelConfig(**base)
+
+
+def backward_then_update(cfg, tcfg, ds):
+    """``train_loop``'s steps with every gradient held at once: ``backward``
+    into ``.grad``, then one ``adam_step`` over all of them."""
+    params = build_params(cfg)
+    state = init_adam_state(params.named)
+    losses = []
+    for step in range(1, tcfg.steps + 1):
+        rng = _step_rng(tcfg.seed, step)
+        x_img, x_lm, labels = _batch_tensors(ds, rng.choice(len(ds), size=min(tcfg.batch_size, len(ds)), replace=False))
+        loss = label_smoothing_ce(forward(x_img, x_lm, params, cfg, training=True, rng=rng), labels, cfg.label_smoothing)
+        zero_grads(params.named)
+        backward(loss)
+        grads = [(t, t.grad) for t in params.named.values() if t.grad is not None]
+        adam_step(params.named, state, grads, tcfg.learning_rate, tcfg.beta1, tcfg.beta2, tcfg.adam_eps)
+        losses.append(loss.item())
+        del loss, grads
+    return state, losses
+
+
+def train_with_state(cfg, tcfg, ds, monkeypatch):
+    """``train_loop``'s result and the optimizer state it built."""
+    states = []
+
+    def capture(named):
+        states.append(init_adam_state(named))
+        return states[-1]
+
+    monkeypatch.setattr(training, "init_adam_state", capture)
+    return train_loop(cfg, tcfg, ds), states[0]
 
 
 def _ce_oracle(logits, labels, eps):
@@ -105,8 +140,7 @@ class TestAdam:
         t = Tensor(np.array([1.0, 2.0]), requires_grad=True)
         named = {"t": t}
         state = init_adam_state(named)
-        t.grad = np.zeros(2)
-        adam_step(named, state, lr=0.1)
+        adam_step(named, state, [(t, np.zeros(2))], lr=0.1)
         assert np.array_equal(t.data, [1.0, 2.0])
 
     def test_first_step_is_signed_lr(self):
@@ -114,8 +148,7 @@ class TestAdam:
             t = Tensor(np.array([1.0]), requires_grad=True)
             named = {"t": t}
             state = init_adam_state(named)
-            t.grad = np.array([g])
-            adam_step(named, state, lr=0.01)
+            adam_step(named, state, [(t, np.array([g]))], lr=0.01)
             # bias-corrected first step is -lr * g / (|g| + eps) ~ -lr * sign(g)
             assert t.data[0] == pytest.approx(1.0 - 0.01 * np.sign(g), abs=1e-6)
 
@@ -127,8 +160,7 @@ class TestAdam:
         losses = []
         for _ in range(10):
             losses.append(float(((t.data - target) ** 2).sum()))
-            t.grad = 2.0 * (t.data - target)
-            adam_step(named, state, lr=0.05)
+            adam_step(named, state, [(t, 2.0 * (t.data - target))], lr=0.05)
         diffs = np.diff(losses)
         assert np.all(diffs < 0)
 
@@ -143,8 +175,7 @@ class TestAdam:
         lr, b1, b2, eps = 1e-3, 0.9, 0.999, 1e-8
         for step in range(1, 6):
             g = rng.standard_normal(shape)
-            t.grad = g
-            adam_step(named, state, lr, b1, b2, eps)
+            adam_step(named, state, [(t, g)], lr, b1, b2, eps)
             m = b1 * m + (1.0 - b1) * g
             v = b2 * v + (1.0 - b2) * g * g
             p = p - lr * (m / (1.0 - b1**step)) / (np.sqrt(v / (1.0 - b2**step)) + eps)
@@ -162,11 +193,10 @@ class TestAdam:
         ref = {name: (t.data.copy(), np.zeros(t.shape), np.zeros(t.shape)) for name, t in named.items()}
         lr, b1, b2, eps = 1e-3, 0.9, 0.999, 1e-8
         for step in range(1, 6):
+            grads = {name: rng.standard_normal(t.shape) for name, t in named.items() if name != "none"}
+            adam_step(named, state, [(named[name], g) for name, g in grads.items()], lr, b1, b2, eps)
             for name, t in named.items():
-                t.grad = None if name == "none" else rng.standard_normal(t.shape)
-            adam_step(named, state, lr, b1, b2, eps)
-            for name, t in named.items():
-                g = np.zeros(t.shape) if t.grad is None else t.grad
+                g = grads.get(name, np.zeros(t.shape))
                 p, m, v = ref[name]
                 m = b1 * m + (1.0 - b1) * g
                 v = b2 * v + (1.0 - b2) * g * g
@@ -177,20 +207,24 @@ class TestAdam:
         assert np.array_equal(named["none"].data, ref["none"][0])
 
     def test_rebinding_a_parameter_after_init_raises(self):
-        named = {"a": Tensor(np.ones(3), requires_grad=True), "b": Tensor(np.ones(2), requires_grad=True)}
+        # "a" is a span of its own, ahead of "b": it is not updated either.
+        a = Tensor(np.ones(_ADAM_CHUNK + 1), requires_grad=True)
+        named = {"a": a, "b": Tensor(np.ones(2), requires_grad=True)}
         state = init_adam_state(named)
         named["b"].data = np.ones(2)
         with pytest.raises(ValueError, match="'b' was rebound"):
-            adam_step(named, state, lr=0.1)
+            adam_step(named, state, [(a, np.ones(a.shape)), (named["b"], np.ones(2))], lr=0.1)
+        assert state.step == 0 and np.all(a.data == 1.0)
+        assert not state.flat[1].any() and not state.flat[2].any()
         named["b"].data = state.views["b"]
         named["b"].data[...] = 2.0  # copying into the view is the supported way
-        adam_step(named, state, lr=0.1)
+        adam_step(named, state, [], lr=0.1)
 
     def test_other_parameters_rejected(self):
         named = {"a": Tensor(np.ones(3), requires_grad=True)}
         state = init_adam_state(named)
         with pytest.raises(ValueError, match="parameters its state was built from"):
-            adam_step({"z": named["a"]}, state, lr=0.1)
+            adam_step({"z": named["a"]}, state, [], lr=0.1)
 
     def test_moment_shapes_mirror_params(self):
         t = Tensor(np.zeros((2, 3)), requires_grad=True)
@@ -198,13 +232,53 @@ class TestAdam:
         assert state.m["t"].shape == (2, 3)
         assert state.v["t"].shape == (2, 3)
 
+    def test_span_updates_as_soon_as_its_last_grad_arrives(self):
+        big = Tensor(np.ones(_ADAM_CHUNK + 3), requires_grad=True)
+        a, b = Tensor(np.ones(2), requires_grad=True), Tensor(np.ones(3), requires_grad=True)
+        named = {"big": big, "a": a, "b": b}
+        state = init_adam_state(named)
+        seen = []
+
+        def grads():
+            yield big, np.ones(big.shape)
+            seen.append((big.data[0], state.step))  # big's span is complete
+            yield a, np.ones(2)
+            seen.append(a.data[0])  # a's span still waits for b
+            yield b, np.ones(3)
+            seen.append(a.data[0])
+
+        adam_step(named, state, grads(), lr=0.1)
+        assert seen[0] == (pytest.approx(0.9), 1)
+        assert seen[1] == 1.0 and seen[2] == pytest.approx(0.9)
+
+    def test_bad_grad_stops_before_its_span_updates(self):
+        # Spans complete before the bad grad arrives keep their update.
+        big = Tensor(np.ones(_ADAM_CHUNK + 1), requires_grad=True)
+        a, b = Tensor(np.ones(2), requires_grad=True), Tensor(np.ones(3), requires_grad=True)
+        named = {"big": big, "a": a, "b": b}
+        state = init_adam_state(named)
+        with pytest.raises(ValueError, match="gradient shape"):
+            adam_step(named, state, [(big, np.ones(big.shape)), (a, np.ones(2)), (b, np.ones(2))], lr=0.1)
+        assert state.step == 1 and big.data[0] == pytest.approx(0.9)
+        assert np.all(a.data == 1.0) and np.all(b.data == 1.0) and not state.m["a"].any()
+
+    @pytest.mark.parametrize("case", ["outside", "twice"])
+    def test_grad_outside_the_state_or_given_twice_rejected(self, case):
+        t, u = Tensor(np.ones(2), requires_grad=True), Tensor(np.ones(3), requires_grad=True)
+        named = {"t": t, "u": u}
+        state = init_adam_state(named)
+        other = Tensor(np.ones(2), requires_grad=True) if case == "outside" else t
+        with pytest.raises(ValueError, match="not a parameter of this state" if case == "outside" else "'t' given twice"):
+            adam_step(named, state, [(t, np.ones(2)), (other, np.ones(2))], lr=0.1)
+        assert state.step == 0 and np.all(t.data == 1.0)
+
     def test_shape_mismatch_rejected(self):
-        t = Tensor(np.zeros(2), requires_grad=True)
+        t = Tensor(np.ones(2), requires_grad=True)
         named = {"t": t}
         state = init_adam_state(named)
-        t.grad = np.zeros(3)
-        with pytest.raises(ValueError):
-            adam_step(named, state, lr=0.1)
+        with pytest.raises(ValueError, match="gradient shape"):
+            adam_step(named, state, [(t, np.ones(3))], lr=0.1)
+        assert state.step == 0 and np.all(t.data == 1.0) and not state.m["t"].any() and not state.v["t"].any()
 
 
 class TestTrainLoop:
@@ -305,6 +379,82 @@ class TestTrainLoop:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+    @pytest.mark.parametrize("variant,share", [(v, False) for v in VARIANTS] + [("poster", True)])
+    def test_matches_backward_then_update_bitwise(self, variant, share, monkeypatch):
+        ds = gen_clusters(patches=6, dim=16, num_classes=4, per_class=12, sigma=0.3, seed=15)
+        cfg = desk_config(variant=variant, depth=2, drop_path=0.3, swap_depth=1, share_unswapped=share)
+        tcfg = TrainConfig(batch_size=16, learning_rate=1e-2, steps=4, seed=2)
+        result, state = train_with_state(cfg, tcfg, ds, monkeypatch)
+        want, losses = backward_then_update(cfg, tcfg, ds)
+        assert [row[1] for row in result.log] == losses
+        assert state.step == want.step == 4
+        for got, ref in zip(state.flat, want.flat):  # parameters, m and v
+            assert got.tobytes() == ref.tobytes()
+        assert all(t.grad is None for t in result.params.named.values())
+
+    def test_norm1_without_pre_msa_norm_updated_with_zeros(self, monkeypatch):
+        ds = gen_clusters(patches=6, dim=16, num_classes=4, per_class=10, sigma=0.3, seed=16)
+        cfg = desk_config(pre_msa_norm=False)
+        norm1 = [name for name in build_params(cfg).named if ".norm1." in name]
+        assert norm1
+        params = build_params(cfg)
+        logits = forward(Tensor(ds.x_img[:8]), Tensor(ds.x_lm[:8]), params, cfg, training=False)
+        yielded = {id(t) for t, _ in leaf_grads(label_smoothing_ce(logits, ds.labels[:8], 0.1))}
+        assert not any(id(params.named[name]) in yielded for name in norm1)
+        result, state = train_with_state(cfg, TrainConfig(batch_size=8, learning_rate=1e-2, steps=3, seed=0), ds, monkeypatch)
+        initial = build_params(cfg).named
+        for name in norm1:
+            assert np.array_equal(result.params.named[name].data, initial[name].data)
+            assert not state.m[name].any() and not state.v[name].any()
+
+    def test_leaf_grads_with_streams_sharing_weights_match_backward(self):
+        ds = gen_clusters(patches=6, dim=16, num_classes=4, per_class=10, sigma=0.3, seed=17)
+        cfg = desk_config(depth=2, swap_depth=1, share_unswapped=True)
+        params = build_params(cfg)
+
+        def loss():
+            logits = forward(Tensor(ds.x_img[:8]), Tensor(ds.x_lm[:8]), params, cfg, training=False)
+            return label_smoothing_ce(logits, ds.labels[:8], 0.1)
+
+        root = loss()
+        shared = [t for name, t in params.named.items() if ".shared.attn." in name]
+        assert shared and all(Graph.trace(root).leaf_uses[id(t)] == 2 for t in shared)  # one read per stream
+        pairs = list(leaf_grads(root))
+        assert len({id(t) for t, _ in pairs}) == len(pairs)
+        got = {id(t): g for t, g in pairs}
+        assert all(id(t) in got for t in shared)
+        backward(loss())
+        for t in params.named.values():
+            assert (id(t) in got) == (t.grad is not None)
+            if t.grad is not None:
+                assert np.array_equal(got[id(t)], t.grad)
+
+    def test_peak_memory_below_backward_then_update(self):
+        # Traced heap peak of two steps: train_loop never holds every
+        # parameter gradient at once, so it stays at least half the
+        # parameter bytes below backward-then-update. Seen: 38.8 against
+        # 44.3 MB, with 6.5 MB of parameters.
+        cfg = ModelConfig(patches=16, base_dim=128, pyramid_dims=(128, 64, 32), depth=2, heads_divisor=16,
+                          num_classes=4, variant="poster", seed=0)
+        tcfg = TrainConfig(batch_size=8, learning_rate=1e-3, steps=2, seed=0)
+        ds = gen_clusters(patches=16, dim=128, num_classes=4, per_class=4, sigma=0.3, seed=18)
+        param_bytes = sum(t.data.nbytes for t in build_params(cfg).named.values())
+
+        def traced_peak(run):
+            gc.collect()
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            run(cfg, tcfg, ds)
+            return tracemalloc.get_traced_memory()[1] - base
+
+        tracemalloc.start()
+        try:
+            held = traced_peak(backward_then_update)
+            streamed = traced_peak(train_loop)
+        finally:
+            tracemalloc.stop()
+        assert streamed <= held - param_bytes / 2
 
     def test_injected_clock_recorded(self):
         ds = gen_clusters(patches=6, dim=16, num_classes=4, per_class=10, sigma=0.2, seed=8)
