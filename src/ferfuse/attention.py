@@ -9,10 +9,10 @@ streams' query matrices: the image stream is scored by the landmark queries
 and vice versa, so each stream mixes its own values under the other
 stream's addressing. A tied pair passes the same weight set twice.
 
-Attention weight tensors stay alive in the graph; a forward given a trace
-list appends one ``AttentionRecord`` per block and stream for relevance
-analysis. Mark the weights ``retain_grad`` before ``backward`` to keep
-their gradients.
+Attention weight tensors stay alive in the graph, since the softmax VJP
+reads them; a forward given a trace list appends one ``AttentionRecord``
+per block and stream for relevance analysis. Pass the weights to
+``leaf_grads(..., watch=...)`` to get their gradients.
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ import numpy as np
 
 from .binio import write_csv
 from .model import ModelConfig, ModelParams, forward
-from .tensor import Tensor, backward, scale, sum_all
+from .tensor import Tensor, leaf_grads, scale, sum_all
 
 
 @dataclass
@@ -64,19 +64,18 @@ def capture_attention(
     logits = forward(Tensor(x_img), Tensor(x_lm), params, cfg, training=False, trace=trace)
     onehot = np.zeros(cfg.num_classes)
     onehot[target_class] = 1.0
-    for rec in trace:
-        rec.weights.retain_grad = True
-    backward(sum_all(scale(logits, onehot)))
+    walk = leaf_grads(sum_all(scale(logits, onehot)), watch=[rec.weights for rec in trace])
+    grads = {id(t): g for t, g in walk if t.creator is not None}
     captured = []
     for rec in trace:
-        grads = rec.weights.grad
+        g = grads.get(id(rec.weights))
         captured.append(
             CapturedAttention(
                 level=rec.level,
                 block=rec.block,
                 stream=cfg.layout.streams[rec.stream],
                 weights=rec.weights.data.copy(),
-                grads=np.zeros_like(rec.weights.data) if grads is None else grads.copy(),
+                grads=np.zeros_like(rec.weights.data) if g is None else g.copy(),
             )
         )
     return captured

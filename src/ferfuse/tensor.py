@@ -8,9 +8,14 @@ that reads the leaf has run its VJP. ``backward`` accumulates those into
 ``.grad``; ``training.adam_step`` uses each one and drops it, so a step
 never holds every parameter gradient at once.
 
-The walk keeps only the gradients something reads: intermediates marked
-``retain_grad`` get ``.grad``; every other intermediate's gradient is freed
-as soon as its op's VJP has run.
+The tape keeps only what its VJPs read. An op output holds its ``OpNode``
+and an ``Edge`` naming that node; a node holds a leaf input itself, an op
+output's ``Edge``, and a VJP closure that keeps only the arrays and shapes
+it reads. So an op output is freed as soon as the forward drops it, unless
+a VJP saved its data, and the acyclic tape is freed by reference counting,
+with no wait for Python's cyclic garbage collector, when its root (the
+loss, or the logits) goes. The walk frees each intermediate's gradient once
+its op's VJP has run, unless it was asked to ``watch`` that output.
 A VJP may return ``None`` for an input that does not require grad, and
 ``matmul``'s does, so no work goes into gradients nobody asked for.
 ``matmul`` adds a linear map's bias and ``add`` scales a residual branch
@@ -26,12 +31,6 @@ screens its data the same way. Ops that only move data (``swap_axes``,
 outputs are entries of inputs already screened.
 A graph and its tensors belong to a single thread; detached value arrays
 are plain numpy and safe to share read-only.
-
-The tape is acyclic: an op output holds the ``OpNode`` that made it, and a
-node holds its inputs and its VJP, never its output. So a graph lives
-exactly as long as its root (the loss, or the logits) and is freed by
-reference counting the moment the last reference to that root goes, with
-no wait for Python's cyclic garbage collector.
 """
 
 from __future__ import annotations
@@ -75,14 +74,14 @@ class Tensor:
 
     ``requires_grad`` marks tensors whose gradient ``backward`` should
     compute. Tensors produced by ops inherit the flag from their inputs
-    and keep a reference to the op that created them, which is all the
-    graph structure backward needs. ``backward`` stores ``grad`` on leaves;
-    an op output keeps its gradient only when ``retain_grad`` is set.
+    and keep a reference to the op that created them (``creator``) and the
+    ``Edge`` that the ops reading them hold (``edge``), which is all the
+    graph structure backward needs. ``backward`` stores ``grad`` on leaves.
     ``screen=False`` skips the NaN/Inf screen; ops pass it, since they
     screen their outputs themselves, or move only screened entries.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "creator", "retain_grad")
+    __slots__ = ("data", "requires_grad", "grad", "creator", "edge")
 
     def __init__(self, data, requires_grad: bool = False, screen: bool = True):
         arr = data if type(data) is np.ndarray and data.dtype == np.float64 else np.asarray(data, dtype=np.float64)
@@ -92,7 +91,7 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
         self.creator: OpNode | None = None
-        self.retain_grad = False
+        self.edge: Edge | None = None
 
     @property
     def shape(self) -> tuple:
@@ -123,11 +122,8 @@ def _finite(arr: np.ndarray) -> bool:
 
 
 class OpNode:
-    """One executed primitive op: its inputs and its adjoint rule.
-
-    The output holds its node, never the other way round, so no tape has a
-    reference cycle; ``Graph.trace`` pairs each node with its output.
-    """
+    """One executed primitive op: its inputs (a leaf itself, an op output's
+    ``Edge``, never the output, which holds the node) and its adjoint rule."""
 
     __slots__ = ("name", "inputs", "vjp")
 
@@ -137,16 +133,27 @@ class OpNode:
         self.vjp = vjp
 
 
+class Edge:
+    """An op output as the nodes that read it hold it: its ``creator``, with
+    ``requires_grad`` true and no ``data`` or ``grad``. One per output, so
+    gradients route by its ``id``."""
+
+    __slots__ = ("creator",)
+    data = grad = None
+    requires_grad = True
+
+    def __init__(self, creator: OpNode):
+        self.creator = creator
+
+
 class Graph:
     """Ordered record of the ops that produce one output tensor.
 
     ``ops`` is topologically sorted: every op appears after the ops that
     produced its inputs, and each op appears exactly once. ``outputs[i]``
-    is the tensor ``ops[i]`` produced. ``leaf_uses`` counts, by ``id``, the
-    input slots of ``ops`` that hold each leaf requiring grad.
-
-    Ownership: an output holds its node; a node holds its inputs, never
-    its output. So the tape behind a root lives as long as the root does.
+    is the ``Edge`` of the tensor ``ops[i]`` produced, and the root itself
+    for the last op. ``leaf_uses`` counts, by ``id``, the input slots of
+    ``ops`` that hold each leaf requiring grad.
     """
 
     def __init__(self, ops: list, outputs: list, leaf_uses: dict):
@@ -157,10 +164,10 @@ class Graph:
     @staticmethod
     def trace(root: Tensor) -> "Graph":
         ops: list[OpNode] = []
-        outputs: list[Tensor] = []
+        outputs: list[Tensor | Edge] = []
         visited: set[int] = set()
         uses: dict[int, int] = {}
-        stack: list[tuple[Tensor, bool]] = [(root, False)]
+        stack: list[tuple[Tensor | Edge, bool]] = [(root, False)]
         while stack:
             tensor, ready = stack.pop()
             node = tensor.creator
@@ -181,15 +188,17 @@ class Graph:
         return Graph(ops, outputs, uses)
 
 
-def leaf_grads(loss: Tensor):
+def leaf_grads(loss: Tensor, watch=()):
     """Yield ``(leaf, d(loss)/d(leaf))``, once per leaf, for every leaf
     reachable from ``loss`` that requires grad and gets a gradient.
 
     This is the one backward walk. A leaf is yielded as soon as the last op
     that reads it has run its VJP, and the walk then drops its gradient. A
     leaf some of whose readers got no gradient is yielded after the walk, as
-    is a ``loss`` that is itself a leaf. ``retain_grad`` intermediates get
-    ``grad`` as the walk passes them. The graph is not freed.
+    is a ``loss`` that is itself a leaf. Each op output in ``watch`` that
+    gets a gradient is yielded too, as ``(output, grad)``, once the gradient
+    is complete; the walk passes that array on to the output's VJP, so it
+    must not be modified. The graph is not freed.
     """
     if loss.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -197,14 +206,15 @@ def leaf_grads(loss: Tensor):
     uses = graph.leaf_uses
     fresh: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     leaves: dict[int, Tensor] = {id(loss): loss} if loss.creator is None and loss.requires_grad else {}
+    watched = {id(t.creator): t for t in watch}  # by node: the root is traced as itself, not its edge
     for node, out in zip(reversed(graph.ops), reversed(graph.outputs)):
         # Every consumer of this output ran earlier in reverse order, so its
         # gradient is complete here and nothing reads it after this VJP.
         gout = fresh.pop(id(out), None)
         if gout is None:
             continue
-        if out.retain_grad:
-            _accumulate(out, gout)
+        if id(node) in watched:
+            yield watched[id(node)], gout
         for parent, g in zip(node.inputs, node.vjp(gout)):
             if not parent.requires_grad:
                 continue
@@ -222,19 +232,10 @@ def leaf_grads(loss: Tensor):
 
 
 def backward(loss: Tensor) -> None:
-    """Add the gradients of ``leaf_grads(loss)`` to each leaf's ``grad``.
-
-    Each call adds one more copy, so callers reset with ``zero_grads``
-    between steps, and a second call on the same loss stacks one more
-    gradient. Leaves with ``requires_grad=False`` are left alone. The graph
-    lives until the caller drops ``loss``.
-    """
+    """Add the gradients of ``leaf_grads(loss)`` to each leaf's ``grad``: each
+    call adds one more copy, so callers reset with ``zero_grads`` between steps."""
     for t, g in leaf_grads(loss):
-        _accumulate(t, g)
-
-
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
-    t.grad = g if t.grad is None else t.grad + g
+        t.grad = g if t.grad is None else t.grad + g
 
 
 def zero_grads(named) -> None:
@@ -254,7 +255,8 @@ def _record(name, inputs, out_data, vjp) -> Tensor:
         raise NonFiniteError(f"{name}: output contains NaN/Inf (shape {out.shape})")
     if any(t.requires_grad for t in inputs):
         out.requires_grad = True
-        out.creator = OpNode(name, tuple(inputs), vjp)
+        out.creator = OpNode(name, [t if t.creator is None else t.edge for t in inputs], vjp)
+        out.edge = Edge(out.creator)
     return out
 
 
@@ -290,6 +292,8 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
         raise ShapeError(f"matmul leading axes differ: {a.shape} vs {b.shape}")
     if bias is not None and (b.ndim != 2 or bias.shape != b.shape[-1:]):
         raise ShapeError(f"matmul bias {bias.shape} needs a 2-D right operand with as many columns: {b.shape}")
+    # The VJP keeps a's data only for b's gradient, and b's only for a's.
+    ad, bd = a.data if b.requires_grad else None, b.data if a.requires_grad else None
     if b.ndim == 2:
         k, n = b.shape
         if a.ndim > 2 and a.shape[-2] * k * n <= _SMALL_GEMM_MACS < a.size * n:
@@ -302,16 +306,16 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
 
         def vjp(g):
             g2 = g.reshape(-1, n)
-            ga = (g2 @ b.data.T).reshape(a.shape) if a.requires_grad else None
-            gb = a.data.reshape(-1, k).T @ g2 if b.requires_grad else None
+            ga = None if bd is None else (g2 @ bd.T).reshape(g.shape[:-1] + (k,))
+            gb = None if ad is None else ad.reshape(-1, k).T @ g2
             return (ga, gb) if bias is None else (ga, gb, g2.sum(axis=0) if bias.requires_grad else None)
 
     else:
         out = a.data @ b.data
 
         def vjp(g):
-            ga = g @ np.swapaxes(b.data, -1, -2) if a.requires_grad else None
-            gb = np.swapaxes(a.data, -1, -2) @ g if b.requires_grad else None
+            ga = None if bd is None else g @ np.swapaxes(bd, -1, -2)
+            gb = None if ad is None else np.swapaxes(ad, -1, -2) @ g
             return ga, gb
 
     return _record("matmul", (a, b) if bias is None else (a, b, bias), out, vjp)
@@ -483,27 +487,22 @@ def mean_pool_patches(x: Tensor) -> Tensor:
     """Average a (.., P, D) tensor over its patch axis, giving (.., D)."""
     if x.ndim < 2:
         raise ShapeError(f"mean_pool_patches needs rank >= 2, got {x.shape}")
-    p = x.shape[-2]
+    shape, p = x.shape, x.shape[-2]
 
     def vjp(g):
-        return (np.broadcast_to(np.expand_dims(g, -2), x.shape) / p,)
+        return (np.broadcast_to(np.expand_dims(g, -2), shape) / p,)
 
     return _record("mean_pool_patches", (x,), x.data.mean(axis=-2), vjp)
 
 
 def sum_all(x: Tensor) -> Tensor:
     """Sum every entry down to a scalar tensor."""
-
-    def vjp(g):
-        return (np.broadcast_to(g, x.shape).copy(),)
-
-    return _record("sum_all", (x,), x.data.sum(), vjp)
+    shape = x.shape
+    return _record("sum_all", (x,), x.data.sum(), lambda g: (np.broadcast_to(g, shape).copy(),))
 
 
 def swap_axes(x: Tensor, ax1: int, ax2: int) -> Tensor:
-    return _record(
-        "swap_axes", (x,), np.swapaxes(x.data, ax1, ax2), lambda g: (np.swapaxes(g, ax1, ax2),)
-    )
+    return _record("swap_axes", (x,), np.swapaxes(x.data, ax1, ax2), lambda g: (np.swapaxes(g, ax1, ax2),))
 
 
 def split_heads(x: Tensor, heads: int) -> Tensor:
@@ -511,8 +510,9 @@ def split_heads(x: Tensor, heads: int) -> Tensor:
     [h * D // heads, (h + 1) * D // heads) of every row."""
     if x.ndim < 2 or heads < 1 or x.shape[-1] % heads:
         raise ShapeError(f"split_heads needs (.., P, D) with D divisible by {heads} heads, got {x.shape}")
-    out = np.swapaxes(x.data.reshape(x.shape[:-1] + (heads, x.shape[-1] // heads)), -3, -2)
-    return _record("split_heads", (x,), out, lambda g: (np.swapaxes(g, -3, -2).reshape(x.shape),))
+    shape = x.shape
+    out = np.swapaxes(x.data.reshape(shape[:-1] + (heads, shape[-1] // heads)), -3, -2)
+    return _record("split_heads", (x,), out, lambda g: (np.swapaxes(g, -3, -2).reshape(shape),))
 
 
 def merge_heads(x: Tensor) -> Tensor:

@@ -1,8 +1,11 @@
+import gc
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from ferfuse import tensor
 from ferfuse.binio import BadFieldError, BadMagicError, FormatVersionError, TruncatedFileError
 from ferfuse.checkpoint import load_checkpoint, load_into, load_model, save_checkpoint, save_model
 from ferfuse.encoder import stack_forward
@@ -256,6 +259,34 @@ class TestPosterForward:
         x = [Tensor(rng.standard_normal((4, 8, 32))) for _ in range(2)]
         ops = Graph.trace(forward(*x, build_params(cfg), cfg, training=False)).ops
         assert len(ops) == 232 and "scale" not in [op.name for op in ops]
+
+    def test_training_forward_holds_at_most_four_fifths_of_its_op_outputs(self, monkeypatch):
+        # A node holds an op output's edge, not the output, so residual sums,
+        # output projections and merged heads are freed during the forward:
+        # 12.2 of 17.4 MB here, against 16.4 MB when every node held its inputs.
+        cfg = desk_config()
+        params = build_params(cfg)
+        rng = np.random.default_rng(16)
+        x = [Tensor(rng.standard_normal((64, 8, 32))) for _ in range(2)]
+        made = []
+        record = tensor._record
+
+        def counting(name, inputs, out, vjp):
+            made.append(out.nbytes)
+            return record(name, inputs, out, vjp)
+
+        monkeypatch.setattr(tensor, "_record", counting)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            logits = forward(*x, params, cfg, training=True, rng=rng)
+            loss = label_smoothing_ce(logits, np.arange(64) % cfg.num_classes, 0.1)
+            del logits
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(made) == 236 and loss.creator is not None
+        assert held <= 0.8 * sum(made)
 
     def test_tied_streams_match_baseline_pyramid_on_duplicated_input(self):
         # with identical stream weights and x_img == x_lm, the query swap is

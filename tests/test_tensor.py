@@ -8,6 +8,7 @@ import pytest
 
 from ferfuse.tensor import (
     LN_EPS,
+    Edge,
     Graph,
     NonFiniteError,
     ShapeError,
@@ -546,24 +547,25 @@ class TestBackward:
         assert y.grad is None
         assert x.grad is not None
 
-    def test_intermediate_grads_freed_unless_retained(self):
+    def test_intermediate_grads_freed_unless_watched(self):
         rng = np.random.default_rng(31)
         x = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
         w = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
         kept = matmul(x, w)
-        kept.retain_grad = True
         dropped = gelu(kept)
         loss = sum_all(mul(dropped, dropped))
+        pairs = list(leaf_grads(loss, watch=[kept]))
+        # The watched output comes once its gradient is complete, before its
+        # own VJP hands gradients to the leaves below it.
+        assert [t for t, _ in pairs] == [kept, x, w]
         backward(loss)
-        assert dropped.grad is None and loss.grad is None
+        assert kept.grad is None and dropped.grad is None and loss.grad is None
         assert w.grad is not None and x.grad is not None
-        # The retained grad is the one a leaf in the same place receives.
+        # The watched grad is the one a leaf in the same place receives.
         leaf = Tensor(kept.data, requires_grad=True)
         h = gelu(leaf)
         backward(sum_all(mul(h, h)))
-        assert np.array_equal(kept.grad, leaf.grad)
-        backward(loss)
-        assert np.array_equal(kept.grad, 2 * leaf.grad)
+        assert np.array_equal(pairs[0][1], leaf.grad)
 
     def test_leaf_loss_gets_unit_grad(self):
         x = Tensor(np.array(3.0), requires_grad=True)
@@ -679,6 +681,15 @@ class TestLeafGrads:
         assert len(pairs) == 1 and pairs[0][0] is x and np.array_equal(pairs[0][1], np.ones(()))
         assert list(leaf_grads(Tensor(np.array(3.0)))) == []
 
+    def test_watched_root_gets_ones_and_an_output_without_gradient_is_not_yielded(self):
+        x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+        y = mul(x, x)
+        blocked = _record("stop", (y,), np.zeros(2), lambda g: (None,))
+        loss = sum_all(add(mul(x, Tensor(np.ones(2))), blocked))
+        pairs = list(leaf_grads(loss, watch=[loss, y, blocked]))
+        assert [t for t, _ in pairs] == [loss, blocked, x]
+        assert np.array_equal(pairs[0][1], np.ones(())) and np.array_equal(pairs[1][1], np.ones(2))
+
     def test_sets_no_grad_on_leaves(self):
         x = Tensor(np.ones(3), requires_grad=True)
         list(leaf_grads(sum_all(mul(x, x))))
@@ -688,6 +699,55 @@ class TestLeafGrads:
         x = Tensor(np.ones(3), requires_grad=True)
         with pytest.raises(ShapeError):
             next(leaf_grads(mul(x, x)))
+
+
+class TestTapeOwnership:
+    """A node holds an op output's ``Edge``, never the output, so the tape
+    keeps only the arrays its VJP closures read."""
+
+    def test_node_inputs_are_leaves_or_edges_with_what_the_benchmark_reads(self):
+        # bench/tracing.py reads each input's requires_grad; bench/tests reads
+        # creator and grad.
+        rng = np.random.default_rng(61)
+        x = Tensor(rng.standard_normal((2, 3)))
+        w = Tensor(rng.standard_normal((3, 3)), requires_grad=True)
+        h = matmul(x, w)
+        y = gelu(h)
+        loss = sum_all(add(y, h))
+        ops = Graph.trace(loss).ops
+        assert [op.name for op in ops] == ["matmul", "gelu", "add", "sum_all"]
+        assert ops[0].inputs[0] is x and ops[0].inputs[1] is w  # leaves are themselves
+        assert ops[1].inputs[0] is h.edge and ops[2].inputs[1] is h.edge  # one edge per output
+        assert ops[2].inputs[0] is y.edge and ops[3].inputs[0].creator is ops[2]
+        for op in ops:
+            for t in op.inputs:
+                if t.creator is not None:
+                    assert t.requires_grad is True and t.grad is None and t.data is None
+                    assert isinstance(t, Edge)
+        assert x.edge is None and w.edge is None  # leaves get none
+
+    def test_residual_sum_freed_once_the_forward_drops_it(self):
+        # An add output read only by add and layer_norm: neither VJP reads it,
+        # so reference counting frees it while the loss still roots the tape.
+        rng = np.random.default_rng(62)
+        x = Tensor(rng.standard_normal((3, 4, 8)), requires_grad=True)
+        w = Tensor(rng.standard_normal((8, 8)), requires_grad=True)
+        gamma, beta = Tensor(np.ones(8), requires_grad=True), Tensor(np.zeros(8), requires_grad=True)
+        alive = []
+
+        def f():
+            r = add(matmul(x, w), x)
+            alive.append(weakref.ref(r.data))
+            return sum_all(gelu(add(matmul(layer_norm(r, gamma, beta), w), r)))
+
+        gc.disable()
+        try:
+            loss = f()
+            assert alive[0]() is None and loss.creator is not None
+        finally:
+            gc.enable()
+        # The walk over a tape without the sum still gets every gradient right.
+        assert finite_diff_check(f, {"x": x, "w": w, "gamma": gamma, "beta": beta}).passed
 
 
 class TestPurityAndFiniteness:
