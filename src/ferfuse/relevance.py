@@ -25,7 +25,7 @@ import numpy as np
 
 from .binio import write_csv
 from .model import ModelConfig, ModelParams, forward
-from .tensor import Tensor, leaf_grads, scale, sum_all
+from .tensor import Tensor, leaf_grads
 
 
 @dataclass
@@ -62,9 +62,8 @@ def capture_attention(
         raise ValueError(f"capture works on a single (P, D) sample, got {x_img.shape}")
     trace = []
     logits = forward(Tensor(x_img), Tensor(x_lm), params, cfg, training=False, trace=trace)
-    onehot = np.zeros(cfg.num_classes)
-    onehot[target_class] = 1.0
-    walk = leaf_grads(sum_all(scale(logits, onehot)), watch=[rec.weights for rec in trace])
+    onehot = np.eye(cfg.num_classes)[target_class]  # the cotangent that selects the target logit
+    walk = leaf_grads(logits, watch=[rec.weights for rec in trace], cotangent=onehot)
     grads = {id(t): g for t, g in walk if t.creator is not None}
     captured = []
     for rec in trace:

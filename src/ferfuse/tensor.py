@@ -3,10 +3,10 @@
 Every higher-level piece (attention, encoder blocks, the training loop) is
 built from the primitives in this module. Ops record themselves onto a
 dynamic graph as they run; ``leaf_grads`` walks that graph once, in reverse
-topological order, and yields each leaf's gradient as soon as the last op
-that reads the leaf has run its VJP. ``backward`` accumulates those into
-``.grad``; ``training.adam_step`` uses each one and drops it, so a step
-never holds every parameter gradient at once.
+topological order, from a root and its cotangent, and yields each leaf's
+vector-Jacobian product as soon as the last op that reads the leaf has run
+its VJP. ``training.adam_step`` uses each one and drops it, so a step never
+holds every parameter gradient at once; its loss is one ``cross_entropy`` op.
 
 The tape keeps only what its VJPs read. An op output holds its ``OpNode``
 and an ``Edge`` naming that node; a node holds a leaf input itself, an op
@@ -72,11 +72,11 @@ class NonFiniteError(FloatingPointError):
 class Tensor:
     """Dense float64 array node in the autodiff graph.
 
-    ``requires_grad`` marks tensors whose gradient ``backward`` should
+    ``requires_grad`` marks tensors whose gradient ``leaf_grads`` should
     compute. Tensors produced by ops inherit the flag from their inputs
     and keep a reference to the op that created them (``creator``) and the
     ``Edge`` that the ops reading them hold (``edge``), which is all the
-    graph structure backward needs. ``backward`` stores ``grad`` on leaves.
+    graph structure the walk needs. ``backward`` stores ``grad`` on leaves.
     ``screen=False`` skips the NaN/Inf screen; ops pass it, since they
     screen their outputs themselves, or move only screened entries.
     """
@@ -188,24 +188,27 @@ class Graph:
         return Graph(ops, outputs, uses)
 
 
-def leaf_grads(loss: Tensor, watch=()):
-    """Yield ``(leaf, d(loss)/d(leaf))``, once per leaf, for every leaf
-    reachable from ``loss`` that requires grad and gets a gradient.
+def leaf_grads(root: Tensor, watch=(), cotangent=None):
+    """Yield ``(leaf, grad)``, once per leaf, for every leaf reachable from
+    ``root`` that requires grad and gets a gradient: ``cotangent`` (of
+    ``root``'s shape; 1 by default for a scalar ``root``) times d(root)/d(leaf).
 
     This is the one backward walk. A leaf is yielded as soon as the last op
     that reads it has run its VJP, and the walk then drops its gradient. A
     leaf some of whose readers got no gradient is yielded after the walk, as
-    is a ``loss`` that is itself a leaf. Each op output in ``watch`` that
-    gets a gradient is yielded too, as ``(output, grad)``, once the gradient
-    is complete; the walk passes that array on to the output's VJP, so it
-    must not be modified. The graph is not freed.
+    is a ``root`` that is itself a leaf. Each op output in ``watch`` that gets
+    a gradient is yielded too, as ``(output, grad)``, once the gradient is
+    complete (a watched ``root`` gets ``cotangent`` itself); the walk passes
+    that array on to the output's VJP, so it must not be modified. The graph
+    is not freed.
     """
-    if loss.size != 1:
-        raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
-    graph = Graph.trace(loss)
+    seed = np.ones_like(root.data) if cotangent is None and root.size == 1 else cotangent
+    if seed is None or np.shape(seed) != root.shape:
+        raise ShapeError(f"root {root.shape} needs a same-shape cotangent, got {'none' if seed is None else np.shape(seed)}")
+    graph = Graph.trace(root)
     uses = graph.leaf_uses
-    fresh: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    leaves: dict[int, Tensor] = {id(loss): loss} if loss.creator is None and loss.requires_grad else {}
+    fresh: dict[int, np.ndarray] = {id(root): np.asarray(seed, dtype=np.float64)}
+    leaves: dict[int, Tensor] = {id(root): root} if root.creator is None and root.requires_grad else {}
     watched = {id(t.creator): t for t in watch}  # by node: the root is traced as itself, not its edge
     for node, out in zip(reversed(graph.ops), reversed(graph.outputs)):
         # Every consumer of this output ran earlier in reverse order, so its
@@ -231,6 +234,8 @@ def leaf_grads(loss: Tensor, watch=()):
         yield t, fresh.pop(pid)
 
 
+# ``backward``, ``zero_grads``, ``scale`` and the ``grad`` slot have no caller in this
+# package; they stay because the benchmark harness under ``bench/`` calls them.
 def backward(loss: Tensor) -> None:
     """Add the gradients of ``leaf_grads(loss)`` to each leaf's ``grad``: each
     call adds one more copy, so callers reset with ``zero_grads`` between steps."""
@@ -334,20 +339,9 @@ def add(a: Tensor, b: Tensor, factor: float = 1.0) -> Tensor:
     return _record("add", (a, b), out, lambda g: (g * factor, g))
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise product of two same-shape tensors."""
-    if a.shape != b.shape:
-        raise ShapeError(f"mul shapes differ: {a.shape} vs {b.shape}")
-    return _record("mul", (a, b), a.data * b.data, lambda g: (g * b.data, g * a.data))
-
-
-def scale(x: Tensor, factor) -> Tensor:
-    """Multiply by a constant: a python scalar, or an array of x's shape
-    (elementwise). No gradient flows to the constant."""
-    c = np.asarray(factor, dtype=np.float64)
-    if c.ndim and c.shape != x.shape:
-        raise ShapeError(f"scale shapes differ: {x.shape} vs {c.shape}")
-    return _record("scale", (x,), x.data * c, lambda g: (g * c,))
+def scale(x: Tensor, factor: float) -> Tensor:
+    """Multiply by a python scalar. No gradient flows to the factor."""
+    return _record("scale", (x,), x.data * factor, lambda g: (g * factor,))
 
 
 @dataclass
@@ -410,16 +404,18 @@ def softmax_rows(x: Tensor, factor: float = 1.0) -> Tensor:
     return _record("softmax_rows", (x,), y, vjp)
 
 
-def log_softmax_rows(x: Tensor) -> Tensor:
-    """Log of softmax along the last axis, computed stably."""
-    z = x.data - x.data.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=-1, keepdims=True))
-    out = z - lse
+def cross_entropy(logits: Tensor, target: np.ndarray) -> Tensor:
+    """Mean over the b rows of -sum_c target_c * log softmax(logits)_c, for
+    (b, n) logits and a constant target of their shape, which gets no gradient."""
+    b = logits.shape[0]
+    z = logits.data - logits.data.max(axis=-1, keepdims=True)
+    logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
     def vjp(g):
-        return (g - np.exp(out) * g.sum(axis=-1, keepdims=True),)
+        gq = target * (g * (-1.0 / b))
+        return (gq - np.exp(logp) * gq.sum(axis=-1, keepdims=True),)
 
-    return _record("log_softmax_rows", (x,), out, vjp)
+    return _record("cross_entropy", (logits,), (logp * target).sum() * (-1.0 / b), vjp)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
@@ -495,12 +491,6 @@ def mean_pool_patches(x: Tensor) -> Tensor:
     return _record("mean_pool_patches", (x,), x.data.mean(axis=-2), vjp)
 
 
-def sum_all(x: Tensor) -> Tensor:
-    """Sum every entry down to a scalar tensor."""
-    shape = x.shape
-    return _record("sum_all", (x,), x.data.sum(), lambda g: (np.broadcast_to(g, shape).copy(),))
-
-
 def swap_axes(x: Tensor, ax1: int, ax2: int) -> Tensor:
     return _record("swap_axes", (x,), np.swapaxes(x.data, ax1, ax2), lambda g: (np.swapaxes(g, ax1, ax2),))
 
@@ -568,14 +558,16 @@ def finite_diff_check(
     tol: float = 1e-4,
     samples_per_param: int | None = None,
     rng: np.random.Generator | None = None,
+    cotangent=None,
 ) -> FiniteDiffReport:
-    """Compare backward gradients of ``f`` against central finite differences.
+    """Compare ``leaf_grads(f(), cotangent=cotangent)`` against central
+    finite differences of ``np.vdot(cotangent, f())``.
 
-    ``f`` is a zero-argument callable returning a scalar Tensor; it must be
-    deterministic (run stochastic layers in eval mode). ``params`` maps
-    names to leaf tensors. By default every entry of every parameter is
-    perturbed; ``samples_per_param`` caps the entries per tensor (chosen
-    with ``rng``) so large models stay checkable in seconds.
+    ``f`` is a zero-argument callable returning a Tensor (a scalar one if
+    ``cotangent`` is omitted); it must be deterministic (run stochastic layers
+    in eval mode). ``params`` maps names to leaf tensors. By default every entry
+    of every parameter is perturbed; ``samples_per_param`` caps the entries per
+    tensor (chosen with ``rng``) so large models stay checkable in seconds.
 
     The error reported per entry is |analytic - numeric| scaled by
     max(1, |analytic|, |numeric|), i.e. relative for large gradients and
@@ -587,12 +579,10 @@ def finite_diff_check(
         raise ValueError(f"tolerance tol must be > 0, got {tol}")
     if samples_per_param is not None and samples_per_param < 1:
         raise ValueError(f"samples_per_param must be >= 1 when set, got {samples_per_param}")
-    loss = f()
-    if loss.size != 1:
-        raise ShapeError(f"finite_diff_check needs a scalar f(), got shape {loss.shape}")
-    grads = {id(t): g for t, g in leaf_grads(loss)}
+    grads = {id(t): g for t, g in leaf_grads(f(), cotangent=cotangent)}
     analytic = {name: grads.get(id(t), np.zeros_like(t.data)) for name, t in params.items()}
 
+    direction = 1.0 if cotangent is None else cotangent  # a scalar f() is projected onto 1
     report = FiniteDiffReport(h=h, tol=tol)
     if rng is None:
         rng = np.random.default_rng(0)
@@ -608,9 +598,9 @@ def finite_diff_check(
         for i in indices:
             orig = flat[i]
             flat[i] = orig + h
-            fp = f().item()
+            fp = float(np.vdot(direction, f().data))
             flat[i] = orig - h
-            fm = f().item()
+            fm = float(np.vdot(direction, f().data))
             flat[i] = orig
             numeric = (fp - fm) / (2.0 * h)
             a = aflat[i]

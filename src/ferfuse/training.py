@@ -27,7 +27,7 @@ from .binio import write_csv
 from .checkpoint import save_model
 from .data import FeatureDataset
 from .model import ModelConfig, ModelParams, build_params, forward
-from .tensor import NonFiniteError, Tensor, leaf_grads, log_softmax_rows, scale, sum_all
+from .tensor import NonFiniteError, Tensor, cross_entropy, leaf_grads
 
 
 @dataclass
@@ -58,8 +58,8 @@ class TrainConfig:
 
 
 def label_smoothing_ce(logits: Tensor, labels, smoothing: float) -> Tensor:
-    """Mean over the batch of -sum_c q_c * log softmax(logits)_c with the
-    smoothed target q = (1 - eps) * onehot + eps / N."""
+    """Mean over the batch of -sum_c q_c * log softmax(logits)_c, one
+    ``cross_entropy`` op, with the smoothed target q = (1 - eps) * onehot + eps / N."""
     if logits.ndim != 2:
         raise ValueError(f"logits must be (batch, classes), got {logits.shape}")
     if not 0.0 <= smoothing < 1.0:
@@ -74,8 +74,7 @@ def label_smoothing_ce(logits: Tensor, labels, smoothing: float) -> Tensor:
         raise ValueError(f"labels out of range [0, {n})")
     q = np.full((b, n), smoothing / n)
     q[np.arange(b), labels] += 1.0 - smoothing
-    logp = log_softmax_rows(logits)
-    return scale(sum_all(scale(logp, q)), -1.0 / b)
+    return cross_entropy(logits, q)
 
 
 # Entries updated together: the update is elementwise, so running it over

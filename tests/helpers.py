@@ -181,3 +181,18 @@ def oracle_cross_fusion_block(x_img, x_lm, p: tuple, eps):
         _oracle_stream_tail(x_img, a_img, p[0], eps),
         _oracle_stream_tail(x_lm, a_lm, p[-1], eps),
     )
+
+
+def reference_cross_entropy(x, q):
+    """Loss and logit gradient of the mean cross-entropy of (b, n) logits
+    ``x`` against target ``q``, as the four-op chain log_softmax_rows ->
+    scale by q -> sum_all -> scale by -1/b computed them: each op's forward,
+    then each VJP in reverse from a seed of 1, with that op's own arithmetic."""
+    c = np.asarray(-1.0 / x.shape[0])
+    z = x - x.max(axis=-1, keepdims=True)
+    logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    loss = np.asarray((logp * q).sum()) * c
+    g = np.ones(()) * c  # the outer scale
+    g = np.broadcast_to(g, q.shape).copy()  # sum_all
+    g = g * q  # scale by q
+    return float(loss), g - np.exp(logp) * g.sum(axis=-1, keepdims=True)  # log_softmax_rows

@@ -7,6 +7,7 @@ everything else is seconds.
 """
 
 import csv
+import inspect
 import multiprocessing
 import os
 import time
@@ -15,6 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
+from ferfuse import tensor
 from ferfuse.attention import mhsa
 from ferfuse.binio import BadMagicError, FormatVersionError, TruncatedFileError
 from ferfuse.checkpoint import load_checkpoint, save_checkpoint
@@ -28,19 +30,16 @@ from ferfuse.tensor import (
     LN_EPS,
     Tensor,
     add,
-    backward,
     concat,
+    cross_entropy,
     finite_diff_check,
     gelu,
     layer_norm,
     linear,
-    log_softmax_rows,
     matmul,
     mean_pool_patches,
-    mul,
     scale,
     softmax_rows,
-    sum_all,
 )
 from ferfuse.training import TrainConfig, evaluate, label_smoothing_ce, train_loop
 from helpers import (
@@ -78,124 +77,121 @@ def desk_model_config(**kw):
     return ModelConfig(**base)
 
 
-class TestCriterion01GradientSuite:
-    def _check_op(self, name, f, params):
-        report = finite_diff_check(f, params, h=GRAD_H, tol=GRAD_TOL)
-        assert report.passed, f"{name}: worst {report.max_rel_err:.3e}\n{report.summary()}"
-        return report.max_rel_err
+def _gradient_suite():
+    """Acceptance 1's cases, ``(name, f, params, kw)`` with ``kw`` for
+    ``finite_diff_check``: one for every op in ``tensor``, then attention,
+    both blocks and the desk model."""
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+    w = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
+    b = Tensor(rng.standard_normal(5), requires_grad=True)
+    c34 = rng.standard_normal((3, 4))
+    c35 = rng.standard_normal((3, 5))
+    rng3 = np.random.default_rng(1)  # a stream of its own keeps the draws below as they were
+    x3 = Tensor(rng3.standard_normal((2, 3, 4)), requires_grad=True)
+    c235 = rng3.standard_normal((2, 3, 5))
+    q = np.exp(c34) / np.exp(c34).sum(axis=-1, keepdims=True)  # a target distribution per row
 
+    cases = [
+        ("matmul", lambda: matmul(x, w), {"x": x, "w": w}, {"cotangent": c35}),
+        ("linear", lambda: linear(x, w, b), {"x": x, "w": w, "b": b}, {"cotangent": c35}),
+        ("softmax_rows", lambda: softmax_rows(x), {"x": x}, {"cotangent": c34}),
+        ("cross_entropy", lambda: cross_entropy(x, q), {"x": x}, {}),
+        ("gelu", lambda: gelu(x), {"x": x}, {"cotangent": c34}),
+        ("add", lambda: add(x, x), {"x": x}, {"cotangent": c34}),
+        ("matmul+bias", lambda: matmul(x3, w, b), {"x3": x3, "w": w, "b": b}, {"cotangent": c235}),
+        ("add*factor", lambda: add(x, x, 1.25), {"x": x}, {"cotangent": c34}),
+        ("scale", lambda: scale(x, -1.5), {"x": x}, {"cotangent": c34}),
+        ("mean_pool", lambda: mean_pool_patches(x), {"x": x}, {"cotangent": c34[0]}),
+        ("concat", lambda: concat((x, x), axis=-2), {"x": x}, {"cotangent": np.concatenate((c34, -c34))}),
+    ]
+    gamma = Tensor(1.0 + 0.1 * rng.standard_normal(4), requires_grad=True)
+    beta = Tensor(0.1 * rng.standard_normal(4), requires_grad=True)
+    named = {"x": x, "gamma": gamma, "beta": beta}
+    cases.append(("layer_norm", lambda: layer_norm(x, gamma, beta), named, {"cotangent": c34}))
+
+    # attention and encoder blocks, all parameters
+    p_msa = make_msa_params(4, 2, rng)
+    xa = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+    named = {"x": xa}
+    for tag in ("w_q", "w_k", "w_v", "w_o", "b_q", "b_k", "b_v", "b_o"):
+        named[tag] = msa_tensor(p_msa, tag)
+    cases.append(("mhsa", lambda: mhsa([xa], [p_msa])[0], named, {"cotangent": c34}))
+
+    p_cross = make_cross_params(4, 2, rng)
+    xi = Tensor(rng.standard_normal((2, 4)), requires_grad=True)
+    xl = Tensor(rng.standard_normal((2, 4)), requires_grad=True)
+    c_il = np.concatenate((rng.standard_normal((2, 4)), rng.standard_normal((2, 4))))  # both streams' patches
+    named = {"xi": xi, "xl": xl}
+    for stream, pp in zip(("img", "lm"), p_cross):
+        for tag in ("w_q", "w_k", "w_v", "w_o", "b_q", "b_k", "b_v", "b_o"):
+            named[f"{stream}.{tag}"] = msa_tensor(pp, tag)
+
+    def f_cross():  # both streams' outputs as one tensor, img rows first
+        return concat(mhsa([xi, xl], p_cross, swapped=True), axis=-2)
+
+    cases.append(("mhsa swapped", f_cross, named, {"cotangent": c_il}))
+
+    vb = make_vanilla_block_params(4, 2, 2, rng)
+    named = {"x": xa}
+    for tag in ("w_q", "w_v", "w_o"):
+        named[tag] = msa_tensor(vb[0].msa, tag)
+    named["mlp_w1"] = vb[0].mlp[0].w
+    named["norm2_gamma"] = vb[0].norm2_gamma
+    cases.append(("vanilla_block", lambda: block([xa], vb, False)[0], named, {"cotangent": c34}))
+
+    cb = make_cross_block_params(4, 2, 2, rng)
+    named = {"xi": xi, "xl": xl, "img.w_q": cb[0].msa.q.w, "lm.w_k": cb[1].msa.k.w}
+    named["img.mlp_w2"] = cb[0].mlp[1].w
+    named["lm.norm2_beta"] = cb[1].norm2_beta
+
+    def f_block():
+        return concat(block([xi, xl], cb, False, swapped=True), axis=-2)
+
+    cases.append(("cross_fusion_block", f_block, named, {"cotangent": c_il}))
+
+    # the full depth-2 cross-fusion pyramid model, sampled entries per tensor
+    cfg = desk_model_config()
+    params = build_params(cfg)
+    data_rng = np.random.default_rng(1)
+    bx_img = Tensor(data_rng.standard_normal((2, 8, 32)))
+    bx_lm = Tensor(data_rng.standard_normal((2, 8, 32)))
+    labels = np.array([1, 5])
+
+    def f_model():
+        logits = forward(bx_img, bx_lm, params, cfg, training=False)
+        return label_smoothing_ce(logits, labels, 0.1)
+
+    cases.append(("model", f_model, params.named, {"samples_per_param": 3, "rng": np.random.default_rng(2)}))
+    return cases
+
+
+class TestCriterion01GradientSuite:
     def test_every_op_and_model_pass_finite_differences(self):
         start = time.monotonic()
-        rng = np.random.default_rng(0)
         worst = 0.0
-
-        x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
-        w = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
-        b = Tensor(rng.standard_normal(5), requires_grad=True)
-        c34 = rng.standard_normal((3, 4))
-        c35 = rng.standard_normal((3, 5))
-        rng3 = np.random.default_rng(1)  # a stream of its own keeps the draws below as they were
-        x3 = Tensor(rng3.standard_normal((2, 3, 4)), requires_grad=True)
-        c235 = rng3.standard_normal((2, 3, 5))
-
-        ops = {
-            "matmul": (lambda: sum_all(scale(matmul(x, w), c35)), {"x": x, "w": w}),
-            "linear": (lambda: sum_all(scale(linear(x, w, b), c35)), {"x": x, "w": w, "b": b}),
-            "softmax_rows": (lambda: sum_all(scale(softmax_rows(x), c34)), {"x": x}),
-            "log_softmax_rows": (lambda: sum_all(scale(log_softmax_rows(x), c34)), {"x": x}),
-            "gelu": (lambda: sum_all(scale(gelu(x), c34)), {"x": x}),
-            "add+mul": (lambda: sum_all(mul(add(x, x), x)), {"x": x}),
-            "matmul+bias": (lambda: sum_all(scale(matmul(x3, w, b), c235)), {"x3": x3, "w": w, "b": b}),
-            "add*factor": (lambda: sum_all(mul(add(x, scale(x, c34), 1.25), x)), {"x": x}),
-            "mean_pool": (lambda: sum_all(scale(mean_pool_patches(x), c34[0])), {"x": x}),
-            "concat": (lambda: sum_all(mul(concat((x, x), axis=-2), concat((x, x), axis=-2))), {"x": x}),
-        }
-        gamma = Tensor(1.0 + 0.1 * rng.standard_normal(4), requires_grad=True)
-        beta = Tensor(0.1 * rng.standard_normal(4), requires_grad=True)
-        ops["layer_norm"] = (
-            lambda: sum_all(scale(layer_norm(x, gamma, beta), c34)),
-            {"x": x, "gamma": gamma, "beta": beta},
-        )
-        for name, (f, params) in ops.items():
-            worst = max(worst, self._check_op(name, f, params))
-
-        # attention and encoder blocks, all parameters
-        p_msa = make_msa_params(4, 2, rng)
-        xa = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
-        named = {"x": xa}
-        for tag in ("w_q", "w_k", "w_v", "w_o", "b_q", "b_k", "b_v", "b_o"):
-            named[tag] = msa_tensor(p_msa, tag)
-        worst = max(
-            worst,
-            self._check_op("mhsa", lambda: sum_all(scale(mhsa([xa], [p_msa])[0], c34)), named),
-        )
-
-        p_cross = make_cross_params(4, 2, rng)
-        xi = Tensor(rng.standard_normal((2, 4)), requires_grad=True)
-        xl = Tensor(rng.standard_normal((2, 4)), requires_grad=True)
-        ci = rng.standard_normal((2, 4))
-        cl = rng.standard_normal((2, 4))
-        named = {"xi": xi, "xl": xl}
-        for stream, pp in zip(("img", "lm"), p_cross):
-            for tag in ("w_q", "w_k", "w_v", "w_o", "b_q", "b_k", "b_v", "b_o"):
-                named[f"{stream}.{tag}"] = msa_tensor(pp, tag)
-
-        def f_cross():
-            oi, ol = mhsa([xi, xl], p_cross, swapped=True)
-            return add(sum_all(scale(oi, ci)), sum_all(scale(ol, cl)))
-
-        worst = max(worst, self._check_op("mhsa swapped", f_cross, named))
-
-        vb = make_vanilla_block_params(4, 2, 2, rng)
-        named = {"x": xa}
-        for tag in ("w_q", "w_v", "w_o"):
-            named[tag] = msa_tensor(vb[0].msa, tag)
-        named["mlp_w1"] = vb[0].mlp[0].w
-        named["norm2_gamma"] = vb[0].norm2_gamma
-        worst = max(
-            worst,
-            self._check_op(
-                "vanilla_block", lambda: sum_all(scale(block([xa], vb, False)[0], c34)), named
-            ),
-        )
-
-        cb = make_cross_block_params(4, 2, 2, rng)
-        named = {"xi": xi, "xl": xl, "img.w_q": cb[0].msa.q.w, "lm.w_k": cb[1].msa.k.w}
-        named["img.mlp_w2"] = cb[0].mlp[1].w
-        named["lm.norm2_beta"] = cb[1].norm2_beta
-
-        def f_block():
-            oi, ol = block([xi, xl], cb, False, swapped=True)
-            return add(sum_all(scale(oi, ci)), sum_all(scale(ol, cl)))
-
-        worst = max(worst, self._check_op("cross_fusion_block", f_block, named))
-
-        # the full depth-2 cross-fusion pyramid model, sampled entries per tensor
-        cfg = desk_model_config()
-        params = build_params(cfg)
-        data_rng = np.random.default_rng(1)
-        bx_img = Tensor(data_rng.standard_normal((2, 8, 32)))
-        bx_lm = Tensor(data_rng.standard_normal((2, 8, 32)))
-        labels = np.array([1, 5])
-
-        def f_model():
-            logits = forward(bx_img, bx_lm, params, cfg, training=False)
-            return label_smoothing_ce(logits, labels, 0.1)
-
-        report = finite_diff_check(
-            f_model,
-            params.named,
-            h=GRAD_H,
-            tol=GRAD_TOL,
-            samples_per_param=3,
-            rng=np.random.default_rng(2),
-        )
-        assert report.passed, report.summary()
-        worst = max(worst, report.max_rel_err)
+        for name, f, params, kw in _gradient_suite():
+            report = finite_diff_check(f, params, h=GRAD_H, tol=GRAD_TOL, **kw)
+            assert report.passed, f"{name}: worst {report.max_rel_err:.3e}\n{report.summary()}"
+            worst = max(worst, report.max_rel_err)
 
         elapsed = time.monotonic() - start
         assert elapsed < 120.0, f"gradient suite took {elapsed:.1f}s"
         _report(1, f"(worst rel err {worst:.2e}, {elapsed:.1f}s)")
+
+    def test_every_public_op_records_in_the_suite(self, monkeypatch):
+        recorded = set()
+        record = tensor._record
+        monkeypatch.setattr(tensor, "_record", lambda name, *args: recorded.add(name) or record(name, *args))
+        for _, f, _, _ in _gradient_suite():
+            f()
+        public = {
+            name for name, obj in vars(tensor).items()
+            if inspect.isfunction(obj) and obj.__module__ == tensor.__name__ and not name.startswith("_")
+        }
+        # linear records as matmul; the rest run or check the backward walk.
+        not_ops = {"leaf_grads", "backward", "zero_grads", "finite_diff_check", "linear"}
+        assert recorded == public - not_ops
 
 
 class TestCriterion02EquationLiteralOracles:

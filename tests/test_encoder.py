@@ -3,7 +3,7 @@ import pytest
 
 from ferfuse.encoder import block, drop_path, mlp, stack_forward
 from ferfuse.model import ModelConfig, build_params
-from ferfuse.tensor import LN_EPS, Graph, LinearParams, Tensor, add, finite_diff_check, scale, sum_all
+from ferfuse.tensor import LN_EPS, Graph, LinearParams, Tensor, add, concat, finite_diff_check, scale
 from helpers import (
     FakeRng,
     make_cross_block_params,
@@ -98,7 +98,7 @@ class TestMlp:
         assert np.max(np.abs(mlp(x, layers).data - want)) < 1e-12
         c = rng.standard_normal((2, 5, 3))
         named = {"x": x, "w1": fc1.w, "b1": fc1.b, "w2": fc2.w, "b2": fc2.b}
-        assert finite_diff_check(lambda: sum_all(scale(mlp(x, layers), c)), named).passed
+        assert finite_diff_check(lambda: mlp(x, layers), named, cotangent=c).passed
 
         for qkv_bias in (True, False):
             cfg = ModelConfig(patches=4, base_dim=16, pyramid_dims=(16, 8), depth=2, heads_divisor=8, qkv_bias=qkv_bias)
@@ -285,8 +285,7 @@ class TestStackForward:
         blocks = [make_cross_block_params(4, 2, 2, rng) for _ in range(2)]
         xi = Tensor(rng.standard_normal((2, 4)), requires_grad=True)
         xl = Tensor(rng.standard_normal((2, 4)), requires_grad=True)
-        ci = rng.standard_normal((2, 4))
-        cl = rng.standard_normal((2, 4))
+        c = np.concatenate((rng.standard_normal((2, 4)), rng.standard_normal((2, 4))))  # img rows, then lm rows
         params = {"xi": xi, "xl": xl}
         for k, b in enumerate(blocks):
             params[f"b{k}.img.w_q"] = b[0].msa.q.w
@@ -295,10 +294,9 @@ class TestStackForward:
             params[f"b{k}.lm.norm2_gamma"] = b[1].norm2_gamma
 
         def f():
-            oi, ol = stack_forward([xi, xl], blocks, training=False, swap_depth=1)
-            return add(sum_all(scale(oi, ci)), sum_all(scale(ol, cl)))
+            return concat(stack_forward([xi, xl], blocks, training=False, swap_depth=1), axis=-2)
 
-        assert finite_diff_check(f, params).passed
+        assert finite_diff_check(f, params, cotangent=c).passed
 
     def test_encoder_block_full_gradient_check(self):
         # every parameter of one vanilla block against finite differences
@@ -313,9 +311,6 @@ class TestStackForward:
         for tag in ("norm2_gamma", "norm2_beta", "mlp_w1", "mlp_b1", "mlp_w2", "mlp_b2"):
             named[f"stream.{tag}"] = stream_tensor(s, tag)
 
-        def f():
-            return sum_all(scale(block([x], p, training=False)[0], c))
-
-        report = finite_diff_check(f, named)
+        report = finite_diff_check(lambda: block([x], p, training=False)[0], named, cotangent=c)
         assert report.passed
         assert report.max_rel_err < 1e-4

@@ -96,12 +96,11 @@ class TestCaptureAttention:
             linear,
             matmul,
             mean_pool_patches,
-            scale,
             concat,
             gelu,
+            leaf_grads,
             merge_heads,
             split_heads,
-            sum_all,
         )
 
         cfg = tiny_config()
@@ -132,6 +131,8 @@ class TestCaptureAttention:
 
         a_leaf = Tensor(img_caps[0].weights, requires_grad=True)
         s = block[0]
+        onehot = np.zeros(cfg.num_classes)
+        onehot[target] = 1.0
 
         def f():
             mixed = merge_heads(matmul(a_leaf, vh))
@@ -141,21 +142,15 @@ class TestCaptureAttention:
             out_img = add(m, x1)
             feat = concat((mean_pool_patches(out_img), lm_pooled_const), axis=-1)
             h = params.head
-            logits = linear(gelu(linear(feat, h[0].w, h[0].b)), h[1].w, h[1].b)
-            onehot = np.zeros(cfg.num_classes)
-            onehot[target] = 1.0
-            return sum_all(scale(logits, onehot))
+            return linear(gelu(linear(feat, h[0].w, h[0].b)), h[1].w, h[1].b)
 
         # reconstruction reproduces the full forward's target logit
-        assert f().item() == pytest.approx(float(logits_full.data[target]), abs=1e-12)
-        report = finite_diff_check(f, {"A": a_leaf}, h=1e-5, tol=1e-4)
+        assert f().data[target] == pytest.approx(float(logits_full.data[target]), abs=1e-12)
+        report = finite_diff_check(f, {"A": a_leaf}, h=1e-5, tol=1e-4, cotangent=onehot)
         assert report.passed
         # and the captured gradient equals the reconstruction's analytic one
-        a_leaf.grad = None
-        from ferfuse.tensor import backward
-
-        backward(f())
-        assert np.allclose(a_leaf.grad, img_caps[0].grads, atol=1e-10)
+        grads = {id(t): g for t, g in leaf_grads(f(), cotangent=onehot)}
+        assert np.allclose(grads[id(a_leaf)], img_caps[0].grads, atol=1e-10)
 
 
 class TestRelevanceRollout:

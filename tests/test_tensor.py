@@ -19,23 +19,22 @@ from ferfuse.tensor import (
     add,
     backward,
     concat,
+    cross_entropy,
     finite_diff_check,
     gelu,
     layer_norm,
     leaf_grads,
     linear,
-    log_softmax_rows,
     matmul,
     mean_pool_patches,
     merge_heads,
-    mul,
     scale,
     softmax_rows,
     split_heads,
-    sum_all,
     swap_axes,
 )
-from helpers import naive_layer_norm_row, naive_matmul
+from ferfuse.training import label_smoothing_ce
+from helpers import naive_layer_norm_row, naive_matmul, reference_cross_entropy
 
 
 class TestMatmul:
@@ -83,23 +82,25 @@ class TestMatmul:
         rng = np.random.default_rng(11)
         a = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
         b = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
+        c = rng.standard_normal((3, 2))
 
         def f():
             y = matmul(a, b)
-            return sum_all(mul(y, y))
+            return add(y, y)
 
-        assert finite_diff_check(f, {"a": a, "b": b}).passed
+        assert finite_diff_check(f, {"a": a, "b": b}, cotangent=c).passed
 
     def test_batched_gradients(self):
         rng = np.random.default_rng(12)
         a = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
         b = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
+        c = rng.standard_normal((2, 3, 2))
 
         def f():
             y = matmul(a, b)
-            return sum_all(mul(y, y))
+            return add(y, y)
 
-        assert finite_diff_check(f, {"a": a, "b": b}).passed
+        assert finite_diff_check(f, {"a": a, "b": b}, cotangent=c).passed
 
 
 class TestFoldedMatmul:
@@ -127,12 +128,13 @@ class TestFoldedMatmul:
         rng = np.random.default_rng(22)
         a = Tensor(rng.standard_normal(a_shape), requires_grad=True)
         b = Tensor(rng.standard_normal(b_shape), requires_grad=True)
+        c = rng.standard_normal(a_shape[:-1] + b_shape[-1:])
 
         def f():
             y = matmul(a, b)
-            return sum_all(mul(y, y))
+            return add(y, y)
 
-        assert finite_diff_check(f, {"a": a, "b": b}).passed
+        assert finite_diff_check(f, {"a": a, "b": b}, cotangent=c).passed
 
     @pytest.mark.parametrize(
         "a_shape,b_shape", [((3, 4), (2, 4, 5)), ((2, 3, 4), (3, 4, 5)), ((2, 2, 3, 4), (2, 4, 5))]
@@ -153,9 +155,10 @@ class TestFoldedMatmul:
 
         def f():
             y = matmul(a, b)
-            return sum_all(mul(y, y))
+            return add(y, y)
 
-        report = finite_diff_check(f, {"a": a, "b": b}, samples_per_param=10, rng=np.random.default_rng(0))
+        c = rng.standard_normal((1100, 1, 31))
+        report = finite_diff_check(f, {"a": a, "b": b}, samples_per_param=10, rng=np.random.default_rng(0), cotangent=c)
         assert report.passed
 
     @pytest.mark.parametrize("a_shape,b_shape", [((2, 3, 4), (4, 5)), ((3, 4), (4, 5)), ((2, 3, 4), (2, 4, 5))])
@@ -201,7 +204,7 @@ class TestBiasedMatmul:
         w = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
         b = Tensor(rng.standard_normal(5), requires_grad=True)
         c = rng.standard_normal((2, 3, 5))
-        assert finite_diff_check(lambda: sum_all(scale(matmul(x, w, b), c)), {"x": x, "w": w, "b": b}).passed
+        assert finite_diff_check(lambda: matmul(x, w, b), {"x": x, "w": w, "b": b}, cotangent=c).passed
 
     def test_bias_without_grad_gets_none(self):
         rng = np.random.default_rng(33)
@@ -233,9 +236,8 @@ class TestResidualAdd:
         results = []
         for fused in (True, False):
             y = add(a, b, factor) if fused else add(scale(a, factor), b)
-            backward(sum_all(scale(y, c)))
-            results.append((y.data.tobytes(), a.grad.tobytes(), b.grad.tobytes(), len(Graph.trace(y).ops)))
-            a.grad = b.grad = None
+            grads = {id(t): g for t, g in leaf_grads(y, cotangent=c)}
+            results.append((y.data.tobytes(), grads[id(a)].tobytes(), grads[id(b)].tobytes(), len(Graph.trace(y).ops)))
         assert results[0][:3] == results[1][:3]
         assert results[0][3] == 1
 
@@ -244,7 +246,7 @@ class TestResidualAdd:
         a = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
         b = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
         c = rng.standard_normal((3, 4))
-        assert finite_diff_check(lambda: sum_all(scale(add(a, b, 1.7), c)), {"a": a, "b": b}).passed
+        assert finite_diff_check(lambda: add(a, b, 1.7), {"a": a, "b": b}, cotangent=c).passed
 
 
 class TestSoftmax:
@@ -276,10 +278,7 @@ class TestSoftmax:
         x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
         c = rng.standard_normal((3, 4))
 
-        def f():
-            return sum_all(scale(softmax_rows(x), c))
-
-        assert finite_diff_check(f, {"x": x}).passed
+        assert finite_diff_check(lambda: softmax_rows(x), {"x": x}, cotangent=c).passed
 
     def test_factor_scales_inputs_and_gradients(self):
         rng = np.random.default_rng(7)
@@ -287,26 +286,39 @@ class TestSoftmax:
         c = rng.standard_normal((2, 3, 4))
         assert np.array_equal(softmax_rows(x, 0.35).data, softmax_rows(scale(x, 0.35)).data)
 
-        def f():
-            return sum_all(scale(softmax_rows(x, 0.35), c))
+        assert finite_diff_check(lambda: softmax_rows(x, 0.35), {"x": x}, cotangent=c).passed
 
-        assert finite_diff_check(f, {"x": x}).passed
 
-    def test_log_softmax_matches_log_of_softmax(self):
+class TestCrossEntropy:
+    def test_matches_log_of_softmax(self):
         rng = np.random.default_rng(5)
         x = rng.standard_normal((3, 5))
-        got = log_softmax_rows(Tensor(x)).data
-        assert np.allclose(got, np.log(softmax_rows(Tensor(x)).data), atol=1e-12)
+        q = rng.dirichlet(np.ones(5), size=3)
+        want = -(q * np.log(softmax_rows(Tensor(x)).data)).sum() / 3
+        assert cross_entropy(Tensor(x), q).item() == pytest.approx(want, abs=1e-12)
 
-    def test_log_softmax_gradients(self):
+    def test_gradients(self):
         rng = np.random.default_rng(6)
         x = Tensor(rng.standard_normal((2, 5)), requires_grad=True)
-        c = rng.standard_normal((2, 5))
+        q = rng.dirichlet(np.ones(5), size=2)
+        assert finite_diff_check(lambda: cross_entropy(x, q), {"x": x}).passed
 
-        def f():
-            return sum_all(scale(log_softmax_rows(x), c))
-
-        assert finite_diff_check(f, {"x": x}).passed
+    @pytest.mark.parametrize("b,n", [(1, 2), (3, 5), (8, 7), (64, 7)])
+    @pytest.mark.parametrize("smoothing", [0.0, 0.1])
+    def test_loss_and_grad_bitwise_equal_the_four_op_chain(self, b, n, smoothing):
+        # The old loss recorded log_softmax_rows, scale by q, sum_all and scale
+        # by -1/b; the one op keeps every bit of its loss and logit gradient.
+        rng = np.random.default_rng(b * 100 + n)
+        x = Tensor(3.0 * rng.standard_normal((b, n)), requires_grad=True)
+        labels = rng.integers(0, n, size=b)
+        q = np.full((b, n), smoothing / n)
+        q[np.arange(b), labels] += 1.0 - smoothing
+        want_loss, want_grad = reference_cross_entropy(x.data, q)
+        loss = label_smoothing_ce(x, labels, smoothing)
+        assert [op.name for op in Graph.trace(loss).ops] == ["cross_entropy"]
+        assert loss.item() == want_loss
+        [(leaf, grad)] = leaf_grads(loss)
+        assert leaf is x and grad.tobytes() == want_grad.tobytes()
 
 
 class TestLayerNorm:
@@ -338,9 +350,9 @@ class TestLayerNorm:
         c = rng.standard_normal((2, 5))
 
         def f():
-            return sum_all(scale(layer_norm(x, gamma, beta), c))
+            return layer_norm(x, gamma, beta)
 
-        assert finite_diff_check(f, {"x": x, "gamma": gamma, "beta": beta}).passed
+        assert finite_diff_check(f, {"x": x, "gamma": gamma, "beta": beta}, cotangent=c).passed
 
 
 class TestLinear:
@@ -391,9 +403,9 @@ class TestLinear:
         c = rng.standard_normal((2, 4))
 
         def f():
-            return sum_all(scale(linear(x, w, b), c))
+            return linear(x, w, b)
 
-        assert finite_diff_check(f, {"x": x, "w": w, "b": b}).passed
+        assert finite_diff_check(f, {"x": x, "w": w, "b": b}, cotangent=c).passed
 
 
 class TestElementwiseAndStructural:
@@ -408,11 +420,12 @@ class TestElementwiseAndStructural:
 
     def test_gelu_gradients(self):
         x = Tensor(np.linspace(-2, 2, 7), requires_grad=True)
+        c = np.random.default_rng(16).standard_normal(7)
 
         def f():
-            return sum_all(mul(gelu(x), gelu(x)))
+            return add(gelu(x), gelu(x))
 
-        assert finite_diff_check(f, {"x": x}).passed
+        assert finite_diff_check(f, {"x": x}, cotangent=c).passed
 
     def test_concat_patches_order_and_shape(self):
         a = Tensor(np.arange(6.0).reshape(2, 3))
@@ -430,11 +443,13 @@ class TestElementwiseAndStructural:
         a = Tensor(np.arange(4.0).reshape(2, 2), requires_grad=True)
         b = Tensor(np.arange(2.0).reshape(1, 2), requires_grad=True)
 
+        c = np.random.default_rng(17).standard_normal((3, 2))
+
         def f():
             y = concat((a, b), axis=0)
-            return sum_all(mul(y, y))
+            return add(y, y)
 
-        assert finite_diff_check(f, {"a": a, "b": b}).passed
+        assert finite_diff_check(f, {"a": a, "b": b}, cotangent=c).passed
 
     def test_mean_pool_of_identical_rows(self):
         row = np.array([1.0, 2.0, 3.0])
@@ -445,45 +460,35 @@ class TestElementwiseAndStructural:
         x = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
         c = np.array([2.0, -1.0])
 
-        def f():
-            return sum_all(scale(mean_pool_patches(x), c))
+        assert finite_diff_check(lambda: mean_pool_patches(x), {"x": x}, cotangent=c).passed
 
-        assert finite_diff_check(f, {"x": x}).passed
-
-    def test_add_mul_shape_errors(self):
+    def test_add_shape_error(self):
         with pytest.raises(ShapeError):
             add(Tensor([1.0]), Tensor([1.0, 2.0]))
-        with pytest.raises(ShapeError):
-            mul(Tensor([1.0]), Tensor([1.0, 2.0]))
 
     def test_scale_and_linear(self):
         x = Tensor(np.ones((2, 3)), requires_grad=True)
         w = Tensor(np.eye(3), requires_grad=True)
         b = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
+        c = np.random.default_rng(15).standard_normal((2, 3))
 
         def f():
-            return sum_all(mul(scale(linear(x, w, b), 2.0), linear(x, w, b)))
+            return add(scale(linear(x, w, b), 2.0), linear(x, w, b))
 
-        assert finite_diff_check(f, {"x": x, "w": w, "b": b}).passed
-
-    def test_scale_by_array_is_elementwise(self):
-        rng = np.random.default_rng(15)
-        x = Tensor(rng.standard_normal((2, 3)))
-        c = rng.standard_normal((2, 3))
-        assert np.array_equal(scale(x, c).data, x.data * c)
-        with pytest.raises(ShapeError):
-            scale(x, np.ones(3))
+        assert finite_diff_check(f, {"x": x, "w": w, "b": b}, cotangent=c).passed
 
     def test_split_heads_and_swap_axes_round_trip(self):
         x = Tensor(np.arange(24.0).reshape(2, 3, 4), requires_grad=True)
         y = swap_axes(split_heads(x, 2), -3, -2)
         assert np.array_equal(y.data, x.data.reshape(2, 3, 2, 2))
 
+        c = np.random.default_rng(18).standard_normal((2, 3, 2, 2))
+
         def f():
             z = swap_axes(split_heads(x, 2), -3, -2)
-            return sum_all(mul(z, z))
+            return add(z, z)
 
-        assert finite_diff_check(f, {"x": x}).passed
+        assert finite_diff_check(f, {"x": x}, cotangent=c).passed
 
 
 class TestHeads:
@@ -505,8 +510,8 @@ class TestHeads:
         y = Tensor(rng.standard_normal((2, 3, 3, 2)), requires_grad=True)
         cx = rng.standard_normal((2, 3, 3, 2))
         cy = rng.standard_normal((2, 3, 6))
-        assert finite_diff_check(lambda: sum_all(scale(split_heads(x, 3), cx)), {"x": x}).passed
-        assert finite_diff_check(lambda: sum_all(scale(merge_heads(y), cy)), {"y": y}).passed
+        assert finite_diff_check(lambda: split_heads(x, 3), {"x": x}, cotangent=cx).passed
+        assert finite_diff_check(lambda: merge_heads(y), {"y": y}, cotangent=cy).passed
 
     def test_bad_shapes_rejected(self):
         with pytest.raises(ShapeError):
@@ -517,20 +522,25 @@ class TestHeads:
             merge_heads(Tensor(np.zeros((3, 6))))
 
 
+def _dot(x):
+    """x @ x.T for a (1, n) row x: a (1, 1) root that reads x along two paths."""
+    return matmul(x, swap_axes(x, 0, 1))
+
+
 class TestBackward:
     def test_sum_gives_ones(self):
         x = Tensor(np.arange(5.0), requires_grad=True)
-        backward(sum_all(x))
+        backward(matmul(x, Tensor(np.ones((5, 1)))))
         assert np.array_equal(x.grad, np.ones(5))
 
     def test_quadratic_gives_two_x(self):
-        x = Tensor(np.array([1.0, -2.0, 0.5]), requires_grad=True)
-        backward(sum_all(mul(x, x)))
+        x = Tensor(np.array([[1.0, -2.0, 0.5]]), requires_grad=True)
+        backward(_dot(x))
         assert np.allclose(x.grad, 2 * x.data, atol=1e-15)
 
     def test_repeated_backward_accumulates(self):
-        x = Tensor(np.ones(3), requires_grad=True)
-        loss = sum_all(mul(x, x))
+        x = Tensor(np.ones((1, 3)), requires_grad=True)
+        loss = _dot(x)
         backward(loss)
         backward(loss)
         assert np.allclose(x.grad, 4 * x.data, atol=1e-15)
@@ -538,22 +548,23 @@ class TestBackward:
     def test_non_scalar_loss_rejected(self):
         x = Tensor(np.ones(3), requires_grad=True)
         with pytest.raises(ShapeError):
-            backward(mul(x, x))
+            backward(add(x, x))
 
     def test_detached_leaf_grad_stays_none(self):
         x = Tensor(np.ones(3), requires_grad=True)
-        y = Tensor(np.ones(3))  # no grad requested
-        backward(sum_all(mul(x, y)))
+        y = Tensor(np.ones((3, 1)))  # no grad requested
+        backward(matmul(x, y))
         assert y.grad is None
         assert x.grad is not None
 
     def test_intermediate_grads_freed_unless_watched(self):
         rng = np.random.default_rng(31)
-        x = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
+        x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
         w = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
+        q = rng.dirichlet(np.ones(5), size=3)
         kept = matmul(x, w)
         dropped = gelu(kept)
-        loss = sum_all(mul(dropped, dropped))
+        loss = cross_entropy(dropped, q)
         pairs = list(leaf_grads(loss, watch=[kept]))
         # The watched output comes once its gradient is complete, before its
         # own VJP hands gradients to the leaves below it.
@@ -563,8 +574,7 @@ class TestBackward:
         assert w.grad is not None and x.grad is not None
         # The watched grad is the one a leaf in the same place receives.
         leaf = Tensor(kept.data, requires_grad=True)
-        h = gelu(leaf)
-        backward(sum_all(mul(h, h)))
+        backward(cross_entropy(gelu(leaf), q))
         assert np.array_equal(pairs[0][1], leaf.grad)
 
     def test_leaf_loss_gets_unit_grad(self):
@@ -573,18 +583,17 @@ class TestBackward:
         assert np.array_equal(x.grad, np.ones(()))
 
     def test_diamond_graph_counts_both_paths(self):
-        # y = x + x, loss = sum(y*y) = 4*sum(x^2), so grad must be 8x
-        x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        # y = x + x, loss = y . y = 4 x . x, so grad must be 8x
+        x = Tensor(np.array([[1.0, 2.0]]), requires_grad=True)
         y = add(x, x)
-        backward(sum_all(mul(y, y)))
+        backward(_dot(y))
         assert np.allclose(x.grad, 8 * x.data, atol=1e-15)
 
     def test_graph_trace_is_topological_and_unique(self):
         x = Tensor(np.ones((2, 2)), requires_grad=True)
         y = matmul(x, x)
         z = add(y, y)
-        loss = sum_all(mul(z, z))
-        graph = Graph.trace(loss)
+        graph = Graph.trace(matmul(z, z))
         seen = set()
         positions = {}
         for idx, node in enumerate(graph.ops):
@@ -598,11 +607,11 @@ class TestBackward:
 
     def test_trace_pairs_each_op_with_its_output(self):
         x = Tensor(np.ones((2, 2)), requires_grad=True)
-        loss = sum_all(gelu(matmul(x, x)))
-        graph = Graph.trace(loss)
-        assert [node.name for node in graph.ops] == ["matmul", "gelu", "sum_all"]
+        root = softmax_rows(gelu(matmul(x, x)))
+        graph = Graph.trace(root)
+        assert [node.name for node in graph.ops] == ["matmul", "gelu", "softmax_rows"]
         assert all(out.creator is node for node, out in zip(graph.ops, graph.outputs))
-        assert graph.outputs[-1] is loss
+        assert graph.outputs[-1] is root
 
     def test_tape_freed_by_refcount_when_loss_dropped(self):
         rng = np.random.default_rng(32)
@@ -610,9 +619,9 @@ class TestBackward:
         try:
             x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
             w = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
-            h = gelu(matmul(x, w))
-            alive = weakref.ref(h.data)
-            loss = sum_all(mul(h, h))
+            h = matmul(x, w)
+            alive = weakref.ref(h.data)  # gelu's VJP reads it
+            loss = cross_entropy(gelu(h), np.full((3, 5), 0.2))
             del h
             backward(loss)
             assert alive() is not None  # the loss still roots the graph
@@ -626,9 +635,10 @@ class TestBackward:
 class TestLeafGrads:
     def test_leaf_used_twice_by_one_op_is_yielded_once(self):
         a = Tensor(np.array([1.5, -2.0, 0.25]), requires_grad=True)
-        pairs = list(leaf_grads(sum_all(mul(a, a))))
+        c = np.array([0.5, 3.0, -1.0])
+        pairs = list(leaf_grads(add(a, a), cotangent=c))
         assert len(pairs) == 1 and pairs[0][0] is a
-        assert np.array_equal(pairs[0][1], 2 * a.data)
+        assert np.array_equal(pairs[0][1], 2 * c)
 
     def test_each_leaf_yielded_when_its_last_reader_has_run(self):
         rng = np.random.default_rng(51)
@@ -639,7 +649,7 @@ class TestLeafGrads:
         ran = []
         vjp = first.creator.vjp
         first.creator.vjp = lambda g: (ran.append(True), vjp(g))[1]
-        loss = sum_all(gelu(matmul(gelu(first), w2, b2)))
+        loss = cross_entropy(gelu(matmul(gelu(first), w2, b2)), np.full((3, 5), 0.2))
         walk = leaf_grads(loss)
         assert [next(walk)[0] for _ in range(2)] == [w2, b2]
         assert not ran  # yielded before the walk reached the first layer
@@ -655,7 +665,7 @@ class TestLeafGrads:
         x = Tensor(rng.standard_normal((2, 3)))
         w = Tensor(rng.standard_normal((3, 3)), requires_grad=True)
         v = Tensor(rng.standard_normal((3, 3)), requires_grad=True)
-        loss = sum_all(matmul(gelu(matmul(x, w)), add(w, v)))
+        loss = cross_entropy(matmul(gelu(matmul(x, w)), add(w, v)), np.full((2, 3), 1 / 3))
         pairs = list(leaf_grads(loss))
         assert [t for t, _ in pairs] == [w, v]  # w once, complete, with the later reader
         backward(loss)
@@ -664,16 +674,16 @@ class TestLeafGrads:
 
     def test_leaf_whose_other_reader_gets_no_gradient_is_flushed_after_the_walk(self):
         rng = np.random.default_rng(53)
-        w = Tensor(rng.standard_normal(4), requires_grad=True)
-        v = Tensor(rng.standard_normal(4), requires_grad=True)
-        x = mul(v, Tensor(rng.standard_normal(4)))
-        y = Tensor(rng.standard_normal(4))
-        blocked = _record("stop", (mul(w, y),), np.zeros(4), lambda g: (None,))
-        loss = sum_all(add(mul(w, x), blocked))
-        pairs = list(leaf_grads(loss))
+        w = Tensor(rng.standard_normal((4, 4)), requires_grad=True)
+        v = Tensor(rng.standard_normal((4, 4)), requires_grad=True)
+        x = matmul(v, Tensor(rng.standard_normal((4, 4))))
+        y = Tensor(rng.standard_normal((4, 4)))
+        blocked = _record("stop", (add(w, y),), np.zeros((4, 4)), lambda g: (None,))
+        c = rng.standard_normal((4, 4))
+        pairs = list(leaf_grads(add(matmul(x, w), blocked), cotangent=c))
         # v's reader runs after w's only reader that ran, yet w comes last.
         assert [t for t, _ in pairs] == [v, w]
-        assert np.array_equal(pairs[1][1], x.data)
+        assert np.array_equal(pairs[1][1], x.data.T @ c)
 
     def test_loss_that_is_a_leaf(self):
         x = Tensor(np.array(3.0), requires_grad=True)
@@ -683,22 +693,42 @@ class TestLeafGrads:
 
     def test_watched_root_gets_ones_and_an_output_without_gradient_is_not_yielded(self):
         x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
-        y = mul(x, x)
+        y = add(x, x)
         blocked = _record("stop", (y,), np.zeros(2), lambda g: (None,))
-        loss = sum_all(add(mul(x, Tensor(np.ones(2))), blocked))
+        loss = matmul(add(x, blocked), Tensor(np.ones((2, 1))))
         pairs = list(leaf_grads(loss, watch=[loss, y, blocked]))
         assert [t for t, _ in pairs] == [loss, blocked, x]
-        assert np.array_equal(pairs[0][1], np.ones(())) and np.array_equal(pairs[1][1], np.ones(2))
+        assert np.array_equal(pairs[0][1], np.ones(1)) and np.array_equal(pairs[1][1], np.ones(2))
 
     def test_sets_no_grad_on_leaves(self):
         x = Tensor(np.ones(3), requires_grad=True)
-        list(leaf_grads(sum_all(mul(x, x))))
+        list(leaf_grads(add(x, x), cotangent=np.ones(3)))
         assert x.grad is None
 
     def test_non_scalar_loss_rejected(self):
         x = Tensor(np.ones(3), requires_grad=True)
         with pytest.raises(ShapeError):
-            next(leaf_grads(mul(x, x)))
+            next(leaf_grads(add(x, x)))
+
+    @pytest.mark.parametrize(
+        "cotangent,given", [(None, "none"), (np.ones(3), r"\(3,\)"), (np.ones(()), r"\(\)")], ids=["none", "row", "scalar"]
+    )
+    def test_cotangent_must_have_the_root_shape(self, cotangent, given):
+        x = Tensor(np.ones((2, 3)), requires_grad=True)
+        with pytest.raises(ShapeError, match=rf"^root \(2, 3\) needs a same-shape cotangent, got {given}$"):
+            next(leaf_grads(add(x, x), cotangent=cotangent))
+        with pytest.raises(ShapeError, match=r"^root \(\) needs a same-shape cotangent, got \(1,\)$"):
+            next(leaf_grads(Tensor(np.array(2.0), requires_grad=True), cotangent=np.ones(1)))
+
+    def test_watched_root_yields_the_cotangent_itself(self):
+        rng = np.random.default_rng(54)
+        x = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+        w = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        root = gelu(matmul(x, w))
+        c = rng.standard_normal((2, 4))
+        pairs = list(leaf_grads(root, watch=[root], cotangent=c))
+        assert [t for t, _ in pairs] == [root, x, w] and pairs[0][1] is c
+        assert finite_diff_check(lambda: gelu(matmul(x, w)), {"x": x, "w": w}, cotangent=c).passed
 
 
 class TestTapeOwnership:
@@ -713,9 +743,9 @@ class TestTapeOwnership:
         w = Tensor(rng.standard_normal((3, 3)), requires_grad=True)
         h = matmul(x, w)
         y = gelu(h)
-        loss = sum_all(add(y, h))
-        ops = Graph.trace(loss).ops
-        assert [op.name for op in ops] == ["matmul", "gelu", "add", "sum_all"]
+        root = softmax_rows(add(y, h))
+        ops = Graph.trace(root).ops
+        assert [op.name for op in ops] == ["matmul", "gelu", "add", "softmax_rows"]
         assert ops[0].inputs[0] is x and ops[0].inputs[1] is w  # leaves are themselves
         assert ops[1].inputs[0] is h.edge and ops[2].inputs[1] is h.edge  # one edge per output
         assert ops[2].inputs[0] is y.edge and ops[3].inputs[0].creator is ops[2]
@@ -733,21 +763,22 @@ class TestTapeOwnership:
         x = Tensor(rng.standard_normal((3, 4, 8)), requires_grad=True)
         w = Tensor(rng.standard_normal((8, 8)), requires_grad=True)
         gamma, beta = Tensor(np.ones(8), requires_grad=True), Tensor(np.zeros(8), requires_grad=True)
+        c = rng.standard_normal((3, 4, 8))
         alive = []
 
         def f():
             r = add(matmul(x, w), x)
             alive.append(weakref.ref(r.data))
-            return sum_all(gelu(add(matmul(layer_norm(r, gamma, beta), w), r)))
+            return gelu(add(matmul(layer_norm(r, gamma, beta), w), r))
 
         gc.disable()
         try:
-            loss = f()
-            assert alive[0]() is None and loss.creator is not None
+            root = f()
+            assert alive[0]() is None and root.creator is not None
         finally:
             gc.enable()
         # The walk over a tape without the sum still gets every gradient right.
-        assert finite_diff_check(f, {"x": x, "w": w, "gamma": gamma, "beta": beta}).passed
+        assert finite_diff_check(f, {"x": x, "w": w, "gamma": gamma, "beta": beta}, cotangent=c).passed
 
 
 class TestPurityAndFiniteness:
@@ -799,12 +830,9 @@ class TestPurityAndFiniteness:
 
 class TestFiniteDiffCheck:
     def test_quadratic_passes_tight_tolerance(self):
-        x = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
-
-        def f():
-            return sum_all(mul(x, x))
-
-        report = finite_diff_check(f, {"x": x}, tol=1e-6)
+        x = Tensor(np.array([[1.0, -2.0], [3.0, 0.5]]), requires_grad=True)
+        c = np.array([[0.5, -1.0], [2.0, 1.5]])
+        report = finite_diff_check(lambda: matmul(x, x), {"x": x}, tol=1e-6, cotangent=c)
         assert report.passed
         assert report.max_rel_err < 1e-6
 
@@ -822,30 +850,20 @@ class TestFiniteDiffCheck:
 
             return _record("bad_matmul", (p, q), out, vjp)
 
-        def f():
-            y = bad_matmul(a, b)
-            return sum_all(mul(y, y))
-
-        report = finite_diff_check(f, {"a": a, "b": b})
+        c = rng.standard_normal((3, 3))
+        report = finite_diff_check(lambda: bad_matmul(a, b), {"a": a, "b": b}, cotangent=c)
         assert not report.passed
 
     def test_sampled_subset(self):
         x = Tensor(np.arange(100.0), requires_grad=True)
-
-        def f():
-            return sum_all(mul(x, x))
-
-        report = finite_diff_check(f, {"x": x}, samples_per_param=5, rng=np.random.default_rng(0))
+        c = np.linspace(-1.0, 1.0, 100)
+        report = finite_diff_check(lambda: add(x, x), {"x": x}, samples_per_param=5, rng=np.random.default_rng(0), cotangent=c)
         assert report.passed
         assert report.params[0].checked == 5
 
     def test_summary_mentions_verdict(self):
         x = Tensor(np.ones(2), requires_grad=True)
-
-        def f():
-            return sum_all(mul(x, x))
-
-        report = finite_diff_check(f, {"x": x})
+        report = finite_diff_check(lambda: add(x, x), {"x": x}, cotangent=np.ones(2))
         assert "PASS" in report.summary()
 
     @pytest.mark.parametrize(
@@ -856,7 +874,7 @@ class TestFiniteDiffCheck:
     def test_settings_that_check_nothing_rejected(self, kw):
         x = Tensor(np.ones(2), requires_grad=True)
         with pytest.raises(ValueError, match=next(iter(kw))):
-            finite_diff_check(lambda: sum_all(mul(x, x)), {"x": x}, **kw)
+            finite_diff_check(lambda: add(x, x), {"x": x}, cotangent=np.ones(2), **kw)
 
 
 def _no_c_library(name):

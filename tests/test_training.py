@@ -11,7 +11,7 @@ from ferfuse import training
 from ferfuse.cli import PRESETS, RunConfig
 from ferfuse.data import gen_clusters
 from ferfuse.model import VARIANTS, ModelConfig, build_params, forward
-from ferfuse.tensor import Graph, NonFiniteError, Tensor, backward, finite_diff_check, leaf_grads, zero_grads
+from ferfuse.tensor import Graph, NonFiniteError, Tensor, backward, finite_diff_check, leaf_grads
 from ferfuse.training import (
     _ADAM_CHUNK,
     OptimizerState,
@@ -43,8 +43,8 @@ def desk_config(**kw):
 
 
 def backward_then_update(cfg, tcfg, ds):
-    """``train_loop``'s steps with every gradient held at once: ``backward``
-    into ``.grad``, then one ``adam_step`` over all of them."""
+    """``train_loop``'s steps with every gradient held at once: the whole
+    ``leaf_grads`` walk into a list, then one ``adam_step`` over all of them."""
     params = build_params(cfg)
     state = init_adam_state(params.named)
     losses = []
@@ -52,9 +52,7 @@ def backward_then_update(cfg, tcfg, ds):
         rng = _step_rng(tcfg.seed, step)
         x_img, x_lm, labels = _batch_tensors(ds, rng.choice(len(ds), size=min(tcfg.batch_size, len(ds)), replace=False))
         loss = label_smoothing_ce(forward(x_img, x_lm, params, cfg, training=True, rng=rng), labels, cfg.label_smoothing)
-        zero_grads(params.named)
-        backward(loss)
-        grads = [(t, t.grad) for t in params.named.values() if t.grad is not None]
+        grads = list(leaf_grads(loss))
         adam_step(params.named, state, grads, tcfg.learning_rate, tcfg.beta1, tcfg.beta2, tcfg.adam_eps)
         losses.append(loss.item())
         del loss, grads
