@@ -9,10 +9,10 @@ streams' query matrices: the image stream is scored by the landmark queries
 and vice versa, so each stream mixes its own values under the other
 stream's addressing. A tied pair passes the same weight set twice.
 
-Attention weight tensors stay alive in the graph, since the softmax VJP
-reads them; a forward given a trace list appends one ``AttentionRecord``
-per block and stream for relevance analysis. Pass the weights to
-``leaf_grads(..., watch=...)`` to get their gradients.
+The tape keeps the attention weight arrays, read by the softmax and value
+mixing VJPs, not their tensors; given a trace list, a forward appends one
+``AttentionRecord`` (holding the tensor) per block and stream for relevance
+analysis. Pass its weights to ``leaf_grads(..., watch=...)`` for gradients.
 """
 
 from __future__ import annotations

@@ -32,8 +32,18 @@ class BadFieldError(FileFormatError):
     """A header or record field holds a value the format does not allow."""
 
 
+_PIPE_CHUNK = 1 << 24  # the largest single read from a pipe
+
+
 def read_exact(f, n: int, what: str) -> bytes:
-    buf = f.read(n)
+    """Read ``n`` bytes, else raise TruncatedFileError: a regular file at once, as ``expect_bytes``
+    has bounded ``n``; a pipe in chunks, so a header promising more costs only what arrives."""
+    if n <= _PIPE_CHUNK or stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+        buf = f.read(n)
+    else:
+        buf = bytearray()
+        while len(buf) < n and (part := f.read(min(n - len(buf), _PIPE_CHUNK))):
+            buf += part
     if len(buf) != n:
         raise TruncatedFileError(f"unexpected end of file while reading {what} ({len(buf)}/{n} bytes)")
     return buf

@@ -282,7 +282,16 @@ def forward(
     """Inputs are (.., P, base_dim) per stream; output is (.., num_classes)
     logits. Per level: project each stream, run the stack, mean-pool every
     output stream into the head's feature vector. The swap depth, drop-path
-    rate and ``pre_msa_norm`` come from ``cfg`` on every call."""
+    rate and ``pre_msa_norm`` come from ``cfg`` on every call, and ``params``
+    must fit its level, stream, block and head counts (else ``ValueError``)."""
+    dims = cfg.level_dims()
+    if len(params.levels) != len(dims):
+        raise ValueError(f"params have {len(params.levels)} levels, the config {len(dims)}")
+    for i, (lvl, dim) in enumerate(zip(params.levels, dims)):
+        fits = [("streams", len(lvl.projs), len(cfg.layout.streams)), ("blocks", len(lvl.blocks), cfg.depth)]
+        for what, have, want in fits + [("heads", s.msa.heads, cfg.heads_for(dim)) for b in lvl.blocks for s in b]:
+            if have != want:
+                raise ValueError(f"level {i}: params have {have} {what}, the config {want}")
     inputs = {"img": x_img, "lm": x_lm}
     xs = [concat((x_img, x_lm), axis=-2) if s == "fused" else inputs[s] for s in cfg.layout.streams]
     swap = cfg.effective_swap_depth() if cfg.layout.two_stream else 0
@@ -348,10 +357,7 @@ def estimate_flops(cfg: ModelConfig) -> dict:
     """
     p = cfg.patches
     stream_rows = [2 * p if s == "fused" else p for s in cfg.layout.streams]
-    projections = 0
-    attn_linear = 0
-    attn_scores = 0
-    mlp = 0
+    projections = attn_linear = attn_scores = mlp = 0
     for dim in cfg.level_dims():
         for rows in stream_rows:
             projections += rows * cfg.base_dim * dim

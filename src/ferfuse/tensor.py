@@ -8,14 +8,14 @@ vector-Jacobian product as soon as the last op that reads the leaf has run
 its VJP. ``training.adam_step`` uses each one and drops it, so a step never
 holds every parameter gradient at once; its loss is one ``cross_entropy`` op.
 
-The tape keeps only what its VJPs read. An op output holds its ``OpNode``
-and an ``Edge`` naming that node; a node holds a leaf input itself, an op
-output's ``Edge``, and a VJP closure that keeps only the arrays and shapes
-it reads. So an op output is freed as soon as the forward drops it, unless
-a VJP saved its data, and the acyclic tape is freed by reference counting,
-with no wait for Python's cyclic garbage collector, when its root (the
-loss, or the logits) goes. The walk frees each intermediate's gradient once
-its op's VJP has run, unless it was asked to ``watch`` that output.
+The tape keeps only what its VJPs read. An op output holds its ``OpNode``;
+a node holds a leaf input itself, the ``OpNode`` that made an op-output
+input, and a VJP closure that keeps only the arrays and shapes it reads.
+So an op output is freed as soon as the forward drops it, unless a VJP
+saved its data, and the acyclic tape is freed by reference counting, with
+no wait for Python's cyclic garbage collector, when its root (the loss, or
+the logits) goes. The walk frees each intermediate's gradient once its
+op's VJP has run, unless it was asked to ``watch`` that output.
 A VJP may return ``None`` for an input that does not require grad, and
 ``matmul``'s does, so no work goes into gradients nobody asked for.
 ``matmul`` adds a linear map's bias and ``add`` scales a residual branch
@@ -73,15 +73,14 @@ class Tensor:
     """Dense float64 array node in the autodiff graph.
 
     ``requires_grad`` marks tensors whose gradient ``leaf_grads`` should
-    compute. Tensors produced by ops inherit the flag from their inputs
-    and keep a reference to the op that created them (``creator``) and the
-    ``Edge`` that the ops reading them hold (``edge``), which is all the
-    graph structure the walk needs. ``backward`` stores ``grad`` on leaves.
+    compute. An op output inherits the flag from the op's inputs and holds
+    the op that made it (``creator``); the ops that read it hold that node,
+    not it. ``backward`` stores ``grad`` on leaves.
     ``screen=False`` skips the NaN/Inf screen; ops pass it, since they
     screen their outputs themselves, or move only screened entries.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "creator", "edge")
+    __slots__ = ("data", "requires_grad", "grad", "creator")
 
     def __init__(self, data, requires_grad: bool = False, screen: bool = True):
         arr = data if type(data) is np.ndarray and data.dtype == np.float64 else np.asarray(data, dtype=np.float64)
@@ -91,7 +90,6 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
         self.creator: OpNode | None = None
-        self.edge: Edge | None = None
 
     @property
     def shape(self) -> tuple:
@@ -122,70 +120,59 @@ def _finite(arr: np.ndarray) -> bool:
 
 
 class OpNode:
-    """One executed primitive op: its inputs (a leaf itself, an op output's
-    ``Edge``, never the output, which holds the node) and its adjoint rule."""
+    """One executed primitive op: its inputs (a leaf itself, or the ``OpNode``
+    that made an op output, never the output, which holds this node) and its
+    adjoint rule. As an input it stands for its output: ``requires_grad``,
+    no ``data`` or ``grad``, itself as ``creator``; gradients route by its ``id``."""
 
     __slots__ = ("name", "inputs", "vjp")
+    data = grad = None
+    requires_grad = True
 
     def __init__(self, name, inputs, vjp):
         self.name = name
         self.inputs = inputs
         self.vjp = vjp
 
-
-class Edge:
-    """An op output as the nodes that read it hold it: its ``creator``, with
-    ``requires_grad`` true and no ``data`` or ``grad``. One per output, so
-    gradients route by its ``id``."""
-
-    __slots__ = ("creator",)
-    data = grad = None
-    requires_grad = True
-
-    def __init__(self, creator: OpNode):
-        self.creator = creator
+    @property
+    def creator(self) -> "OpNode":
+        return self  # a property, not a slot: a slot holding self is a cycle
 
 
+@dataclass
 class Graph:
     """Ordered record of the ops that produce one output tensor.
 
     ``ops`` is topologically sorted: every op appears after the ops that
-    produced its inputs, and each op appears exactly once. ``outputs[i]``
-    is the ``Edge`` of the tensor ``ops[i]`` produced, and the root itself
-    for the last op. ``leaf_uses`` counts, by ``id``, the input slots of
-    ``ops`` that hold each leaf requiring grad.
+    produced its inputs, and each op appears exactly once; the root's own
+    op is last. ``leaf_uses`` counts, by ``id``, the input slots of ``ops``
+    that hold each leaf requiring grad.
     """
 
-    def __init__(self, ops: list, outputs: list, leaf_uses: dict):
-        self.ops = ops
-        self.outputs = outputs
-        self.leaf_uses = leaf_uses
+    ops: list
+    leaf_uses: dict
 
     @staticmethod
     def trace(root: Tensor) -> "Graph":
         ops: list[OpNode] = []
-        outputs: list[Tensor | Edge] = []
         visited: set[int] = set()
         uses: dict[int, int] = {}
-        stack: list[tuple[Tensor | Edge, bool]] = [(root, False)]
+        stack: list[tuple[OpNode, bool]] = [] if root.creator is None else [(root.creator, False)]
         while stack:
-            tensor, ready = stack.pop()
-            node = tensor.creator
-            if node is None:
-                continue
+            node, ready = stack.pop()
             if ready:
                 ops.append(node)
-                outputs.append(tensor)
                 continue
             if id(node) in visited:
                 continue
             visited.add(id(node))
-            stack.append((tensor, True))
+            stack.append((node, True))
             for parent in node.inputs:
-                stack.append((parent, False))
-                if parent.creator is None and parent.requires_grad:
+                if parent.creator is not None:
+                    stack.append((parent, False))
+                elif parent.requires_grad:
                     uses[id(parent)] = uses.get(id(parent), 0) + 1
-        return Graph(ops, outputs, uses)
+        return Graph(ops, uses)
 
 
 def leaf_grads(root: Tensor, watch=(), cotangent=None):
@@ -207,13 +194,13 @@ def leaf_grads(root: Tensor, watch=(), cotangent=None):
         raise ShapeError(f"root {root.shape} needs a same-shape cotangent, got {'none' if seed is None else np.shape(seed)}")
     graph = Graph.trace(root)
     uses = graph.leaf_uses
-    fresh: dict[int, np.ndarray] = {id(root): np.asarray(seed, dtype=np.float64)}
+    fresh: dict[int, np.ndarray] = {id(root.creator or root): np.asarray(seed, dtype=np.float64)}
     leaves: dict[int, Tensor] = {id(root): root} if root.creator is None and root.requires_grad else {}
-    watched = {id(t.creator): t for t in watch}  # by node: the root is traced as itself, not its edge
-    for node, out in zip(reversed(graph.ops), reversed(graph.outputs)):
-        # Every consumer of this output ran earlier in reverse order, so its
-        # gradient is complete here and nothing reads it after this VJP.
-        gout = fresh.pop(id(out), None)
+    watched = {id(t.creator): t for t in watch}  # by node, as gradients are keyed
+    for node in reversed(graph.ops):
+        # Every consumer of this node's output ran earlier in reverse order,
+        # so its gradient is complete here and nothing reads it after this VJP.
+        gout = fresh.pop(id(node), None)
         if gout is None:
             continue
         if id(node) in watched:
@@ -260,8 +247,7 @@ def _record(name, inputs, out_data, vjp) -> Tensor:
         raise NonFiniteError(f"{name}: output contains NaN/Inf (shape {out.shape})")
     if any(t.requires_grad for t in inputs):
         out.requires_grad = True
-        out.creator = OpNode(name, [t if t.creator is None else t.edge for t in inputs], vjp)
-        out.edge = Edge(out.creator)
+        out.creator = OpNode(name, [t.creator or t for t in inputs], vjp)
     return out
 
 
@@ -542,10 +528,7 @@ class FiniteDiffReport:
         return self.max_rel_err < self.tol
 
     def summary(self) -> str:
-        lines = [
-            f"{p.name}: max rel err {p.max_rel_err:.3e} over {p.checked} entries"
-            for p in self.params
-        ]
+        lines = [f"{p.name}: max rel err {p.max_rel_err:.3e} over {p.checked} entries" for p in self.params]
         verdict = "PASS" if self.passed else "FAIL"
         lines.append(f"worst {self.max_rel_err:.3e} vs tol {self.tol:.1e}: {verdict}")
         return "\n".join(lines)

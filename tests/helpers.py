@@ -6,6 +6,11 @@ and stabilised softmax; they spell the math out with explicit loops so a
 bug in the implementation cannot hide in its own oracle.
 """
 
+import os
+import threading
+import tracemalloc
+from contextlib import contextmanager
+
 import numpy as np
 
 from ferfuse.attention import MsaParams
@@ -196,3 +201,29 @@ def reference_cross_entropy(x, q):
     g = np.broadcast_to(g, q.shape).copy()  # sum_all
     g = g * q  # scale by q
     return float(loss), g - np.exp(logp) * g.sum(axis=-1, keepdims=True)  # log_softmax_rows
+
+
+@contextmanager
+def fed_fifo(tmp_path, payload: bytes):
+    """Yield a FIFO in ``tmp_path`` that a thread writes ``payload`` into and then closes."""
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(payload,), daemon=True)
+    writer.start()
+    try:
+        yield fifo
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+
+
+@contextmanager
+def traced_peak():
+    """Yield a list that holds, on exit, the peak bytes ``tracemalloc`` traced in the block."""
+    peak = []
+    tracemalloc.start()
+    try:
+        yield peak
+        peak.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()

@@ -4,8 +4,11 @@ import threading
 import numpy as np
 import pytest
 
+from ferfuse import binio
 from ferfuse.binio import BadFieldError, BadMagicError, FormatVersionError, TruncatedFileError
 from ferfuse.data import (
+    MAGIC,
+    VERSION,
     FeatureDataset,
     gen_clusters,
     gen_xor,
@@ -14,6 +17,7 @@ from ferfuse.data import (
     write_features,
     xor_directions,
 )
+from helpers import fed_fifo, traced_peak
 
 
 class TestGenClusters:
@@ -327,6 +331,26 @@ class TestFeatureFiles:
             writer.join(timeout=10)
         assert not writer.is_alive()
         assert np.array_equal(got.x_img, read_features(path).x_img)
+
+    def test_reads_a_pipe_in_chunks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(binio, "_PIPE_CHUNK", 100)  # the 992-byte payload takes 10 reads
+        ds = self._small()
+        path = tmp_path / "a.pfer"
+        write_features(ds, path)
+        with fed_fifo(tmp_path, path.read_bytes()) as fifo:
+            got = read_features(fifo)
+        want = read_features(path)
+        assert np.array_equal(got.x_img, want.x_img) and np.array_equal(got.x_lm, want.x_lm)
+        assert np.array_equal(got.labels, want.labels)
+
+    def test_pipe_header_promising_terabytes_fails_in_bounded_memory(self, tmp_path):
+        # 2^20 samples of 1024 x 1024 features, about 8.8 TB, of which 1 MB is sent.
+        u32 = lambda v: v.to_bytes(4, "little")  # noqa: E731
+        payload = MAGIC + u32(VERSION) + u32(1024) + u32(1024) + u32(7) + u32(2**20) + bytes(1 << 20)
+        with traced_peak() as peak, fed_fifo(tmp_path, payload) as fifo:
+            with pytest.raises(TruncatedFileError, match=r"\(1048576/8796097216512 bytes\)"):
+                read_features(fifo)
+        assert peak[0] < 64 << 20
 
     def test_dataset_validation(self):
         with pytest.raises(ValueError):

@@ -20,7 +20,7 @@ from ferfuse.model import (
 from ferfuse.tensor import Graph, ShapeError, Tensor, concat, finite_diff_check, gelu, leaf_grads, linear, mean_pool_patches
 from ferfuse.data import gen_clusters
 from ferfuse.training import TrainConfig, adam_step, init_adam_state, label_smoothing_ce, train_loop
-from helpers import msa_tensor, stream_tensor
+from helpers import fed_fifo, msa_tensor, stream_tensor, traced_peak
 
 
 def desk_config(**kw):
@@ -206,6 +206,24 @@ class TestForwardReadsConfig:
         want = forward(xi, xl, tuned, tuned_cfg, training=False).data
         assert np.array_equal(forward(xi, xl, loaded, loaded_cfg, training=False).data, want)
 
+    @pytest.mark.parametrize(
+        "built,run,message",
+        [
+            (dict(pyramid_dims=(32, 16)), {}, "params have 2 levels, the config 3"),
+            ({}, dict(variant="baseline_pyramid"), "level 0: params have 2 streams, the config 1"),
+            ({}, dict(depth=1), "level 0: params have 2 blocks, the config 1"),
+            ({}, dict(heads_divisor=4), "level 0: params have 2 heads, the config 8"),
+        ],
+        ids=["levels", "streams", "blocks", "heads"],
+    )
+    def test_params_that_do_not_fit_the_config_are_rejected(self, built, run, message):
+        # The weights are the same names and shapes under either head count,
+        # so only the check tells the two architectures apart.
+        params = build_params(desk_config(**built))
+        xi, xl = self._inputs(19)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            forward(xi, xl, params, desk_config(**run), training=False)
+
 
 class TestPosterForward:
     def test_matches_hand_composed_pipeline(self):
@@ -256,7 +274,7 @@ class TestPosterForward:
         assert len(ops) == 232 and "scale" not in [op.name for op in ops]
 
     def test_training_forward_holds_at_most_four_fifths_of_its_op_outputs(self, monkeypatch):
-        # A node holds an op output's edge, not the output, so residual sums,
+        # A node holds an input's producer node, not the output, so residual sums,
         # output projections and merged heads are freed during the forward:
         # 12.2 of 17.4 MB here, against 16.4 MB when every node held its inputs.
         cfg = desk_config()
@@ -605,6 +623,15 @@ class TestCheckpoint:
         path.write_bytes(b"PCKPT" + u32(1) + u32(1) + u32(1) + b"w" + u32(2) + u32(0xFFFFFFF) * 2)
         with pytest.raises(TruncatedFileError):
             load_checkpoint(path)
+
+    def test_pipe_header_promising_terabytes_fails_in_bounded_memory(self, tmp_path):
+        # A 2^20 x 2^20 tensor, 8 TiB of float64, of which 1 MB is sent.
+        u32 = lambda v: v.to_bytes(4, "little")  # noqa: E731
+        payload = b"PCKPT" + u32(1) + u32(1) + u32(1) + b"w" + u32(2) + u32(2**20) * 2 + bytes(1 << 20)
+        with traced_peak() as peak, fed_fifo(tmp_path, payload) as fifo:
+            with pytest.raises(TruncatedFileError, match=r"data of w \(1048576/8796093022208 bytes\)"):
+                load_checkpoint(fifo)
+        assert peak[0] < 64 << 20
 
     def test_zero_extent_beside_unindexable_extents(self, tmp_path):
         # 0 x 2^31 x 2^31 holds no data, but numpy rejects the shape

@@ -8,9 +8,9 @@ import pytest
 
 from ferfuse.tensor import (
     LN_EPS,
-    Edge,
     Graph,
     NonFiniteError,
+    OpNode,
     ShapeError,
     Tensor,
     _SMALL_GEMM_MACS,
@@ -610,8 +610,8 @@ class TestBackward:
         root = softmax_rows(gelu(matmul(x, x)))
         graph = Graph.trace(root)
         assert [node.name for node in graph.ops] == ["matmul", "gelu", "softmax_rows"]
-        assert all(out.creator is node for node, out in zip(graph.ops, graph.outputs))
-        assert graph.outputs[-1] is root
+        assert graph.ops[-1] is root.creator
+        assert all(node.inputs[0] is prev for prev, node in zip(graph.ops, graph.ops[1:]))
 
     def test_tape_freed_by_refcount_when_loss_dropped(self):
         rng = np.random.default_rng(32)
@@ -732,10 +732,10 @@ class TestLeafGrads:
 
 
 class TestTapeOwnership:
-    """A node holds an op output's ``Edge``, never the output, so the tape
-    keeps only the arrays its VJP closures read."""
+    """A node holds the ``OpNode`` that made an op-output input, never the
+    output, so the tape keeps only the arrays its VJP closures read."""
 
-    def test_node_inputs_are_leaves_or_edges_with_what_the_benchmark_reads(self):
+    def test_node_inputs_are_leaves_or_nodes_with_what_the_benchmark_reads(self):
         # bench/tracing.py reads each input's requires_grad; bench/tests reads
         # creator and grad.
         rng = np.random.default_rng(61)
@@ -747,14 +747,14 @@ class TestTapeOwnership:
         ops = Graph.trace(root).ops
         assert [op.name for op in ops] == ["matmul", "gelu", "add", "softmax_rows"]
         assert ops[0].inputs[0] is x and ops[0].inputs[1] is w  # leaves are themselves
-        assert ops[1].inputs[0] is h.edge and ops[2].inputs[1] is h.edge  # one edge per output
-        assert ops[2].inputs[0] is y.edge and ops[3].inputs[0].creator is ops[2]
+        assert ops[1].inputs[0] is h.creator and ops[2].inputs[1] is h.creator  # the producer, twice
+        assert ops[2].inputs[0] is y.creator and ops[3].inputs[0] is ops[2]
         for op in ops:
             for t in op.inputs:
                 if t.creator is not None:
+                    assert isinstance(t, OpNode) and t.creator is t
                     assert t.requires_grad is True and t.grad is None and t.data is None
-                    assert isinstance(t, Edge)
-        assert x.edge is None and w.edge is None  # leaves get none
+        assert x.creator is None and w.creator is None  # leaves have none
 
     def test_residual_sum_freed_once_the_forward_drops_it(self):
         # An add output read only by add and layer_norm: neither VJP reads it,
