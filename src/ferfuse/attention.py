@@ -24,7 +24,6 @@ from .tensor import (
     LinearParams,
     ShapeError,
     Tensor,
-    linear,
     matmul,
     merge_heads,
     softmax_rows,
@@ -98,12 +97,12 @@ def mhsa(xs: list, ps: list, swapped: bool = False, sinks: list | None = None) -
                 f"swapped streams must share shape and heads, got {xs[0].shape} with {ps[0].heads} heads "
                 f"vs {xs[1].shape} with {ps[1].heads}"
             )
-    qs = [linear(x, p.q.w, p.q.b) for x, p in zip(xs, ps)]
+    qs = [matmul(x, p.q.w, p.q.b) for x, p in zip(xs, ps)]
     if swapped:
         qs.reverse()
     outs = []
     for x, p, q, sink in zip(xs, ps, qs, sinks if sinks is not None else [None] * len(xs)):
-        k = linear(x, p.k.w, p.k.b)
-        v = linear(x, p.v.w, p.v.b)
-        outs.append(linear(_attend(q, k, v, p.heads, sink), p.o.w, p.o.b))
+        k = matmul(x, p.k.w, p.k.b)
+        v = matmul(x, p.v.w, p.v.b)
+        outs.append(matmul(_attend(q, k, v, p.heads, sink), p.o.w, p.o.b))
     return outs

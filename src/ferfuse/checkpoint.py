@@ -38,20 +38,20 @@ from .binio import (
     write_u32,
 )
 from .model import ModelConfig, ModelParams, build_params
-from .tensor import ShapeError, Tensor
+from .tensor import ShapeError
 
 MAGIC = b"PCKPT"
 VERSION = 1
 
 
 def save_checkpoint(path, named) -> None:
-    """Write a name -> Tensor (or ndarray) mapping to ``path``."""
+    """Write a name -> Tensor mapping to ``path``."""
     with open(path, "wb") as f:
         f.write(MAGIC)
         write_u32(f, VERSION)
         write_u32(f, len(named))
         for name, t in named.items():
-            arr = np.ascontiguousarray(t.data if isinstance(t, Tensor) else t, dtype="<f8")
+            arr = np.ascontiguousarray(t.data, dtype="<f8")
             encoded = name.encode("utf-8")
             write_u32(f, len(encoded))
             f.write(encoded)
@@ -114,7 +114,6 @@ def load_into(params, path) -> None:
             )
     for name, t in params.named.items():
         t.data[...] = loaded[name]
-        t.grad = None
 
 
 def save_model(path, params: ModelParams, cfg: ModelConfig) -> None:

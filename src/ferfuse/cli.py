@@ -117,7 +117,7 @@ def resolve_config(args) -> RunConfig:
         if flag_value is not None:
             values[key] = flag_value
     values["pyramid_dims"] = _parse_dims(values["pyramid_dims"])
-    if values.get("swap_depth", None) is not None and values["swap_depth"] < 0:
+    if values.get("swap_depth") == -1:
         values["swap_depth"] = None
     cfg = RunConfig(**values)
     # Build both configs eagerly so bad values fail before any work.

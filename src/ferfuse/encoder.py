@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .attention import AttentionRecord, MsaParams, mhsa
-from .tensor import Tensor, add, gelu, layer_norm, linear
+from .tensor import Tensor, add, gelu, layer_norm, matmul
 
 
 @dataclass
@@ -65,7 +65,7 @@ def mlp(x: Tensor, layers: tuple) -> Tensor:
     """Two-layer MLP along the last axis: ``fc1``, exact GELU, then ``fc2``,
     for the ``(fc1, fc2)`` pair of ``LinearParams`` in ``layers``."""
     fc1, fc2 = layers
-    return linear(gelu(linear(x, fc1.w, fc1.b)), fc2.w, fc2.b)
+    return matmul(gelu(matmul(x, fc1.w, fc1.b)), fc2.w, fc2.b)
 
 
 def _residual_tail(x: Tensor, attn_out: Tensor, s: StreamBlockParams, rate, training, rng) -> Tensor:

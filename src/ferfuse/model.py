@@ -19,11 +19,13 @@ entry; the others run a single level at ``base_dim``.
 
 Each level holds one input projection per stream, and each block is a
 tuple of one weight set (attention, norms, MLP) per stream. Every affine
-map, from the input projections to the head, is a ``tensor.LinearParams``.
-``ModelConfig.block_sets`` names the distinct sets of a block; a two-stream
-block past the swap prefix with ``share_unswapped`` has one set, used by
-both streams. The parameters hold weights only: ``forward`` reads the swap
-depth, drop-path rate and ``pre_msa_norm`` from the config it is given.
+map, from the input projections to the head, is a ``tensor.LinearParams``
+applied as one ``tensor.matmul(x, p.w, p.b)``. ``ModelConfig.block_sets``
+names the distinct sets of a block; a two-stream block past the swap prefix
+with ``share_unswapped`` has one set, used by both streams. The parameters
+hold the weights and each ``MsaParams.heads``, fixed at build time, which
+``forward`` checks against the config; it reads the swap depth, drop-path
+rate and ``pre_msa_norm`` from the config it is given.
 
 Every learnable tensor is registered under a hierarchical dotted name
 (level0.block1.img.attn.w_q, head.w2, ...); the name -> shape map is stable
@@ -39,7 +41,7 @@ import numpy as np
 
 from .attention import MsaParams
 from .encoder import StreamBlockParams, mlp, stack_forward
-from .tensor import LinearParams, Tensor, concat, linear, mean_pool_patches
+from .tensor import LinearParams, Tensor, concat, matmul, mean_pool_patches
 
 
 @dataclass(frozen=True)
@@ -297,7 +299,7 @@ def forward(
     swap = cfg.effective_swap_depth() if cfg.layout.two_stream else 0
     pooled = []
     for i, lvl in enumerate(params.levels):
-        zs = [linear(x, proj.w, proj.b) for x, proj in zip(xs, lvl.projs)]
+        zs = [matmul(x, proj.w, proj.b) for x, proj in zip(xs, lvl.projs)]
         ys = stack_forward(zs, lvl.blocks, training, rng, swap, cfg.drop_path, cfg.pre_msa_norm, trace, level=i)
         pooled.extend(mean_pool_patches(y) for y in ys)
     return mlp(concat(pooled, axis=-1), params.head)

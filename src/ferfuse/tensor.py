@@ -339,13 +339,6 @@ class LinearParams:
     b: Tensor | None = None
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """Affine map along the last axis: x @ w (+ b), for x of shape (.., Din) or (Din,)."""
-    if w.ndim != 2:
-        raise ShapeError(f"linear weight must be 2-D, got {w.shape}")
-    return matmul(x, w, b)
-
-
 def gelu(x: Tensor) -> Tensor:
     """Gaussian error linear unit, exact form 0.5 * x * (1 + erf(x / sqrt(2)))."""
     xd = x.data
@@ -393,6 +386,8 @@ def softmax_rows(x: Tensor, factor: float = 1.0) -> Tensor:
 def cross_entropy(logits: Tensor, target: np.ndarray) -> Tensor:
     """Mean over the b rows of -sum_c target_c * log softmax(logits)_c, for
     (b, n) logits and a constant target of their shape, which gets no gradient."""
+    if logits.ndim != 2 or np.shape(target) != logits.shape:
+        raise ShapeError(f"cross_entropy needs 2-D logits and a target of their shape: {logits.shape} vs {np.shape(target)}")
     b = logits.shape[0]
     z = logits.data - logits.data.max(axis=-1, keepdims=True)
     logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))

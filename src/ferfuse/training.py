@@ -6,12 +6,12 @@ produce identical parameters, losses, and reports. Wall-clock seconds in
 the training log are the only nondeterministic output column.
 
 Ownership of parameter memory: ``init_adam_state`` (run once per
-``train_loop``) packs every parameter into one flat arena and rebinds each
-``data`` to its view. After that nothing may rebind a parameter's
-``data``; ``adam_step`` raises if one was. Copy new values into the view
-instead, as ``checkpoint.load_into`` does. ``train_loop`` sets no ``.grad``:
-it feeds ``tensor.leaf_grads`` to ``adam_step``, so a parameter gradient
-lives only until the update of its span, and the step never holds them all.
+``train_loop``) packs every parameter into one flat arena, rebinds each
+``data`` to its view and keeps the ``TrainConfig``, the one source of
+Adam's rates. After that nothing may rebind a parameter's ``data``;
+``adam_step`` raises if one was. Copy new values into the view instead, as
+``checkpoint.load_into`` does. ``train_loop`` feeds ``tensor.leaf_grads`` to
+``adam_step``, so a gradient lives only until the update of its span.
 """
 
 from __future__ import annotations
@@ -44,8 +44,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not 0 < self.learning_rate < float("inf"):
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
         if self.checkpoint_every < 0:
@@ -85,25 +85,29 @@ _ADAM_CHUNK = 1 << 14
 
 @dataclass
 class OptimizerState:
-    """Adam over a flat parameter arena.
+    """Adam over a flat arena, bound once to the parameters ``named`` and to
+    ``cfg``, whose ``learning_rate``, betas and ``adam_eps`` every step applies.
 
     ``flat`` holds the arena and the two moment buffers, each with every
     parameter end to end, in order; ``views``, ``m`` and ``v`` map each
     name to its view into them. ``spans`` lists (lo, hi, names): a run of
     consecutive tensors of at most ``_ADAM_CHUNK`` entries in all, or one
-    larger tensor.
+    larger tensor; ``where`` maps each parameter's ``id`` to (span, name).
     """
 
+    named: dict
+    cfg: TrainConfig
     flat: tuple
     views: dict
     m: dict
     v: dict
     spans: list
+    where: dict
     step: int = 0
 
 
-def init_adam_state(named) -> OptimizerState:
-    """Pack every parameter of ``named``, in order, into one arena.
+def init_adam_state(named, cfg: TrainConfig) -> OptimizerState:
+    """Pack every parameter of ``named``, in order, into one arena for Adam at ``cfg``'s rates.
 
     Each ``t.data`` is copied into the arena and rebound to its view there.
     From then on nothing may rebind a parameter's ``data``: ``adam_step``
@@ -112,7 +116,7 @@ def init_adam_state(named) -> OptimizerState:
     """
     offsets = np.cumsum([0] + [t.size for t in named.values()]).tolist()
     flat = tuple(np.zeros(offsets[-1]) for _ in range(3))
-    views, m, v, spans = {}, {}, {}, []
+    views, m, v, spans, where = {}, {}, {}, [], {}
     for (name, t), lo, hi in zip(named.items(), offsets, offsets[1:]):
         views[name], m[name], v[name] = (a[lo:hi].reshape(t.shape) for a in flat)
         views[name][...] = t.data
@@ -122,20 +126,14 @@ def init_adam_state(named) -> OptimizerState:
             spans[-1][2].append(name)
         else:
             spans.append([lo, hi, [name]])
-    return OptimizerState(flat, views, m, v, spans)
+        where[id(t)] = (len(spans) - 1, name)
+    return OptimizerState(dict(named), cfg, flat, views, m, v, spans, where)
 
 
-def adam_step(
-    named,
-    state: OptimizerState,
-    grads,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> None:
-    """One bias-corrected Adam update of ``state``'s arena, in place, from
-    ``grads``: ``(tensor, grad)`` pairs such as ``tensor.leaf_grads(loss)``.
+def adam_step(state: OptimizerState, grads) -> None:
+    """One bias-corrected Adam update of ``state``'s arena, in place, at
+    ``state.cfg``'s rates, from ``grads``: ``(tensor, grad)`` pairs such as
+    ``tensor.leaf_grads(loss)``.
 
     A span is updated, and its grads dropped, as soon as the last grad of
     its tensors arrives; spans still short of one when the pairs run out
@@ -150,22 +148,20 @@ def adam_step(
     the wrong shape, is for a tensor outside the state or is given twice.
     ``state.step`` counts the calls that updated a span.
     """
-    if named.keys() != state.views.keys():
-        raise ValueError("adam_step needs the parameters its state was built from")
-    for name, p in named.items():
+    for name, p in state.named.items():
         if p.data is not state.views[name]:
             raise ValueError(f"param {name!r} was rebound after init_adam_state; copy into its data instead")
+    lr, beta1, beta2, eps = state.cfg.learning_rate, state.cfg.beta1, state.cfg.beta2, state.cfg.adam_eps
     t = state.step + 1
     bc1 = 1.0 - beta1**t
     bc2 = 1.0 - beta2**t
     arena, m, v = state.flat
-    where = {id(named[name]): (k, name) for k, (_, _, names) in enumerate(state.spans) for name in names}
     got = [{} for _ in state.spans]  # per span, name -> grad; None once updated
 
     def update(k):
         lo, hi, names = state.spans[k]
         span, got[k] = got[k], None
-        parts = [span[name] if name in span else np.zeros(named[name].shape) for name in names]
+        parts = [span[name] if name in span else np.zeros(state.views[name].shape) for name in names]
         g = parts[0].reshape(-1) if len(parts) == 1 else np.concatenate(parts, axis=None)
         state.step = t
         for a in range(lo, hi, _ADAM_CHUNK):
@@ -173,7 +169,7 @@ def adam_step(
             _adam_update(arena[s], g[a - lo : s.stop - lo], m[s], v[s], lr, beta1, beta2, eps, bc1, bc2)
 
     for p, g in grads:
-        k, name = where.get(id(p), (None, None))
+        k, name = state.where.get(id(p), (None, None))
         if k is None:
             raise ValueError(f"gradient for a tensor of shape {p.shape} that is not a parameter of this state")
         if got[k] is None or name in got[k]:
@@ -254,7 +250,7 @@ def train_loop(
     check_fits(model_cfg, dataset)
     if params is None:
         params = build_params(model_cfg)
-    state = init_adam_state(params.named)
+    state = init_adam_state(params.named, train_cfg)
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
@@ -271,8 +267,7 @@ def train_loop(
         except NonFiniteError as e:
             raise NonFiniteError(f"non-finite loss at step {step}: {e}") from e
         # Each gradient is applied, and freed, as soon as its span is complete.
-        adam_step(params.named, state, leaf_grads(loss), train_cfg.learning_rate,
-                  train_cfg.beta1, train_cfg.beta2, train_cfg.adam_eps)
+        adam_step(state, leaf_grads(loss))
         log.append((step, loss.item(), train_cfg.learning_rate, clock() - start))
         # The loss roots this step's tape; free it before the next forward.
         del logits, loss

@@ -35,7 +35,6 @@ from ferfuse.tensor import (
     finite_diff_check,
     gelu,
     layer_norm,
-    linear,
     matmul,
     mean_pool_patches,
     scale,
@@ -94,7 +93,7 @@ def _gradient_suite():
 
     cases = [
         ("matmul", lambda: matmul(x, w), {"x": x, "w": w}, {"cotangent": c35}),
-        ("linear", lambda: linear(x, w, b), {"x": x, "w": w, "b": b}, {"cotangent": c35}),
+        ("matmul with bias", lambda: matmul(x, w, b), {"x": x, "w": w, "b": b}, {"cotangent": c35}),
         ("softmax_rows", lambda: softmax_rows(x), {"x": x}, {"cotangent": c34}),
         ("cross_entropy", lambda: cross_entropy(x, q), {"x": x}, {}),
         ("gelu", lambda: gelu(x), {"x": x}, {"cotangent": c34}),
@@ -189,8 +188,8 @@ class TestCriterion01GradientSuite:
             name for name, obj in vars(tensor).items()
             if inspect.isfunction(obj) and obj.__module__ == tensor.__name__ and not name.startswith("_")
         }
-        # linear records as matmul; the rest run or check the backward walk.
-        not_ops = {"leaf_grads", "backward", "zero_grads", "finite_diff_check", "linear"}
+        # These run or check the backward walk.
+        not_ops = {"leaf_grads", "backward", "zero_grads", "finite_diff_check"}
         assert recorded == public - not_ops
 
 

@@ -11,6 +11,7 @@ from ferfuse.checkpoint import save_checkpoint
 from ferfuse.cli import RunConfig, _add_config_flags, build_parser, main, resolve_config
 from ferfuse.data import read_features
 from ferfuse.model import ModelConfig
+from ferfuse.tensor import Tensor
 from ferfuse.training import TrainConfig
 
 
@@ -139,7 +140,7 @@ class TestTrainEval:
         for cmd in commands:
             assert run(*cmd, "--checkpoint", ckpt, "--data", cluster_file, "--out", tmp_path / "o") == 1
             assert capsys.readouterr().err == f"error: checkpoint not found: {ckpt}\n"
-        save_checkpoint(ckpt, {"w": np.zeros(2)})
+        save_checkpoint(ckpt, {"w": Tensor(np.zeros(2))})
         for cmd in commands:
             assert run(*cmd, "--checkpoint", ckpt, "--data", cluster_file, "--out", tmp_path / "o") == 1
             assert capsys.readouterr().err == f"error: missing model config sidecar: {ckpt}.json\n"
@@ -207,6 +208,14 @@ class TestTrainEval:
             assert run("train", "--data", cluster_file, "--out", out, *desk_flags(flag, value)) == 1
             assert message in capsys.readouterr().err
             assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_learning_rate_rejected(self, cluster_file, tmp_path, capsys, value):
+        out = tmp_path / "run"
+        assert run("train", "--data", cluster_file, "--out", out, *desk_flags("--steps", 2), "--lr", value) == 1
+        err = capsys.readouterr().err
+        assert "learning_rate must be finite and > 0" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_effective_config_replay_reproduces_run(self, cluster_file, tmp_path):
         out_a = tmp_path / "a"
@@ -425,7 +434,14 @@ class TestGradcheckAndParams:
 
     @pytest.mark.parametrize(
         "command,flag,value",
-        [("params", "--heads-divisor", 0), ("params", "--head-hidden", 0), ("train", "--beta1", 1), ("train", "--adam-eps", 0)],
+        [
+            ("params", "--heads-divisor", 0),
+            ("params", "--head-hidden", 0),
+            ("params", "--swap-depth", -2),
+            ("params", "--swap-depth", -7),
+            ("train", "--beta1", 1),
+            ("train", "--adam-eps", 0),
+        ],
     )
     def test_config_values_that_break_training_rejected(self, command, flag, value, tmp_path, capsys):
         out = tmp_path / "run"

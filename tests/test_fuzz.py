@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from ferfuse.binio import FileFormatError
 from ferfuse.checkpoint import load_checkpoint, save_checkpoint
 from ferfuse.data import gen_clusters, read_features, write_features
+from ferfuse.tensor import Tensor
 
 FUZZ = settings(derandomize=True, max_examples=300, database=None, deadline=None)
 
@@ -48,7 +49,7 @@ def files(tmp_path_factory):
     ]
     named = {"w": np.arange(6.0).reshape(2, 3), "bias": np.ones(3), "scale": np.array(2.0), "é": np.zeros((1, 1, 2))}
     pckpt = root / "small.pckpt"
-    save_checkpoint(pckpt, named)
+    save_checkpoint(pckpt, {name: Tensor(arr) for name, arr in named.items()})
     return {
         "root": root,
         "pfer": (pfer.read_bytes(), list(range(PFER_HEADER)) + label_bytes, read_features),

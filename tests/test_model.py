@@ -17,7 +17,7 @@ from ferfuse.model import (
     estimate_flops,
     forward,
 )
-from ferfuse.tensor import Graph, ShapeError, Tensor, concat, finite_diff_check, gelu, leaf_grads, linear, mean_pool_patches
+from ferfuse.tensor import Graph, ShapeError, Tensor, concat, finite_diff_check, gelu, leaf_grads, matmul, mean_pool_patches
 from ferfuse.data import gen_clusters
 from ferfuse.training import TrainConfig, adam_step, init_adam_state, label_smoothing_ce, train_loop
 from helpers import fed_fifo, msa_tensor, stream_tensor, traced_peak
@@ -99,14 +99,14 @@ class TestProjectLevels:
         proj.w.data = np.eye(32)
         proj.b.data = np.zeros(32)
         x = Tensor(np.random.default_rng(0).standard_normal((8, 32)))
-        out = linear(x, proj.w, proj.b)
+        out = matmul(x, proj.w, proj.b)
         assert np.allclose(out.data, x.data, atol=1e-15)
 
     def test_level_widths(self):
         cfg = desk_config()
         params = build_params(cfg)
         x = Tensor(np.random.default_rng(1).standard_normal((8, 32)))
-        outs = [linear(x, lvl.projs[0].w, lvl.projs[0].b) for lvl in params.levels]
+        outs = [matmul(x, lvl.projs[0].w, lvl.projs[0].b) for lvl in params.levels]
         assert [o.shape for o in outs] == [(8, 32), (8, 16), (8, 8)]
 
     def test_projection_gradients(self):
@@ -118,7 +118,7 @@ class TestProjectLevels:
         c = rng.standard_normal((4, 16))
 
         def f():
-            return linear(x, proj.w, proj.b)
+            return matmul(x, proj.w, proj.b)
 
         assert finite_diff_check(f, {"w": proj.w, "b": proj.b}, samples_per_param=20, cotangent=c).passed
 
@@ -236,14 +236,14 @@ class TestPosterForward:
 
         pooled = []
         for lvl in params.levels:
-            zi = linear(xi, lvl.projs[0].w, lvl.projs[0].b)
-            zl = linear(xl, lvl.projs[1].w, lvl.projs[1].b)
+            zi = matmul(xi, lvl.projs[0].w, lvl.projs[0].b)
+            zl = matmul(xl, lvl.projs[1].w, lvl.projs[1].b)
             yi, yl = stack_forward([zi, zl], lvl.blocks, training=False, swap_depth=cfg.depth)
             pooled.append(mean_pool_patches(yi))
             pooled.append(mean_pool_patches(yl))
         feat = concat(pooled, axis=-1)
         h = params.head
-        want = linear(gelu(linear(feat, h[0].w, h[0].b)), h[1].w, h[1].b).data
+        want = matmul(gelu(matmul(feat, h[0].w, h[0].b)), h[1].w, h[1].b).data
         assert np.max(np.abs(got - want)) < 1e-12
 
     def test_desk_training_step_records_233_ops(self):
@@ -384,7 +384,7 @@ class TestBaselineForward:
         proj = fused @ params.levels[0].projs[0].w.data + params.levels[0].projs[0].b.data
         feat = Tensor(proj.mean(axis=0))
         h = params.head
-        want = linear(gelu(linear(feat, h[0].w, h[0].b)), h[1].w, h[1].b).data
+        want = matmul(gelu(matmul(feat, h[0].w, h[0].b)), h[1].w, h[1].b).data
         assert np.max(np.abs(got - want)) < 1e-12
 
     def test_zero_encoder_weights_give_head_of_mean_fused_input(self):
@@ -401,7 +401,7 @@ class TestBaselineForward:
         got = forward(Tensor(xi), Tensor(xl), params, cfg, training=False).data
         feat = Tensor(np.concatenate([xi, xl], axis=0).mean(axis=0))
         h = params.head
-        want = linear(gelu(linear(feat, h[0].w, h[0].b)), h[1].w, h[1].b).data
+        want = matmul(gelu(matmul(feat, h[0].w, h[0].b)), h[1].w, h[1].b).data
         assert np.max(np.abs(got - want)) < 1e-12
 
     def test_matches_hand_composition(self):
@@ -414,11 +414,11 @@ class TestBaselineForward:
         fused = concat((xi, xl), axis=-2)
         pooled = []
         for lvl in params.levels:
-            z = linear(fused, lvl.projs[0].w, lvl.projs[0].b)
+            z = matmul(fused, lvl.projs[0].w, lvl.projs[0].b)
             y = stack_forward([z], lvl.blocks, training=False)[0]
             pooled.append(mean_pool_patches(y))
         h = params.head
-        want = linear(gelu(linear(concat(pooled, axis=-1), h[0].w, h[0].b)), h[1].w, h[1].b).data
+        want = matmul(gelu(matmul(concat(pooled, axis=-1), h[0].w, h[0].b)), h[1].w, h[1].b).data
         assert np.max(np.abs(got - want)) < 1e-12
 
 
@@ -448,10 +448,10 @@ class TestSingleStreamForward:
         xi = Tensor(rng.standard_normal((8, 32)))
         got = forward(xi, Tensor(np.zeros((8, 32))), params, cfg, False).data
         lvl = params.levels[0]
-        z = linear(xi, lvl.projs[0].w, lvl.projs[0].b)
+        z = matmul(xi, lvl.projs[0].w, lvl.projs[0].b)
         y = stack_forward([z], lvl.blocks, training=False)[0]
         h = params.head
-        want = linear(gelu(linear(mean_pool_patches(y), h[0].w, h[0].b)), h[1].w, h[1].b).data
+        want = matmul(gelu(matmul(mean_pool_patches(y), h[0].w, h[0].b)), h[1].w, h[1].b).data
         assert np.max(np.abs(got - want)) < 1e-12
 
 
@@ -643,7 +643,7 @@ class TestCheckpoint:
 
     def test_name_not_utf8(self, tmp_path):
         path = tmp_path / "model.pckpt"
-        save_checkpoint(path, {"a": np.zeros(2), "b": np.ones(3)})
+        save_checkpoint(path, {"a": Tensor(np.zeros(2)), "b": Tensor(np.ones(3))})
         raw = bytearray(path.read_bytes())
         raw[raw.index(b"b")] = 0xFF  # a lone 0xFF never starts a UTF-8 sequence
         path.write_bytes(bytes(raw))
@@ -658,7 +658,7 @@ class TestCheckpoint:
         path = tmp_path / "model.pckpt"
         save_checkpoint(path, params.named)
         dup = tmp_path / "dup.pckpt"
-        save_checkpoint(dup, {"level0.proj.w": params.named["level0.proj.w"].data + 1.0})
+        save_checkpoint(dup, {"level0.proj.w": Tensor(params.named["level0.proj.w"].data + 1.0)})
         raw = bytearray(path.read_bytes())
         count = len(params.named)
         raw[9:13] = (count + 1).to_bytes(4, "little")
@@ -671,7 +671,7 @@ class TestCheckpoint:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_data_named(self, tmp_path, bad):
         path = tmp_path / "model.pckpt"
-        save_checkpoint(path, {"a": np.zeros(2), "b": np.ones(3)})
+        save_checkpoint(path, {"a": Tensor(np.zeros(2)), "b": Tensor(np.ones(3))})
         raw = path.read_bytes()
         path.write_bytes(raw[:-8] + np.array([bad], dtype="<f8").tobytes())
         with pytest.raises(BadFieldError, match=r"tensor 1 \(b\) contains NaN/Inf"):
@@ -683,12 +683,12 @@ class TestCheckpoint:
         path = tmp_path / "model.pckpt"
         save_checkpoint(path, source.named)
         target = build_params(desk_config(pyramid_dims=(16, 8), base_dim=16, patches=4, seed=5))
-        state = init_adam_state(target.named)
+        state = init_adam_state(target.named, TrainConfig(learning_rate=1e-3))
         load_into(target, path)
         for name, t in target.named.items():
             assert t.data is state.views[name]
             assert np.array_equal(t.data, source.named[name].data)
-        adam_step(target.named, state, [(t, np.ones_like(t.data)) for t in target.named.values()], lr=1e-3)
+        adam_step(state, [(t, np.ones_like(t.data)) for t in target.named.values()])
         assert not np.array_equal(target.named["head.w1"].data, source.named["head.w1"].data)
 
     def test_truncated_payload(self, tmp_path):

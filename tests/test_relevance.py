@@ -93,7 +93,6 @@ class TestCaptureAttention:
         from ferfuse.tensor import (
             add,
             layer_norm,
-            linear,
             matmul,
             mean_pool_patches,
             concat,
@@ -116,9 +115,9 @@ class TestCaptureAttention:
 
         lvl = params.levels[0]
         block = lvl.blocks[0]
-        xi = linear(Tensor(xi_raw), lvl.projs[0].w, lvl.projs[0].b)
-        xl = linear(Tensor(xl_raw), lvl.projs[1].w, lvl.projs[1].b)
-        v_img = linear(xi, block[0].msa.v.w, block[0].msa.v.b)
+        xi = matmul(Tensor(xi_raw), lvl.projs[0].w, lvl.projs[0].b)
+        xl = matmul(Tensor(xl_raw), lvl.projs[1].w, lvl.projs[1].b)
+        v_img = matmul(xi, block[0].msa.v.w, block[0].msa.v.b)
         vh = split_heads(v_img, 1)  # one head
 
         # the landmark stream does not depend on the image attention weights,
@@ -136,13 +135,13 @@ class TestCaptureAttention:
 
         def f():
             mixed = merge_heads(matmul(a_leaf, vh))
-            att = linear(mixed, s.msa.o.w, s.msa.o.b)
+            att = matmul(mixed, s.msa.o.w, s.msa.o.b)
             x1 = add(att, xi)
-            m = linear(gelu(linear(layer_norm(x1, s.norm2_gamma, s.norm2_beta), s.mlp[0].w, s.mlp[0].b)), s.mlp[1].w, s.mlp[1].b)
+            m = matmul(gelu(matmul(layer_norm(x1, s.norm2_gamma, s.norm2_beta), s.mlp[0].w, s.mlp[0].b)), s.mlp[1].w, s.mlp[1].b)
             out_img = add(m, x1)
             feat = concat((mean_pool_patches(out_img), lm_pooled_const), axis=-1)
             h = params.head
-            return linear(gelu(linear(feat, h[0].w, h[0].b)), h[1].w, h[1].b)
+            return matmul(gelu(matmul(feat, h[0].w, h[0].b)), h[1].w, h[1].b)
 
         # reconstruction reproduces the full forward's target logit
         assert f().data[target] == pytest.approx(float(logits_full.data[target]), abs=1e-12)

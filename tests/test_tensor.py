@@ -24,7 +24,6 @@ from ferfuse.tensor import (
     gelu,
     layer_norm,
     leaf_grads,
-    linear,
     matmul,
     mean_pool_patches,
     merge_heads,
@@ -303,6 +302,12 @@ class TestCrossEntropy:
         q = rng.dirichlet(np.ones(5), size=2)
         assert finite_diff_check(lambda: cross_entropy(x, q), {"x": x}).passed
 
+    @pytest.mark.parametrize("logits,target", [((4, 3), (3,)), ((4, 3), ()), ((4, 3), (1, 3)), ((3,), (3,)), ((2, 4, 3), (2, 4, 3))])
+    def test_logits_not_2d_or_target_of_another_shape_rejected(self, logits, target):
+        # Without the check each of these broadcasts or flattens into a loss.
+        with pytest.raises(ShapeError, match="cross_entropy"):
+            cross_entropy(Tensor(np.zeros(logits)), np.full(target, 1.0 / 3))
+
     @pytest.mark.parametrize("b,n", [(1, 2), (3, 5), (8, 7), (64, 7)])
     @pytest.mark.parametrize("smoothing", [0.0, 0.1])
     def test_loss_and_grad_bitwise_equal_the_four_op_chain(self, b, n, smoothing):
@@ -358,11 +363,11 @@ class TestLayerNorm:
 class TestLinear:
     def test_identity_weight(self):
         x = Tensor([[1.0, -2.0], [0.5, 3.0]])
-        out = linear(x, Tensor(np.eye(2)), Tensor(np.zeros(2)))
+        out = matmul(x, Tensor(np.eye(2)), Tensor(np.zeros(2)))
         assert np.array_equal(out.data, x.data)
 
     def test_hand_arithmetic(self):
-        out = linear(Tensor([1.0, 1.0]), Tensor([[2.0], [3.0]]), Tensor([1.0]))
+        out = matmul(Tensor([1.0, 1.0]), Tensor([[2.0], [3.0]]), Tensor([1.0]))
         assert np.array_equal(out.data, [6.0])
 
     def test_batched_equals_per_row(self):
@@ -371,7 +376,7 @@ class TestLinear:
             x = rng.standard_normal((4, 3))
             w = rng.standard_normal((3, 5))
             b = rng.standard_normal(5)
-            got = linear(Tensor(x), Tensor(w), Tensor(b)).data
+            got = matmul(Tensor(x), Tensor(w), Tensor(b)).data
             for i in range(4):
                 want = np.array([float(x[i] @ w[:, j]) + b[j] for j in range(5)])
                 assert np.max(np.abs(got[i] - want)) < 1e-10
@@ -381,19 +386,19 @@ class TestLinear:
         x = Tensor(rng.standard_normal(3), requires_grad=True)
         w = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
         b = Tensor(rng.standard_normal(4), requires_grad=True)
-        y = linear(x, w, b)
+        y = matmul(x, w, b)
         assert [node.name for node in Graph.trace(y).ops] == ["matmul"]
-        row = linear(Tensor(x.data.reshape(1, 3)), w, b)
+        row = matmul(Tensor(x.data.reshape(1, 3)), w, b)
         assert y.shape == (4,) and np.array_equal(y.data, row.data[0])
 
     def test_no_bias(self):
         x = Tensor([[1.0, 2.0]])
         w = Tensor([[1.0], [1.0]])
-        assert np.array_equal(linear(x, w).data, [[3.0]])
+        assert np.array_equal(matmul(x, w).data, [[3.0]])
 
     def test_shape_error(self):
         with pytest.raises(ShapeError):
-            linear(Tensor([[1.0, 2.0, 3.0]]), Tensor(np.zeros((2, 2))))
+            matmul(Tensor([[1.0, 2.0, 3.0]]), Tensor(np.zeros((2, 2))))
 
     def test_gradients(self):
         rng = np.random.default_rng(13)
@@ -403,7 +408,7 @@ class TestLinear:
         c = rng.standard_normal((2, 4))
 
         def f():
-            return linear(x, w, b)
+            return matmul(x, w, b)
 
         assert finite_diff_check(f, {"x": x, "w": w, "b": b}, cotangent=c).passed
 
@@ -473,7 +478,7 @@ class TestElementwiseAndStructural:
         c = np.random.default_rng(15).standard_normal((2, 3))
 
         def f():
-            return add(scale(linear(x, w, b), 2.0), linear(x, w, b))
+            return add(scale(matmul(x, w, b), 2.0), matmul(x, w, b))
 
         assert finite_diff_check(f, {"x": x, "w": w, "b": b}, cotangent=c).passed
 
@@ -789,7 +794,7 @@ class TestPurityAndFiniteness:
 
         def chain():
             t = Tensor(x)
-            y = gelu(linear(t, Tensor(w)))
+            y = gelu(matmul(t, Tensor(w)))
             return softmax_rows(y).data
 
         assert np.array_equal(chain(), chain())

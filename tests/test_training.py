@@ -46,14 +46,14 @@ def backward_then_update(cfg, tcfg, ds):
     """``train_loop``'s steps with every gradient held at once: the whole
     ``leaf_grads`` walk into a list, then one ``adam_step`` over all of them."""
     params = build_params(cfg)
-    state = init_adam_state(params.named)
+    state = init_adam_state(params.named, tcfg)
     losses = []
     for step in range(1, tcfg.steps + 1):
         rng = _step_rng(tcfg.seed, step)
         x_img, x_lm, labels = _batch_tensors(ds, rng.choice(len(ds), size=min(tcfg.batch_size, len(ds)), replace=False))
         loss = label_smoothing_ce(forward(x_img, x_lm, params, cfg, training=True, rng=rng), labels, cfg.label_smoothing)
         grads = list(leaf_grads(loss))
-        adam_step(params.named, state, grads, tcfg.learning_rate, tcfg.beta1, tcfg.beta2, tcfg.adam_eps)
+        adam_step(state, grads)
         losses.append(loss.item())
         del loss, grads
     return state, losses
@@ -63,8 +63,8 @@ def train_with_state(cfg, tcfg, ds, monkeypatch):
     """``train_loop``'s result and the optimizer state it built."""
     states = []
 
-    def capture(named):
-        states.append(init_adam_state(named))
+    def capture(named, cfg):
+        states.append(init_adam_state(named, cfg))
         return states[-1]
 
     monkeypatch.setattr(training, "init_adam_state", capture)
@@ -137,16 +137,16 @@ class TestAdam:
     def test_zero_gradient_leaves_params_unchanged(self):
         t = Tensor(np.array([1.0, 2.0]), requires_grad=True)
         named = {"t": t}
-        state = init_adam_state(named)
-        adam_step(named, state, [(t, np.zeros(2))], lr=0.1)
+        state = init_adam_state(named, TrainConfig(learning_rate=0.1))
+        adam_step(state, [(t, np.zeros(2))])
         assert np.array_equal(t.data, [1.0, 2.0])
 
     def test_first_step_is_signed_lr(self):
         for g in (3.0, -0.25):
             t = Tensor(np.array([1.0]), requires_grad=True)
             named = {"t": t}
-            state = init_adam_state(named)
-            adam_step(named, state, [(t, np.array([g]))], lr=0.01)
+            state = init_adam_state(named, TrainConfig(learning_rate=0.01))
+            adam_step(state, [(t, np.array([g]))])
             # bias-corrected first step is -lr * g / (|g| + eps) ~ -lr * sign(g)
             assert t.data[0] == pytest.approx(1.0 - 0.01 * np.sign(g), abs=1e-6)
 
@@ -154,11 +154,11 @@ class TestAdam:
         target = np.array([3.0, -2.0, 0.5])
         t = Tensor(np.zeros(3), requires_grad=True)
         named = {"t": t}
-        state = init_adam_state(named)
+        state = init_adam_state(named, TrainConfig(learning_rate=0.05))
         losses = []
         for _ in range(10):
             losses.append(float(((t.data - target) ** 2).sum()))
-            adam_step(named, state, [(t, 2.0 * (t.data - target))], lr=0.05)
+            adam_step(state, [(t, 2.0 * (t.data - target))])
         diffs = np.diff(losses)
         assert np.all(diffs < 0)
 
@@ -167,13 +167,14 @@ class TestAdam:
         rng = np.random.default_rng(41)
         t = Tensor(rng.standard_normal(shape), requires_grad=True)
         named = {"t": t}
-        state = init_adam_state(named)
+        # Rates away from the defaults, so a step that ignores state.cfg fails.
+        lr, b1, b2, eps = 1e-3, 0.8, 0.99, 1e-3
+        state = init_adam_state(named, TrainConfig(learning_rate=lr, beta1=b1, beta2=b2, adam_eps=eps))
         data = t.data
         p, m, v = t.data.copy(), np.zeros(shape), np.zeros(shape)
-        lr, b1, b2, eps = 1e-3, 0.9, 0.999, 1e-8
         for step in range(1, 6):
             g = rng.standard_normal(shape)
-            adam_step(named, state, [(t, g)], lr, b1, b2, eps)
+            adam_step(state, [(t, g)])
             m = b1 * m + (1.0 - b1) * g
             v = b2 * v + (1.0 - b2) * g * g
             p = p - lr * (m / (1.0 - b1**step)) / (np.sqrt(v / (1.0 - b2**step)) + eps)
@@ -185,14 +186,14 @@ class TestAdam:
         rng = np.random.default_rng(42)
         shapes = {"a": (3, 4), "big": (3, _ADAM_CHUNK // 2 + 5), "s": (), "b": (7,), "none": (2, 2), "c": (5, 6)}
         named = {name: Tensor(rng.standard_normal(shape), requires_grad=True) for name, shape in shapes.items()}
-        state = init_adam_state(named)
+        lr, b1, b2, eps = 2e-3, 0.85, 0.95, 1e-4  # not the defaults
+        state = init_adam_state(named, TrainConfig(learning_rate=lr, beta1=b1, beta2=b2, adam_eps=eps))
         assert isinstance(state, OptimizerState)
         held = {name: t.data for name, t in named.items()}
         ref = {name: (t.data.copy(), np.zeros(t.shape), np.zeros(t.shape)) for name, t in named.items()}
-        lr, b1, b2, eps = 1e-3, 0.9, 0.999, 1e-8
         for step in range(1, 6):
             grads = {name: rng.standard_normal(t.shape) for name, t in named.items() if name != "none"}
-            adam_step(named, state, [(named[name], g) for name, g in grads.items()], lr, b1, b2, eps)
+            adam_step(state, [(named[name], g) for name, g in grads.items()])
             for name, t in named.items():
                 g = grads.get(name, np.zeros(t.shape))
                 p, m, v = ref[name]
@@ -208,25 +209,19 @@ class TestAdam:
         # "a" is a span of its own, ahead of "b": it is not updated either.
         a = Tensor(np.ones(_ADAM_CHUNK + 1), requires_grad=True)
         named = {"a": a, "b": Tensor(np.ones(2), requires_grad=True)}
-        state = init_adam_state(named)
+        state = init_adam_state(named, TrainConfig(learning_rate=0.1))
         named["b"].data = np.ones(2)
         with pytest.raises(ValueError, match="'b' was rebound"):
-            adam_step(named, state, [(a, np.ones(a.shape)), (named["b"], np.ones(2))], lr=0.1)
+            adam_step(state, [(a, np.ones(a.shape)), (named["b"], np.ones(2))])
         assert state.step == 0 and np.all(a.data == 1.0)
         assert not state.flat[1].any() and not state.flat[2].any()
         named["b"].data = state.views["b"]
         named["b"].data[...] = 2.0  # copying into the view is the supported way
-        adam_step(named, state, [], lr=0.1)
-
-    def test_other_parameters_rejected(self):
-        named = {"a": Tensor(np.ones(3), requires_grad=True)}
-        state = init_adam_state(named)
-        with pytest.raises(ValueError, match="parameters its state was built from"):
-            adam_step({"z": named["a"]}, state, [], lr=0.1)
+        adam_step(state, [])
 
     def test_moment_shapes_mirror_params(self):
         t = Tensor(np.zeros((2, 3)), requires_grad=True)
-        state = init_adam_state({"t": t})
+        state = init_adam_state({"t": t}, TrainConfig())
         assert state.m["t"].shape == (2, 3)
         assert state.v["t"].shape == (2, 3)
 
@@ -234,7 +229,7 @@ class TestAdam:
         big = Tensor(np.ones(_ADAM_CHUNK + 3), requires_grad=True)
         a, b = Tensor(np.ones(2), requires_grad=True), Tensor(np.ones(3), requires_grad=True)
         named = {"big": big, "a": a, "b": b}
-        state = init_adam_state(named)
+        state = init_adam_state(named, TrainConfig(learning_rate=0.1))
         seen = []
 
         def grads():
@@ -245,7 +240,7 @@ class TestAdam:
             yield b, np.ones(3)
             seen.append(a.data[0])
 
-        adam_step(named, state, grads(), lr=0.1)
+        adam_step(state, grads())
         assert seen[0] == (pytest.approx(0.9), 1)
         assert seen[1] == 1.0 and seen[2] == pytest.approx(0.9)
 
@@ -254,9 +249,9 @@ class TestAdam:
         big = Tensor(np.ones(_ADAM_CHUNK + 1), requires_grad=True)
         a, b = Tensor(np.ones(2), requires_grad=True), Tensor(np.ones(3), requires_grad=True)
         named = {"big": big, "a": a, "b": b}
-        state = init_adam_state(named)
+        state = init_adam_state(named, TrainConfig(learning_rate=0.1))
         with pytest.raises(ValueError, match="gradient shape"):
-            adam_step(named, state, [(big, np.ones(big.shape)), (a, np.ones(2)), (b, np.ones(2))], lr=0.1)
+            adam_step(state, [(big, np.ones(big.shape)), (a, np.ones(2)), (b, np.ones(2))])
         assert state.step == 1 and big.data[0] == pytest.approx(0.9)
         assert np.all(a.data == 1.0) and np.all(b.data == 1.0) and not state.m["a"].any()
 
@@ -264,18 +259,18 @@ class TestAdam:
     def test_grad_outside_the_state_or_given_twice_rejected(self, case):
         t, u = Tensor(np.ones(2), requires_grad=True), Tensor(np.ones(3), requires_grad=True)
         named = {"t": t, "u": u}
-        state = init_adam_state(named)
+        state = init_adam_state(named, TrainConfig(learning_rate=0.1))
         other = Tensor(np.ones(2), requires_grad=True) if case == "outside" else t
         with pytest.raises(ValueError, match="not a parameter of this state" if case == "outside" else "'t' given twice"):
-            adam_step(named, state, [(t, np.ones(2)), (other, np.ones(2))], lr=0.1)
+            adam_step(state, [(t, np.ones(2)), (other, np.ones(2))])
         assert state.step == 0 and np.all(t.data == 1.0)
 
     def test_shape_mismatch_rejected(self):
         t = Tensor(np.ones(2), requires_grad=True)
         named = {"t": t}
-        state = init_adam_state(named)
+        state = init_adam_state(named, TrainConfig(learning_rate=0.1))
         with pytest.raises(ValueError, match="gradient shape"):
-            adam_step(named, state, [(t, np.ones(3))], lr=0.1)
+            adam_step(state, [(t, np.ones(3))])
         assert state.step == 0 and np.all(t.data == 1.0) and not state.m["t"].any() and not state.v["t"].any()
 
 
@@ -357,7 +352,8 @@ class TestTrainLoop:
 
     @pytest.mark.parametrize(
         "field,value",
-        [("beta1", 1.0), ("beta1", -0.1), ("beta2", 1.5), ("beta2", 1.0), ("adam_eps", 0.0), ("adam_eps", -1e-8)],
+        [("beta1", 1.0), ("beta1", -0.1), ("beta2", 1.5), ("beta2", 1.0), ("adam_eps", 0.0), ("adam_eps", -1e-8),
+         ("learning_rate", 0.0), ("learning_rate", -0.1), ("learning_rate", math.nan), ("learning_rate", math.inf)],
     )
     def test_adam_hyperparameters_validated(self, field, value):
         with pytest.raises(ValueError, match=field):
