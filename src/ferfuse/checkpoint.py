@@ -9,8 +9,8 @@
         f64 LE        row-major data
 
 Names are unique and data is finite. Round trips are bitwise lossless.
-Loading into an existing parameter set checks names and shapes and reports
-the first mismatch by name.
+Loading a model checks names and shapes against its config and reports the
+first mismatch by name.
 
 A model file is a checkpoint plus its ``ModelConfig`` as JSON in a sidecar
 named ``<checkpoint>.json``; ``save_model`` and ``load_model`` are the only
@@ -93,29 +93,6 @@ def load_checkpoint(path) -> "OrderedDict[str, np.ndarray]":
     return out
 
 
-def load_into(params, path) -> None:
-    """Load a checkpoint into a ModelParams, matching names and shapes.
-
-    Copies into each parameter's existing array, so views into an Adam
-    arena (``training.init_adam_state``) keep reading the loaded values.
-    Raises ShapeError naming the offending tensor on any dimension
-    mismatch, and KeyError on missing or unexpected names.
-    """
-    loaded = load_checkpoint(path)
-    missing = [n for n in params.named if n not in loaded]
-    extra = [n for n in loaded if n not in params.named]
-    if missing or extra:
-        raise KeyError(f"{path}: checkpoint name mismatch, missing {missing}, unexpected {extra}")
-    for name, t in params.named.items():
-        arr = loaded[name]
-        if arr.shape != t.data.shape:
-            raise ShapeError(
-                f"{path}: tensor {name!r} has shape {arr.shape}, model expects {t.data.shape}"
-            )
-    for name, t in params.named.items():
-        t.data[...] = loaded[name]
-
-
 def save_model(path, params: ModelParams, cfg: ModelConfig) -> None:
     """Write ``params`` to ``path`` and ``cfg`` to the sidecar ``<path>.json``."""
     save_checkpoint(path, params.named)
@@ -123,9 +100,11 @@ def save_model(path, params: ModelParams, cfg: ModelConfig) -> None:
 
 
 def load_model(path) -> tuple:
-    """Build the model the sidecar of ``path`` describes and load ``path``
-    into it; returns ``(params, cfg)``. Raises FileNotFoundError naming the
-    checkpoint or the sidecar when either is missing."""
+    """Build the model the sidecar of ``path`` describes from the arrays of
+    ``path``, drawing nothing; returns ``(params, cfg)``. Raises
+    FileNotFoundError naming the checkpoint or the sidecar when either is
+    missing, and KeyError or ShapeError, naming ``path``, when the
+    checkpoint does not fit the config."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"checkpoint not found: {path}")
@@ -134,6 +113,7 @@ def load_model(path) -> tuple:
         raise FileNotFoundError(f"missing model config sidecar: {sidecar}")
     with open(sidecar) as f:
         cfg = ModelConfig.from_dict(json.load(f))
-    params = build_params(cfg)
-    load_into(params, path)
-    return params, cfg
+    try:
+        return build_params(cfg, load_checkpoint(path)), cfg
+    except (KeyError, ShapeError) as e:
+        raise type(e)(f"{path}: {e.args[0]}") from None

@@ -93,8 +93,8 @@ def gen_clusters(
 ) -> FeatureDataset:
     """Per-class random prototypes plus Gaussian noise, one prototype per
     stream. At sigma 0 a nearest-prototype rule is perfect."""
-    if sigma < 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
+    if not 0 <= sigma < float("inf"):
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
     for name, value, least in (("num_classes", num_classes, 2), ("per_class", per_class, 1),
                                ("patches", patches, 1), ("dim", dim, 1)):
         if value < least:
@@ -157,8 +157,8 @@ def gen_xor(
     bit is independent of the label. ``per_class`` must be even to keep
     that balance exact.
     """
-    if sigma < 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
+    if not 0 <= sigma < float("inf"):
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
     if per_class % 2 != 0:
         raise ValueError(f"per_class must be even for exact stream balance, got {per_class}")
     for name, value, least in (("per_class", per_class, 2), ("patches", patches, 1), ("dim", dim, 2)):

@@ -41,7 +41,7 @@ import numpy as np
 
 from .attention import MsaParams
 from .encoder import StreamBlockParams, mlp, stack_forward
-from .tensor import LinearParams, Tensor, concat, matmul, mean_pool_patches
+from .tensor import LinearParams, ShapeError, Tensor, concat, matmul, mean_pool_patches
 
 
 @dataclass(frozen=True)
@@ -188,83 +188,119 @@ class ModelParams:
 
 
 def trunc_normal(rng: np.random.Generator, shape) -> np.ndarray:
-    """Normal samples redrawn until within +-2 sigma, then scaled by 0.02."""
+    """Normal samples redrawn until within +-2 sigma, then scaled by 0.02. Each
+    round re-checks only what it redrew, drawing what a whole-array rescan would."""
     out = rng.standard_normal(shape)
-    bad = np.abs(out) > 2.0
-    while bad.any():
-        out[bad] = rng.standard_normal(int(bad.sum()))
-        bad = np.abs(out) > 2.0
-    return out * 0.02
+    flat = out.reshape(-1)
+    bad = np.flatnonzero(np.abs(flat) > 2.0)
+    while bad.size:
+        redrawn = rng.standard_normal(bad.size)
+        flat[bad] = redrawn
+        bad = bad[np.abs(redrawn) > 2.0]
+    out *= 0.02
+    return out
 
 
 class _Registry:
-    def __init__(self):
-        self.named: OrderedDict[str, Tensor] = OrderedDict()
+    """Registers each learnable tensor under its name, in build order. A
+    fresh build makes each array by its init rule (``self.normal``,
+    ``np.zeros`` or ``np.ones``); a load takes it from ``weights`` and
+    draws nothing."""
 
-    def add(self, name: str, arr: np.ndarray) -> Tensor:
+    def __init__(self, seed: int, weights):
+        self.named: OrderedDict[str, Tensor] = OrderedDict()
+        self.shapes: dict = {}
+        self.rng = np.random.default_rng([seed, 1])
+        self.weights = weights
+
+    def normal(self, shape) -> np.ndarray:
+        return trunc_normal(self.rng, shape)
+
+    def add(self, name: str, shape: tuple, init) -> Tensor:
         if name in self.named:
             raise ValueError(f"duplicate parameter name {name!r}")
-        t = Tensor(arr, requires_grad=True)
+        self.shapes[name] = shape
+        # A missing name gets an empty placeholder; check_weights raises before it is read.
+        arr = init(shape) if self.weights is None else self.weights.get(name, np.zeros(0))
+        # Drawn and filled arrays are finite by construction; only given ones are screened.
+        t = Tensor(arr, requires_grad=True, screen=self.weights is not None)
         self.named[name] = t
         return t
 
+    def check_weights(self) -> None:
+        """KeyError on missing or unexpected names, else ShapeError naming
+        the first tensor whose loaded shape is not the model's."""
+        missing = [n for n in self.named if n not in self.weights]
+        extra = [n for n in self.weights if n not in self.named]
+        if missing or extra:
+            raise KeyError(f"checkpoint name mismatch, missing {missing}, unexpected {extra}")
+        for name, shape in self.shapes.items():
+            if self.weights[name].shape != shape:
+                raise ShapeError(f"tensor {name!r} has shape {self.weights[name].shape}, model expects {shape}")
 
-def _init_linear(reg, prefix, din, dout, rng, tag="") -> LinearParams:
-    w = reg.add(f"{prefix}.w{tag}", trunc_normal(rng, (din, dout)))
-    b = reg.add(f"{prefix}.b{tag}", np.zeros(dout))
+
+def _init_linear(reg, prefix, din, dout, tag="") -> LinearParams:
+    w = reg.add(f"{prefix}.w{tag}", (din, dout), reg.normal)
+    b = reg.add(f"{prefix}.b{tag}", (dout,), np.zeros)
     return LinearParams(w, b)
 
 
-def _init_mlp(reg, prefix, din, hidden, dout, rng) -> tuple:
-    return _init_linear(reg, prefix, din, hidden, rng, "1"), _init_linear(reg, prefix, hidden, dout, rng, "2")
+def _init_mlp(reg, prefix, din, hidden, dout) -> tuple:
+    return _init_linear(reg, prefix, din, hidden, "1"), _init_linear(reg, prefix, hidden, dout, "2")
 
 
-def _init_msa(reg, prefix, dim, heads, rng, qkv_bias) -> MsaParams:
+def _init_msa(reg, prefix, dim, heads, qkv_bias) -> MsaParams:
     # All four weights are registered (and drawn) before the biases; the
     # output projection always carries a bias.
     tags = ("q", "k", "v", "o")
-    ws = [reg.add(f"{prefix}.w_{t}", trunc_normal(rng, (dim, dim))) for t in tags]
-    bs = [reg.add(f"{prefix}.b_{t}", np.zeros(dim)) if qkv_bias or t == "o" else None for t in tags]
+    ws = [reg.add(f"{prefix}.w_{t}", (dim, dim), reg.normal) for t in tags]
+    bs = [reg.add(f"{prefix}.b_{t}", (dim,), np.zeros) if qkv_bias or t == "o" else None for t in tags]
     return MsaParams(heads, *(LinearParams(w, b) for w, b in zip(ws, bs)))
 
 
-def _init_stream(reg, prefix, msa, dim, ratio, rng) -> StreamBlockParams:
+def _init_stream(reg, prefix, msa, dim, ratio) -> StreamBlockParams:
     return StreamBlockParams(
         msa=msa,
-        norm1_gamma=reg.add(f"{prefix}.norm1.gamma", np.ones(dim)),
-        norm1_beta=reg.add(f"{prefix}.norm1.beta", np.zeros(dim)),
-        norm2_gamma=reg.add(f"{prefix}.norm2.gamma", np.ones(dim)),
-        norm2_beta=reg.add(f"{prefix}.norm2.beta", np.zeros(dim)),
-        mlp=_init_mlp(reg, f"{prefix}.mlp", dim, ratio * dim, dim, rng),
+        norm1_gamma=reg.add(f"{prefix}.norm1.gamma", (dim,), np.ones),
+        norm1_beta=reg.add(f"{prefix}.norm1.beta", (dim,), np.zeros),
+        norm2_gamma=reg.add(f"{prefix}.norm2.gamma", (dim,), np.ones),
+        norm2_beta=reg.add(f"{prefix}.norm2.beta", (dim,), np.zeros),
+        mlp=_init_mlp(reg, f"{prefix}.mlp", dim, ratio * dim, dim),
     )
 
 
-def _init_block(reg, prefix, cfg, dim, j, rng) -> tuple:
+def _init_block(reg, prefix, cfg, dim, j) -> tuple:
     # All attention sets are registered before the norm/MLP sets.
     prefixes = [f"{prefix}.{tag}" if tag else prefix for tag in cfg.block_sets(j)]
-    msas = [_init_msa(reg, f"{pre}.attn", dim, cfg.heads_for(dim), rng, cfg.qkv_bias) for pre in prefixes]
-    sets = tuple(_init_stream(reg, pre, msa, dim, cfg.mlp_ratio, rng) for pre, msa in zip(prefixes, msas))
+    msas = [_init_msa(reg, f"{pre}.attn", dim, cfg.heads_for(dim), cfg.qkv_bias) for pre in prefixes]
+    sets = tuple(_init_stream(reg, pre, msa, dim, cfg.mlp_ratio) for pre, msa in zip(prefixes, msas))
     return sets * (len(cfg.layout.streams) // len(sets))  # a shared set serves both streams
 
 
-def build_params(cfg: ModelConfig) -> ModelParams:
-    """Initialise all learnable tensors for ``cfg``.
+def build_params(cfg: ModelConfig, weights=None) -> ModelParams:
+    """Initialise all learnable tensors for ``cfg``, or take them from ``weights``.
 
     Projections and MLPs get truncated-normal weights (sigma 0.02, clipped
     at 2 sigma), biases start at zero, norm gamma/beta at one/zero. The
     draw order is the registration order, so equal configs (and seeds)
     give identical parameters.
+
+    ``weights``, a name -> array map such as ``checkpoint.load_checkpoint``
+    returns, supplies every tensor's array (not copied) and nothing is
+    drawn. Raises KeyError on missing or unexpected names, then ShapeError
+    naming the first tensor whose shape does not fit ``cfg``.
     """
-    rng = np.random.default_rng([cfg.seed, 1])
-    reg = _Registry()
+    reg = _Registry(cfg.seed, weights)
     streams = cfg.layout.streams
     proj_names = ["proj"] if len(streams) == 1 else [f"proj_{s}" for s in streams]
     levels = []
     for i, dim in enumerate(cfg.level_dims()):
-        projs = tuple(_init_linear(reg, f"level{i}.{name}", cfg.base_dim, dim, rng) for name in proj_names)
-        blocks = [_init_block(reg, f"level{i}.block{j}", cfg, dim, j, rng) for j in range(cfg.depth)]
+        projs = tuple(_init_linear(reg, f"level{i}.{name}", cfg.base_dim, dim) for name in proj_names)
+        blocks = [_init_block(reg, f"level{i}.block{j}", cfg, dim, j) for j in range(cfg.depth)]
         levels.append(LevelParams(projs=projs, blocks=blocks))
-    head = _init_mlp(reg, "head", cfg.feature_dim(), cfg.head_hidden_dim(), cfg.num_classes, rng)
+    head = _init_mlp(reg, "head", cfg.feature_dim(), cfg.head_hidden_dim(), cfg.num_classes)
+    if weights is not None:
+        reg.check_weights()
     return ModelParams(levels=levels, head=head, named=reg.named)
 
 

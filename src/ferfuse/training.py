@@ -9,8 +9,8 @@ Ownership of parameter memory: ``init_adam_state`` (run once per
 ``train_loop``) packs every parameter into one flat arena, rebinds each
 ``data`` to its view and keeps the ``TrainConfig``, the one source of
 Adam's rates. After that nothing may rebind a parameter's ``data``;
-``adam_step`` raises if one was. Copy new values into the view instead, as
-``checkpoint.load_into`` does. ``train_loop`` feeds ``tensor.leaf_grads`` to
+``adam_step`` raises if one was. Copy new values into the view instead,
+with ``t.data[...] = values``. ``train_loop`` feeds ``tensor.leaf_grads`` to
 ``adam_step``, so a gradient lives only until the update of its span.
 """
 
@@ -53,8 +53,8 @@ class TrainConfig:
         for name, beta in (("beta1", self.beta1), ("beta2", self.beta2)):
             if not 0.0 <= beta < 1.0:
                 raise ValueError(f"{name} must be in [0, 1), got {beta}")
-        if not self.adam_eps > 0:
-            raise ValueError(f"adam_eps must be > 0, got {self.adam_eps}")
+        if not 0 < self.adam_eps < float("inf"):
+            raise ValueError(f"adam_eps must be finite and > 0, got {self.adam_eps}")
 
 
 def label_smoothing_ce(logits: Tensor, labels, smoothing: float) -> Tensor:
@@ -290,6 +290,8 @@ def predict(
 ) -> np.ndarray:
     """Argmax class predictions in dataset order, eval mode."""
     check_fits(cfg, dataset)
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     preds = []
     for lo in range(0, len(dataset), batch_size):
         x_img, x_lm, _ = _batch_tensors(dataset, slice(lo, lo + batch_size))

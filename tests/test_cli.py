@@ -441,6 +441,7 @@ class TestGradcheckAndParams:
             ("params", "--swap-depth", -7),
             ("train", "--beta1", 1),
             ("train", "--adam-eps", 0),
+            ("params", "--adam-eps", "inf"),
         ],
     )
     def test_config_values_that_break_training_rejected(self, command, flag, value, tmp_path, capsys):

@@ -45,6 +45,11 @@ class TestGenClusters:
         with pytest.raises(ValueError):
             gen_clusters(4, 8, 3, 10, -0.1, seed=0)
 
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf])
+    def test_non_finite_sigma_rejected(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be finite"):
+            gen_clusters(4, 8, 3, 10, sigma, seed=0)
+
     @pytest.mark.parametrize(
         "field,value", [("num_classes", 1), ("num_classes", 0), ("per_class", 0), ("patches", 0), ("dim", 0)]
     )
@@ -149,6 +154,11 @@ class TestGenXor:
             terms = joint * np.log(joint / (pc @ pl))
         mi = float(np.nansum(terms))
         assert mi < 0.01
+
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf])
+    def test_non_finite_sigma_rejected(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be finite"):
+            gen_xor(patches=4, dim=16, per_class=4, sigma=sigma, seed=0)
 
     def test_odd_per_class_rejected(self):
         with pytest.raises(ValueError):

@@ -5,9 +5,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ferfuse import tensor
+from ferfuse import model, tensor
 from ferfuse.binio import BadFieldError, BadMagicError, FormatVersionError, TruncatedFileError
-from ferfuse.checkpoint import load_checkpoint, load_into, load_model, save_checkpoint, save_model
+from ferfuse.checkpoint import load_checkpoint, load_model, save_checkpoint, save_model
 from ferfuse.encoder import stack_forward
 from ferfuse.model import (
     VARIANTS,
@@ -16,6 +16,7 @@ from ferfuse.model import (
     count_params,
     estimate_flops,
     forward,
+    trunc_normal,
 )
 from ferfuse.tensor import Graph, ShapeError, Tensor, concat, finite_diff_check, gelu, leaf_grads, matmul, mean_pool_patches
 from ferfuse.data import gen_clusters
@@ -522,6 +523,34 @@ class TestCountParams:
         assert all(c.named[k].shape == a.named[k].shape for k in a.named)
 
 
+def rescanned_trunc_normal(rng, shape):
+    """The reference rule: after every redraw, rescan the whole array.
+    Returns the samples and the number of redraw rounds."""
+    out = rng.standard_normal(shape)
+    bad = np.abs(out) > 2.0
+    rounds = 0
+    while bad.any():
+        out[bad] = rng.standard_normal(int(bad.sum()))
+        bad = np.abs(out) > 2.0
+        rounds += 1
+    return out * 0.02, rounds
+
+
+class TestTruncNormal:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bitwise_equal_to_whole_array_rescan(self, seed):
+        # 120,000 draws: about 5,460 fail the first round, 250 the second
+        # and 11 the third, so every seed takes several rounds.
+        shape = (300, 400)
+        ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        want, rounds = rescanned_trunc_normal(ref_rng, shape)
+        got = trunc_normal(rng, shape)
+        assert rounds >= 3
+        assert got.shape == shape and np.array_equal(got, want)
+        assert np.abs(got).max() <= 0.04
+        assert rng.bit_generator.state == ref_rng.bit_generator.state  # the same draws consumed
+
+
 class TestEstimateFlops:
     def test_single_linear_layer_exact(self):
         cfg = desk_config(variant="image_only", depth=0)
@@ -575,29 +604,44 @@ class TestCheckpoint:
         xl = Tensor(rng.standard_normal((4, 16)))
         before = forward(xi, xl, params, cfg, False).data
         path = tmp_path / "model.pckpt"
-        save_checkpoint(path, params.named)
-        fresh = build_params(desk_config(pyramid_dims=(16, 8), base_dim=16, patches=4, seed=5))
-        load_into(fresh, path)
-        after = forward(xi, xl, fresh, cfg, False).data
+        save_model(path, params, cfg)
+        loaded, loaded_cfg = load_model(path)
+        after = forward(xi, xl, loaded, loaded_cfg, False).data
         assert np.array_equal(before, after)
+
+    def test_load_model_draws_nothing(self, tmp_path, monkeypatch):
+        cfg = desk_config(pyramid_dims=(16, 8), base_dim=16, patches=4)
+        params = build_params(cfg)
+        path = tmp_path / "model.pckpt"
+        save_model(path, params, cfg)
+
+        def no_draws(rng, shape):
+            raise AssertionError(f"drew a {shape} weight")
+
+        monkeypatch.setattr(model, "trunc_normal", no_draws)
+        loaded, _ = load_model(path)
+        assert list(loaded.named) == list(params.named)
+        for name, t in params.named.items():
+            assert np.array_equal(loaded.named[name].data, t.data)
 
     def test_mismatched_dims_named_error(self, tmp_path):
         cfg_a = desk_config(pyramid_dims=(16, 8), base_dim=16, patches=4)
         cfg_b = desk_config(pyramid_dims=(16, 4), base_dim=16, patches=4)
         path = tmp_path / "model.pckpt"
-        save_checkpoint(path, build_params(cfg_a).named)
-        target = build_params(cfg_b)
+        save_model(path, build_params(cfg_a), cfg_b)  # a sidecar that does not describe the checkpoint
         with pytest.raises(ShapeError) as e:
-            load_into(target, path)
-        assert "level1" in str(e.value)
+            load_model(path)
+        assert "level1" in str(e.value) and str(path) in str(e.value)
 
     def test_name_mismatch_error(self, tmp_path):
         cfg_a = desk_config(variant="baseline")
         cfg_b = desk_config(variant="poster")
         path = tmp_path / "model.pckpt"
-        save_checkpoint(path, build_params(cfg_a).named)
-        with pytest.raises(KeyError):
-            load_into(build_params(cfg_b), path)
+        save_model(path, build_params(cfg_a), cfg_b)
+        with pytest.raises(KeyError, match="level0.proj_img.w"):
+            load_model(path)
+        with pytest.raises(KeyError, match="level0.proj.w"):
+            build_params(cfg_b, load_checkpoint(path))
 
     def test_corrupted_magic(self, tmp_path):
         path = tmp_path / "model.pckpt"
@@ -656,7 +700,7 @@ class TestCheckpoint:
         cfg = desk_config(variant="baseline", depth=0)
         params = build_params(cfg)
         path = tmp_path / "model.pckpt"
-        save_checkpoint(path, params.named)
+        save_model(path, params, cfg)
         dup = tmp_path / "dup.pckpt"
         save_checkpoint(dup, {"level0.proj.w": Tensor(params.named["level0.proj.w"].data + 1.0)})
         raw = bytearray(path.read_bytes())
@@ -666,7 +710,7 @@ class TestCheckpoint:
         with pytest.raises(BadFieldError, match=f"tensor {count} "):
             load_checkpoint(path)
         with pytest.raises(BadFieldError):
-            load_into(build_params(cfg), path)
+            load_model(path)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_data_named(self, tmp_path, bad):
@@ -677,14 +721,13 @@ class TestCheckpoint:
         with pytest.raises(BadFieldError, match=r"tensor 1 \(b\) contains NaN/Inf"):
             load_checkpoint(path)
 
-    def test_load_into_keeps_adam_arena_views(self, tmp_path):
+    def test_loaded_model_packs_into_adam_arena(self, tmp_path):
         cfg = desk_config(pyramid_dims=(16, 8), base_dim=16, patches=4)
         source = build_params(cfg)
         path = tmp_path / "model.pckpt"
-        save_checkpoint(path, source.named)
-        target = build_params(desk_config(pyramid_dims=(16, 8), base_dim=16, patches=4, seed=5))
+        save_model(path, source, cfg)
+        target, _ = load_model(path)
         state = init_adam_state(target.named, TrainConfig(learning_rate=1e-3))
-        load_into(target, path)
         for name, t in target.named.items():
             assert t.data is state.views[name]
             assert np.array_equal(t.data, source.named[name].data)

@@ -353,7 +353,7 @@ class TestTrainLoop:
     @pytest.mark.parametrize(
         "field,value",
         [("beta1", 1.0), ("beta1", -0.1), ("beta2", 1.5), ("beta2", 1.0), ("adam_eps", 0.0), ("adam_eps", -1e-8),
-         ("learning_rate", 0.0), ("learning_rate", -0.1), ("learning_rate", math.nan), ("learning_rate", math.inf)],
+         ("adam_eps", math.inf), ("learning_rate", 0.0), ("learning_rate", -0.1), ("learning_rate", math.nan), ("learning_rate", math.inf)],
     )
     def test_adam_hyperparameters_validated(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -535,6 +535,14 @@ class TestEvaluate:
         params = build_params(cfg)
         with pytest.raises(ValueError):
             evaluate(params, cfg, ds)
+
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_predict_and_evaluate_reject_batch_size_below_one(self, batch_size):
+        cfg = desk_config()
+        params = build_params(cfg)
+        for run in (predict, evaluate):
+            with pytest.raises(ValueError, match="batch_size must be >= 1"):
+                run(params, cfg, misfit_data(), batch_size)
 
     def test_eval_forwards_have_no_drop_path(self):
         ds = gen_clusters(patches=6, dim=16, num_classes=4, per_class=10, sigma=0.3, seed=13)
