@@ -1,5 +1,8 @@
 """Shared helpers for the little-endian binary file formats, and the one
-writer of every JSON file (sidecars, configs) and every CSV table."""
+writer of every JSON file (sidecars, configs) and every CSV table.
+
+Every read whose size a file states goes through ``read_exact``, the one
+place that checks a read's size against what the file holds."""
 
 from __future__ import annotations
 
@@ -10,6 +13,8 @@ import os
 import stat
 import struct
 import sys
+
+import numpy as np
 
 
 class FileFormatError(ValueError):
@@ -35,33 +40,28 @@ class BadFieldError(FileFormatError):
 _PIPE_CHUNK = 1 << 24  # the largest single read from a pipe
 
 
-def read_exact(f, n: int, what: str) -> bytes:
-    """Read ``n`` bytes, else raise TruncatedFileError: a regular file at once, as ``expect_bytes``
-    has bounded ``n``; a pipe in chunks, so a header promising more costs only what arrives."""
-    if n <= _PIPE_CHUNK or stat.S_ISREG(os.fstat(f.fileno()).st_mode):
-        buf = f.read(n)
+def read_exact(f, n: int, what: str) -> np.ndarray:
+    """Read ``n`` bytes into a new writable uint8 array, else raise TruncatedFileError.
+
+    Every read is bounded here: a regular file must hold ``n`` more bytes
+    before anything is allocated, and then fills the array with one
+    ``readinto``; a pipe has no size to check, so it is read in chunks and a
+    header promising more costs only what arrives.
+    """
+    st = os.fstat(f.fileno())
+    if stat.S_ISREG(st.st_mode):
+        got = min(n, st.st_size - f.tell())
+        if got == n:
+            buf = np.empty(n, dtype=np.uint8)
+            got = f.readinto(buf)
     else:
         buf = bytearray()
         while len(buf) < n and (part := f.read(min(n - len(buf), _PIPE_CHUNK))):
             buf += part
-    if len(buf) != n:
-        raise TruncatedFileError(f"unexpected end of file while reading {what} ({len(buf)}/{n} bytes)")
+        got, buf = len(buf), np.frombuffer(buf, dtype=np.uint8)
+    if got != n:
+        raise TruncatedFileError(f"unexpected end of file while reading {what} ({got}/{n} bytes)")
     return buf
-
-
-def expect_bytes(f, n: int, what: str) -> None:
-    """Raise TruncatedFileError unless at least ``n`` bytes remain in ``f``.
-
-    Readers call this with the size a header implies before they allocate
-    for it, so a corrupt header fails fast instead of asking for memory.
-    A pipe has no size to check against and passes.
-    """
-    st = os.fstat(f.fileno())
-    if not stat.S_ISREG(st.st_mode):
-        return
-    left = st.st_size - f.tell()
-    if n > left:
-        raise TruncatedFileError(f"{what} needs {n} bytes but only {left} remain in the file")
 
 
 def check_shape(shape: tuple, what: str) -> None:
@@ -79,8 +79,9 @@ def read_u32(f, what: str) -> int:
     return struct.unpack("<I", read_exact(f, 4, what))[0]
 
 
-def write_u32(f, value: int) -> None:
-    f.write(struct.pack("<I", value))
+def write_u32(f, *values: int) -> None:
+    """Write each of ``values`` as a u32 LE."""
+    f.write(struct.pack(f"<{len(values)}I", *values))
 
 
 def check_magic(f, magic: bytes, path) -> None:

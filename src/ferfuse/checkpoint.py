@@ -31,7 +31,6 @@ from .binio import (
     FormatVersionError,
     check_magic,
     check_shape,
-    expect_bytes,
     read_exact,
     read_u32,
     write_json,
@@ -48,17 +47,14 @@ def save_checkpoint(path, named) -> None:
     """Write a name -> Tensor mapping to ``path``."""
     with open(path, "wb") as f:
         f.write(MAGIC)
-        write_u32(f, VERSION)
-        write_u32(f, len(named))
+        write_u32(f, VERSION, len(named))
         for name, t in named.items():
-            arr = np.ascontiguousarray(t.data, dtype="<f8")
+            arr = np.asarray(t.data, dtype="<f8", order="C")  # the tensor's own buffer, unless it is strided
             encoded = name.encode("utf-8")
             write_u32(f, len(encoded))
             f.write(encoded)
-            write_u32(f, arr.ndim)
-            for extent in arr.shape:
-                write_u32(f, extent)
-            f.write(arr.tobytes())
+            write_u32(f, arr.ndim, *arr.shape)
+            f.write(arr)
 
 
 def load_checkpoint(path) -> "OrderedDict[str, np.ndarray]":
@@ -72,21 +68,16 @@ def load_checkpoint(path) -> "OrderedDict[str, np.ndarray]":
         count = read_u32(f, "tensor count")
         for i in range(count):
             name_len = read_u32(f, f"name length of tensor {i}")
-            expect_bytes(f, name_len, f"name of tensor {i}")
             try:
-                name = read_exact(f, name_len, f"name of tensor {i}").decode("utf-8")
+                name = read_exact(f, name_len, f"name of tensor {i}").tobytes().decode("utf-8")
             except UnicodeDecodeError:
                 raise BadFieldError(f"{path}: name of tensor {i} is not valid UTF-8") from None
             if name in out:
                 raise BadFieldError(f"{path}: tensor {i} repeats the name {name!r}")
             rank = read_u32(f, f"rank of {name}")
-            expect_bytes(f, 4 * rank, f"extents of {name}")
-            shape = tuple(read_u32(f, f"extent of {name}") for _ in range(rank))
+            shape = tuple(read_exact(f, 4 * rank, f"extents of {name}").view("<u4").tolist())
             check_shape(shape, f"tensor {i} ({name})")
-            n = math.prod(shape)
-            expect_bytes(f, 8 * n, f"data of {name} {shape}")
-            raw = read_exact(f, 8 * n, f"data of {name}")
-            arr = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+            arr = read_exact(f, 8 * math.prod(shape), f"data of {name}").view("<f8").reshape(shape)
             if not np.isfinite(arr).all():
                 raise BadFieldError(f"{path}: data of tensor {i} ({name}) contains NaN/Inf")
             out[name] = arr

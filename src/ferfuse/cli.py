@@ -92,7 +92,7 @@ class CliError(Exception):
 
 def _parse_dims(value) -> tuple:
     if isinstance(value, (list, tuple)):
-        return tuple(int(v) for v in value)
+        return tuple(value)  # ModelConfig checks that each entry is an integer
     try:
         return tuple(int(v) for v in str(value).split(",") if v.strip())
     except ValueError:

@@ -33,7 +33,6 @@ from .binio import (
     FormatVersionError,
     check_magic,
     check_shape,
-    expect_bytes,
     read_exact,
     read_u32,
     write_json,
@@ -219,11 +218,7 @@ def write_features(dataset: FeatureDataset, path) -> None:
         raise ValueError(f"{path}: features of sample {bad[0]} are NaN/Inf or beyond the float32 range")
     with open(path, "wb") as f:
         f.write(MAGIC)
-        write_u32(f, VERSION)
-        write_u32(f, dataset.patches)
-        write_u32(f, dataset.dim)
-        write_u32(f, dataset.num_classes)
-        write_u32(f, count)
+        write_u32(f, VERSION, dataset.patches, dataset.dim, dataset.num_classes, count)
         f.write(buf)
     sidecar = {"format": "PFER", "version": VERSION, "count": count, "patches": dataset.patches, "dim": dataset.dim}
     write_json({**dataset.metadata, **sidecar}, f"{path}.json")
@@ -236,14 +231,9 @@ def read_features(path) -> FeatureDataset:
         version = read_u32(f, "version")
         if version != VERSION:
             raise FormatVersionError(f"{path}: unsupported feature-file version {version}")
-        patches = read_u32(f, "patch count")
-        dim = read_u32(f, "feature dim")
-        num_classes = read_u32(f, "class count")
-        count = read_u32(f, "sample count")
-        size = count * (8 * patches * dim + 4)
-        expect_bytes(f, size, f"{count} samples of {patches}x{dim} features")
+        patches, dim, num_classes, count = read_exact(f, 16, "the header's counts").view("<u4").tolist()
+        buf = read_exact(f, count * (8 * patches * dim + 4), f"{count} samples of {patches}x{dim} features")
         check_shape((count, patches, dim), "the feature stack")
-        buf = np.frombuffer(read_exact(f, size, f"{count} samples"), dtype=np.uint8)
     img, lm, labels = _records(buf, count, patches, dim)
     x_img, x_lm, labels = img.astype(np.float64), lm.astype(np.float64), labels.astype(np.int64)
     bad = np.flatnonzero(labels >= num_classes)

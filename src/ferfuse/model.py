@@ -34,6 +34,8 @@ across runs for a fixed config and is the checkpoint addressing scheme.
 
 from __future__ import annotations
 
+import numbers
+import typing
 from collections import OrderedDict
 from dataclasses import dataclass, field, fields
 
@@ -66,6 +68,32 @@ LAYOUTS = {
     "poster": Layout(("img", "lm"), pyramid=True),
 }
 VARIANTS = tuple(LAYOUTS)
+_KIND_NAMES = {int: "an integer", float: "a real number", bool: "a bool", str: "a string", tuple: "a list of integers"}
+
+
+def _fits(value, kind) -> bool:
+    """An int is an integer and a float a real number, and neither is a bool."""
+    abc = {int: numbers.Integral, float: numbers.Real}.get(kind, kind)
+    return isinstance(value, abc) and (kind is bool or not isinstance(value, bool))
+
+
+def check_fields(cfg, least: dict) -> None:
+    """Raise ValueError naming the first field of the dataclass ``cfg`` whose
+    value its annotation does not allow, else the first field in ``least``
+    below its bound there. ``X | None`` also takes None, and a ``tuple``
+    field takes a tuple or list of integers."""
+    for name, hint in typing.get_type_hints(type(cfg)).items():
+        value = getattr(cfg, name)
+        kind, *none = typing.get_args(hint) or (hint,)
+        if kind is tuple:
+            ok = isinstance(value, (tuple, list)) and all(_fits(v, int) for v in value)
+        else:
+            ok = _fits(value, kind) or (value is None and none)
+        if not ok:
+            raise ValueError(f"{name} must be {_KIND_NAMES[kind]}{' or None' if none else ''}, got {value!r}")
+    for name, low in least.items():
+        if getattr(cfg, name) < low:
+            raise ValueError(f"{name} must be >= {low}, got {getattr(cfg, name)}")
 
 
 @dataclass
@@ -96,21 +124,15 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        least = {"patches": 1, "base_dim": 1, "depth": 0, "mlp_ratio": 1, "num_classes": 2, "heads_divisor": 1}
+        check_fields(self, least)
         self.pyramid_dims = tuple(int(d) for d in self.pyramid_dims)
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
-        if self.patches < 1 or self.base_dim < 1 or self.depth < 0:
-            raise ValueError("patches/base_dim must be >= 1 and depth >= 0")
-        if self.mlp_ratio < 1:
-            raise ValueError(f"mlp_ratio must be >= 1, got {self.mlp_ratio}")
         if not 0.0 <= self.drop_path < 1.0:
             raise ValueError(f"drop_path must be in [0, 1), got {self.drop_path}")
         if not 0.0 <= self.label_smoothing < 1.0:
             raise ValueError(f"label_smoothing must be in [0, 1), got {self.label_smoothing}")
-        if self.num_classes < 2:
-            raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
-        if self.heads_divisor < 1:
-            raise ValueError(f"heads_divisor must be >= 1, got {self.heads_divisor}")
         if self.head_hidden is not None and self.head_hidden < 1:
             raise ValueError(f"head_hidden must be >= 1 when set, got {self.head_hidden}")
         if not self.pyramid_dims:

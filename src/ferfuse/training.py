@@ -26,7 +26,7 @@ from . import metrics
 from .binio import write_csv
 from .checkpoint import save_model
 from .data import FeatureDataset
-from .model import ModelConfig, ModelParams, build_params, forward
+from .model import ModelConfig, ModelParams, build_params, check_fields, forward
 from .tensor import NonFiniteError, Tensor, cross_entropy, leaf_grads
 
 
@@ -42,14 +42,9 @@ class TrainConfig:
     checkpoint_every: int = 0  # 0: only the final checkpoint
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        check_fields(self, {"batch_size": 1, "steps": 1, "checkpoint_every": 0})
         if not 0 < self.learning_rate < float("inf"):
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        if self.steps < 1:
-            raise ValueError(f"steps must be >= 1, got {self.steps}")
-        if self.checkpoint_every < 0:
-            raise ValueError(f"checkpoint_every must be >= 0, got {self.checkpoint_every}")
         for name, beta in (("beta1", self.beta1), ("beta2", self.beta2)):
             if not 0.0 <= beta < 1.0:
                 raise ValueError(f"{name} must be in [0, 1), got {beta}")
@@ -290,6 +285,8 @@ def predict(
 ) -> np.ndarray:
     """Argmax class predictions in dataset order, eval mode."""
     check_fits(cfg, dataset)
+    if len(dataset) == 0:
+        raise ValueError("empty evaluation dataset")
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     preds = []
@@ -307,7 +304,5 @@ def evaluate(
     batch_size: int = 256,
 ) -> metrics.EvalReport:
     """Eval-mode predictions scored into an EvalReport."""
-    if len(dataset) == 0:
-        raise ValueError("empty evaluation dataset")
     preds = predict(params, cfg, dataset, batch_size)
     return metrics.build_report(dataset.labels, preds, cfg.num_classes)

@@ -134,6 +134,20 @@ class TestTrainEval:
         assert code == 1
         assert "level1" in capsys.readouterr().err
 
+    def test_sidecar_value_of_the_wrong_type_named(self, cluster_file, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run("train", "--data", cluster_file, "--out", out, *desk_flags("--steps", 1, "--variant", "poster")) == 0
+        sidecar = out / "checkpoint_final.pckpt.json"
+        cfg = json.loads(sidecar.read_text())
+        cfg["depth"] = str(cfg["depth"])
+        sidecar.write_text(json.dumps(cfg))
+        capsys.readouterr()
+        ckpt = out / "checkpoint_final.pckpt"
+        for cmd in (("eval",), ("visualize", "--class", 0)):
+            assert run(*cmd, "--checkpoint", ckpt, "--data", cluster_file, "--out", tmp_path / "e") == 1
+            assert capsys.readouterr().err == "error: depth must be an integer, got '1'\n"
+        assert not (tmp_path / "e").exists()
+
     def test_missing_checkpoint_or_sidecar_named(self, cluster_file, tmp_path, capsys):
         ckpt = tmp_path / "model.pckpt"
         commands = (("eval",), ("visualize", "--class", 0))
@@ -197,6 +211,29 @@ class TestTrainEval:
         code = run("train", "--data", tmp_path / "nope.pfer", "--out", tmp_path / "o", *desk_flags())
         assert code == 1
         assert "not found" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command,bad",
+        [
+            ("params", {"depth": "2"}),
+            ("params", {"patches": 8.5}),
+            ("params", {"pyramid_dims": [16, 8.5]}),
+            ("params", {"qkv_bias": 1}),
+            ("train", {"steps": 2.5}),
+            ("train", {"learning_rate": True}),
+        ],
+    )
+    def test_config_file_value_of_the_wrong_type_rejected(self, cluster_file, tmp_path, capsys, command, bad):
+        # the rest of the file fits cluster_file, so only the bad value can stop the run
+        fits = {"patches": 6, "base_dim": 16, "pyramid_dims": [16, 8], "depth": 1, "heads_divisor": 16}
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({**fits, "num_classes": 3, "batch_size": 8, "steps": 2, **bad}))
+        out = tmp_path / "run"
+        args = ("--data", cluster_file, "--out", out) if command == "train" else ()
+        assert run(command, *args, "--config", config) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {next(iter(bad))} must be ") and len(err.splitlines()) == 1
+        assert not out.exists()
 
     def test_bad_steps_or_checkpoint_cadence_rejected(self, cluster_file, tmp_path, capsys):
         for flag, value, message in (

@@ -353,6 +353,17 @@ class TestFeatureFiles:
         assert np.array_equal(got.x_img, want.x_img) and np.array_equal(got.x_lm, want.x_lm)
         assert np.array_equal(got.labels, want.labels)
 
+    def test_read_exact_checks_a_regular_file_before_allocating(self, tmp_path):
+        # 8 TiB asked of a 4-byte file is refused by size, not by the allocator
+        path = tmp_path / "four.bin"
+        path.write_bytes(b"\x01\x02\x03\x04")
+        with open(path, "rb") as f, traced_peak() as peak:
+            with pytest.raises(TruncatedFileError, match=r"reading the tail \(4/8796093022208 bytes\)"):
+                binio.read_exact(f, 2**43, "the tail")
+            buf = binio.read_exact(f, 4, "the tail")
+        assert peak[0] < 1 << 20
+        assert buf.flags.writeable and buf.tolist() == [1, 2, 3, 4]
+
     def test_pipe_header_promising_terabytes_fails_in_bounded_memory(self, tmp_path):
         # 2^20 samples of 1024 x 1024 features, about 8.8 TB, of which 1 MB is sent.
         u32 = lambda v: v.to_bytes(4, "little")  # noqa: E731

@@ -1,4 +1,5 @@
 import gc
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -71,6 +72,32 @@ class TestModelConfig:
     def test_rejects_bad_heads_divisor_or_head_hidden(self, field, value):
         with pytest.raises(ValueError, match=field):
             desk_config(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field,value,kind",
+        [
+            ("depth", "2", "an integer"),
+            ("depth", 2.0, "an integer"),
+            ("patches", True, "an integer"),
+            ("drop_path", "0.1", "a real number"),
+            ("label_smoothing", False, "a real number"),
+            ("qkv_bias", 1, "a bool"),
+            ("variant", 3, "a string"),
+            ("swap_depth", 1.5, "an integer or None"),
+            ("head_hidden", True, "an integer or None"),
+            ("pyramid_dims", (32, 16.0, 8), "a list of integers"),
+            ("pyramid_dims", 32, "a list of integers"),
+            ("pyramid_dims", "32,16,8", "a list of integers"),
+        ],
+    )
+    def test_rejects_a_value_of_the_wrong_type(self, field, value, kind):
+        with pytest.raises(ValueError, match=f"^{field} must be {kind}, got "):
+            desk_config(**{field: value})
+
+    def test_takes_numpy_integers_and_integer_rates(self):
+        cfg = desk_config(depth=np.int64(1), pyramid_dims=[np.int32(32), 16, 8], drop_path=0, head_hidden=np.int16(5))
+        assert cfg.pyramid_dims == (32, 16, 8) and all(type(d) is int for d in cfg.pyramid_dims)
+        assert cfg.head_hidden_dim() == 5 and cfg.drop_path == 0
 
     def test_heads_rule(self):
         cfg = ModelConfig(variant="poster")
@@ -608,6 +635,25 @@ class TestCheckpoint:
         loaded, loaded_cfg = load_model(path)
         after = forward(xi, xl, loaded, loaded_cfg, False).data
         assert np.array_equal(before, after)
+
+    @pytest.mark.parametrize("shape", [(), (0, 3), (2, 3)])
+    def test_round_trip_keeps_the_shape(self, tmp_path, shape):
+        path = tmp_path / "one.pckpt"
+        data = np.arange(math.prod(shape), dtype=np.float64).reshape(shape) + 0.5
+        save_checkpoint(path, {"t": Tensor(data)})
+        back = load_checkpoint(path)["t"]
+        assert back.shape == shape and np.array_equal(back, data)
+
+    def test_loaded_arrays_are_bitwise_writable_float64(self, tmp_path):
+        params = build_params(desk_config())
+        path = tmp_path / "model.pckpt"
+        save_checkpoint(path, params.named)
+        loaded = load_checkpoint(path)
+        assert list(loaded) == list(params.named)
+        for name, t in params.named.items():
+            arr = loaded[name]
+            assert arr.dtype == np.float64 and arr.shape == t.shape and arr.tobytes() == t.data.tobytes()
+            assert arr.flags.writeable and arr.flags.c_contiguous
 
     def test_load_model_draws_nothing(self, tmp_path, monkeypatch):
         cfg = desk_config(pyramid_dims=(16, 8), base_dim=16, patches=4)

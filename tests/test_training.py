@@ -9,7 +9,7 @@ import pytest
 
 from ferfuse import training
 from ferfuse.cli import PRESETS, RunConfig
-from ferfuse.data import gen_clusters
+from ferfuse.data import FeatureDataset, gen_clusters
 from ferfuse.model import VARIANTS, ModelConfig, build_params, forward
 from ferfuse.tensor import Graph, NonFiniteError, Tensor, backward, finite_diff_check, leaf_grads
 from ferfuse.training import (
@@ -359,6 +359,19 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match=field):
             TrainConfig(**{field: value})
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("steps", 2.5), ("batch_size", "8"), ("seed", True), ("checkpoint_every", None), ("learning_rate", True),
+         ("beta1", None), ("adam_eps", "1e-8")],
+    )
+    def test_rejects_a_value_of_the_wrong_type(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be (an integer|a real number), got {value!r}$"):
+            TrainConfig(**{field: value})
+
+    def test_takes_numpy_integers_and_an_integer_rate(self):
+        cfg = TrainConfig(steps=np.int64(3), batch_size=np.int32(4), learning_rate=1, beta1=np.float32(0.5))
+        assert (cfg.steps, cfg.batch_size, cfg.learning_rate) == (3, 4, 1)
+
     def test_train_and_evaluate_leave_no_cyclic_garbage(self):
         # Every step's tape and every eval batch's tape is freed by reference
         # counting, so the cyclic collector finds nothing left over.
@@ -535,6 +548,13 @@ class TestEvaluate:
         params = build_params(cfg)
         with pytest.raises(ValueError):
             evaluate(params, cfg, ds)
+
+    def test_predict_names_an_empty_dataset(self):
+        ds = gen_clusters(patches=6, dim=16, num_classes=4, per_class=2, sigma=0.1, seed=12)
+        empty = FeatureDataset(x_img=ds.x_img[:0], x_lm=ds.x_lm[:0], labels=ds.labels[:0], num_classes=4)
+        cfg = desk_config()
+        with pytest.raises(ValueError, match="^empty evaluation dataset$"):
+            predict(build_params(cfg), cfg, empty)
 
     @pytest.mark.parametrize("batch_size", [0, -1])
     def test_predict_and_evaluate_reject_batch_size_below_one(self, batch_size):
