@@ -23,7 +23,7 @@ from .binio import FileFormatError, write_csv, write_json
 from .checkpoint import load_model
 from .data import FeatureDataset, gen_clusters, gen_xor, read_features, split_dataset, write_features
 from .metrics import round_percent, write_confusion_csv, write_metrics_csv
-from .model import VARIANTS, ModelConfig, build_params, count_params, estimate_flops, forward
+from .model import VARIANTS, ModelConfig, build_params, count_params, estimate_flops, estimate_memory, forward
 from .relevance import (
     capture_attention,
     near_square_layout,
@@ -339,6 +339,11 @@ def cmd_params(args) -> int:
         "flops (MACs/sample): "
         f"projections {flops['projections']:,d}  attention {flops['attention_linear'] + flops['attention_scores']:,d}  "
         f"mlp {flops['mlp']:,d}  head {flops['head']:,d}  total {flops['total']:,d}"
+    )
+    mem = estimate_memory(mcfg)
+    print(
+        f"memory (bytes): tape {mem['per_sample']['total']:,d}/sample + {mem['constant']['total']:,d}  "
+        f"adam {mem['adam']:,d}"
     )
     print(flops["formula"])
     return 0

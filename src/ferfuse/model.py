@@ -244,8 +244,8 @@ class _Registry:
         self.shapes[name] = shape
         # A missing name gets an empty placeholder; check_weights raises before it is read.
         arr = init(shape) if self.weights is None else self.weights.get(name, np.zeros(0))
-        # Drawn and filled arrays are finite by construction; only given ones are screened.
-        t = Tensor(arr, requires_grad=True, screen=self.weights is not None)
+        # Drawn and filled arrays are finite by construction, and given ones were screened as read.
+        t = Tensor(arr, requires_grad=True, screen=False)
         self.named[name] = t
         return t
 
@@ -308,9 +308,10 @@ def build_params(cfg: ModelConfig, weights=None) -> ModelParams:
     give identical parameters.
 
     ``weights``, a name -> array map such as ``checkpoint.load_checkpoint``
-    returns, supplies every tensor's array (not copied) and nothing is
-    drawn. Raises KeyError on missing or unexpected names, then ShapeError
-    naming the first tensor whose shape does not fit ``cfg``.
+    returns (it screens each array for NaN/Inf), supplies every tensor's
+    array, not copied or screened again, and nothing is drawn. Raises
+    KeyError on missing or unexpected names, then ShapeError naming the
+    first tensor whose shape does not fit ``cfg``.
     """
     reg = _Registry(cfg.seed, weights)
     streams = cfg.layout.streams
@@ -440,5 +441,48 @@ def estimate_flops(cfg: ModelConfig) -> dict:
             "+ 2*rows^2*D (scores, values) per stream per block; "
             "mlp = 2*ratio*rows*D^2; head = F*H + H*N. rows = P per stream, "
             "2P fused; softmax/norm/gelu/pooling uncounted."
+        ),
+    }
+
+
+def estimate_memory(cfg: ModelConfig) -> dict:
+    """Bytes the tape of a training forward plus loss keeps, and Adam's state.
+
+    The tape holds ``per_sample["total"] * batch + constant["total"]`` bytes:
+    the distinct arrays its VJP closures keep, each counted once, under the
+    first op kind listed whose VJP keeps it. Per sample: ``softmax_rows``'
+    output; ``layer_norm``'s xhat and 1/std; ``cross_entropy``'s target and
+    log-probabilities; the left operand of every linear map and the operands
+    of the attention products, under ``matmul``; ``gelu``'s Phi(x), since its
+    output is fc2's operand. The constant: the weights of every linear map
+    but the input projections (their inputs need no gradient) and the head
+    concat's split offsets. ``adam``: the arena and two moments, 24 bytes per
+    parameter. The ``formula`` entry spells this out.
+    """
+    rows = [2 * cfg.patches if s == "fused" else cfg.patches for s in cfg.layout.streams]
+    feat, hidden, n = cfg.feature_dim(), cfg.head_hidden_dim(), cfg.num_classes
+    soft = norm = 0
+    mm = sum(rows) * cfg.base_dim + feat + hidden  # the stream inputs and the head's two operands
+    phi = hidden
+    weights = feat * hidden + hidden * n
+    for dim in cfg.level_dims():
+        weights += sum(len(cfg.block_sets(j)) for j in range(cfg.depth)) * (4 + 2 * cfg.mlp_ratio) * dim * dim
+        for r in rows:
+            soft += cfg.depth * cfg.heads_for(dim) * r * r
+            norm += cfg.depth * (1 + cfg.pre_msa_norm) * r * (dim + 1)
+            mm += cfg.depth * (6 + cfg.mlp_ratio) * r * dim
+            phi += cfg.depth * cfg.mlp_ratio * r * dim
+    per = {"softmax_rows": soft, "layer_norm": norm, "cross_entropy": 2 * n, "matmul": mm, "gelu": phi}
+    const = {"matmul": weights, "concat": len(rows) * len(cfg.level_dims())}
+    return {
+        "per_sample": {**{k: 8 * v for k, v in per.items()}, "total": 8 * sum(per.values())},
+        "constant": {**{k: 8 * v for k, v in const.items()}, "total": 8 * sum(const.values())},
+        "adam": 24 * count_params(cfg)["total"],
+        "formula": (
+            "tape bytes = per_sample * batch + constant, 8 per entry. Per sample, per stream per block: "
+            "softmax heads*rows^2; layer_norm norms*rows*(D+1); matmul (6+ratio)*rows*D (block input, "
+            "q, k, v, merged heads, normed rows, GELU output); gelu ratio*rows*D (Phi); then the stream "
+            "inputs, the head's F+2H and the loss's 2N. Constant: block and head weights, one offset "
+            "per pooled feature. Adam: 24 bytes/param."
         ),
     }

@@ -20,6 +20,9 @@ A VJP may return ``None`` for an input that does not require grad, and
 ``matmul``'s does, so no work goes into gradients nobody asked for.
 ``matmul`` adds a linear map's bias and ``add`` scales a residual branch
 in the same op, so neither keeps a second activation on the tape.
+``gelu`` keeps Phi(x) and its output, which the next linear map keeps
+anyway, and its VJP divides to read x back, so its input is not kept.
+``model.estimate_memory`` states the bytes the tape keeps, exactly.
 
 All data is float64 and row-major. Any NaN or Inf entering or leaving an
 op is a contract violation and raises ``NonFiniteError`` immediately,
@@ -44,6 +47,7 @@ from scipy.special import erf
 
 _INV_SQRT2 = 0.7071067811865476
 _INV_SQRT_2PI = 0.3989422804014327
+_TINY = np.finfo(np.float64).tiny
 LN_EPS = 1e-5  # added to the variance in every layer norm
 
 
@@ -340,25 +344,35 @@ class LinearParams:
 
 
 def gelu(x: Tensor) -> Tensor:
-    """Gaussian error linear unit, exact form 0.5 * x * (1 + erf(x / sqrt(2)))."""
+    """Gaussian error linear unit, exact form 0.5 * x * (1 + erf(x / sqrt(2))).
+
+    The VJP keeps the output and ``cdf`` = Phi(x), not x: the next linear
+    map keeps the output anyway, and x = out / cdf where cdf > 0. Where
+    Phi(x) rounds to 0 (x below about -8.3), x is read as 0, so the
+    derivative reads 0 there, not x * pdf(x), which is under 1e-14.
+    """
     xd = x.data
     cdf = xd * _INV_SQRT2
     erf(cdf, out=cdf)
     cdf += 1.0
     cdf *= 0.5
+    out = xd * cdf
 
     def vjp(g):
-        # g * (cdf + xd * pdf), pdf = exp(-0.5 * xd * xd) / sqrt(2 pi)
-        d = -0.5 * xd
-        d *= xd
+        # g * (cdf + x * pdf), pdf = exp(-0.5 * x * x) / sqrt(2 pi); out is
+        # +-0 where cdf is 0, and cdf is 0 or above 1e-17, so no division by 0
+        xr = np.maximum(cdf, _TINY)
+        np.divide(out, xr, out=xr)
+        d = -0.5 * xr
+        d *= xr
         np.exp(d, out=d)
         d *= _INV_SQRT_2PI
-        d *= xd
+        d *= xr
         d += cdf
         d *= g
         return (d,)
 
-    return _record("gelu", (x,), xd * cdf, vjp)
+    return _record("gelu", (x,), out, vjp)
 
 
 def softmax_rows(x: Tensor, factor: float = 1.0) -> Tensor:

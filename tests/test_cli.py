@@ -10,7 +10,7 @@ import pytest
 from ferfuse.checkpoint import save_checkpoint
 from ferfuse.cli import RunConfig, _add_config_flags, build_parser, main, resolve_config
 from ferfuse.data import read_features
-from ferfuse.model import ModelConfig
+from ferfuse.model import ModelConfig, estimate_memory
 from ferfuse.tensor import Tensor
 from ferfuse.training import TrainConfig
 
@@ -468,6 +468,16 @@ class TestGradcheckAndParams:
     def test_params_prints_formula(self, capsys):
         assert run("params", *desk_flags()) == 0
         assert "MACs" in capsys.readouterr().out
+
+    def test_params_prints_memory_below_macs(self, capsys):
+        assert run("params", *desk_flags()) == 0
+        lines = capsys.readouterr().out.splitlines()
+        mcfg = resolve_config(build_parser().parse_args(["params", *map(str, desk_flags())])).model_config()
+        mem = estimate_memory(mcfg)
+        at = next(i for i, line in enumerate(lines) if line.startswith("memory (bytes):"))
+        assert lines[at - 1].startswith("flops (MACs/sample):")
+        tape, const, adam = (int(n.replace(",", "")) for n in re.findall(r"[\d,]{2,}", lines[at]))
+        assert (tape, const, adam) == (mem["per_sample"]["total"], mem["constant"]["total"], mem["adam"])
 
     @pytest.mark.parametrize(
         "command,flag,value",

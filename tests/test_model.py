@@ -16,6 +16,7 @@ from ferfuse.model import (
     build_params,
     count_params,
     estimate_flops,
+    estimate_memory,
     forward,
     trunc_normal,
 )
@@ -303,8 +304,9 @@ class TestPosterForward:
 
     def test_training_forward_holds_at_most_four_fifths_of_its_op_outputs(self, monkeypatch):
         # A node holds an input's producer node, not the output, so residual sums,
-        # output projections and merged heads are freed during the forward:
-        # 12.2 of 17.4 MB here, against 16.4 MB when every node held its inputs.
+        # output projections, merged heads and GELU's inputs are freed during the
+        # forward: 10.4 of 17.4 MB here, against 12.2 MB while GELU kept its input
+        # and 16.4 MB when every node held its inputs.
         cfg = desk_config()
         params = build_params(cfg)
         rng = np.random.default_rng(16)
@@ -598,6 +600,62 @@ class TestEstimateFlops:
 
     def test_formula_documented(self):
         assert "rows" in estimate_flops(desk_config())["formula"]
+
+
+# estimate_memory's op kinds in its precedence order: an array several VJPs keep
+# counts under the first kind that keeps it.
+KEEPERS = ("softmax_rows", "layer_norm", "cross_entropy", "matmul", "gelu", "concat")
+
+
+def tape_bytes_by_kind(cfg, batch):
+    """Bytes of the distinct base arrays the VJP closures of a training
+    forward plus loss keep, each under the first kind in ``KEEPERS`` that keeps it."""
+    rng = np.random.default_rng(23)
+    x = [Tensor(rng.standard_normal((batch, cfg.patches, cfg.base_dim))) for _ in range(2)]
+    logits = forward(*x, build_params(cfg), cfg, training=True, rng=rng)
+    loss = label_smoothing_ce(logits, np.arange(batch) % cfg.num_classes, 0.1)
+    kept = {}
+    for op in Graph.trace(loss).ops:
+        for cell in op.vjp.__closure__ or ():
+            arr = cell.cell_contents
+            if isinstance(arr, np.ndarray):
+                while isinstance(arr.base, np.ndarray):
+                    arr = arr.base
+                kept.setdefault(id(arr), (arr, set()))[1].add(op.name)
+    held = dict.fromkeys(KEEPERS, 0)
+    for arr, kinds in kept.values():
+        held[min(kinds, key=KEEPERS.index)] += arr.nbytes
+    return held
+
+
+class TestEstimateMemory:
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize(
+        "toggle",
+        [{}, {"pre_msa_norm": True}, {"share_unswapped": True, "swap_depth": 1}, {"qkv_bias": False}],
+        ids=["defaults", "pre_msa_norm", "share_unswapped", "no_qkv_bias"],
+    )
+    def test_equals_closure_walk_by_kind(self, variant, toggle):
+        cfg = desk_config(variant=variant, **toggle)
+        est = estimate_memory(cfg)
+        for batch in (1, 3):
+            want = {k: est["constant"].get(k, 0) + batch * est["per_sample"].get(k, 0) for k in KEEPERS}
+            assert tape_bytes_by_kind(cfg, batch) == want
+        assert est["per_sample"]["total"] == sum(v for k, v in est["per_sample"].items() if k != "total")
+
+    def test_paper_shapes(self):
+        # GELU keeps Phi(x), not its input: 3,906,560 and 15,604,736 bytes
+        # per sample fewer than a tape that also kept x.
+        paper_width = estimate_memory(ModelConfig(depth=2))
+        assert paper_width["per_sample"]["total"] == 24_110_576
+        assert paper_width["constant"]["total"] == 100_975_664
+        assert paper_width["per_sample"]["gelu"] == 3_906_560
+        assert estimate_memory(ModelConfig())["per_sample"]["total"] == 94_684_784
+
+    def test_adam_bytes_are_the_arena_and_moments(self):
+        cfg = desk_config(share_unswapped=True, swap_depth=1)
+        state = init_adam_state(build_params(cfg).named, TrainConfig())
+        assert estimate_memory(cfg)["adam"] == sum(a.nbytes for a in state.flat)
 
 
 class TestCheckpoint:

@@ -1,10 +1,12 @@
 import ctypes
 import gc
 import math
+import warnings
 import weakref
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from ferfuse.tensor import (
     LN_EPS,
@@ -13,6 +15,8 @@ from ferfuse.tensor import (
     OpNode,
     ShapeError,
     Tensor,
+    _INV_SQRT2,
+    _INV_SQRT_2PI,
     _SMALL_GEMM_MACS,
     _keep_freed_memory,
     _record,
@@ -432,6 +436,61 @@ class TestElementwiseAndStructural:
 
         assert finite_diff_check(f, {"x": x}, cotangent=c).passed
 
+    # The grid: [-40, 40], +-0, +-1e-310, the stretch where Phi(x) rounds
+    # to 0 (x below about -8.3) and its edge, and x > 8.3, where Phi is 1.
+    GELU_GRID = np.concatenate(
+        [np.linspace(-40, 40, 8001), [0.0, -0.0, 1e-310, -1e-310], np.linspace(-9, -8, 1001), np.linspace(8.3, 9, 71)]
+    )
+
+    @staticmethod
+    def gelu_cdf(xs):
+        cdf = xs * _INV_SQRT2
+        erf(cdf, out=cdf)
+        cdf += 1.0
+        cdf *= 0.5
+        return cdf
+
+    def test_gelu_forward_bitwise_the_erf_product(self):
+        xs = self.GELU_GRID
+        want = xs * self.gelu_cdf(xs)
+        assert np.array_equal(gelu(Tensor(xs)).data.view(np.uint64), want.view(np.uint64))
+
+    def test_gelu_vjp_matches_cdf_plus_x_pdf_without_warnings(self):
+        # The VJP rebuilds x as out / Phi(x); it must agree with the derivative
+        # computed from x itself, in that formula's order of operations.
+        xs = self.GELU_GRID
+        cdf = self.gelu_cdf(xs)
+        assert (cdf == 0).any() and (cdf[xs < -8] > 0).any()
+        g = np.random.default_rng(23).standard_normal(xs.shape)
+        pdf = -0.5 * xs
+        pdf *= xs
+        np.exp(pdf, out=pdf)
+        pdf *= _INV_SQRT_2PI
+        want = (cdf + xs * pdf) * g
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(divide="raise", invalid="raise", over="raise"):
+                [(_, got)] = leaf_grads(gelu(Tensor(xs, requires_grad=True)), cotangent=g)
+        assert not np.isnan(got).any()
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(g))
+
+    def test_gelu_input_freed_while_loss_alive(self):
+        # GELU keeps Phi(x) and its output, which the next op's VJP keeps too;
+        # its input goes as soon as the forward drops it.
+        rng = np.random.default_rng(33)
+        gc.disable()
+        try:
+            x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+            w = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
+            h = matmul(x, w)
+            base = h.data if h.data.base is None else h.data.base
+            freed = weakref.ref(base)
+            loss = cross_entropy(gelu(h), np.full((3, 5), 0.2))
+            del h, base
+            assert freed() is None and loss.creator is not None
+        finally:
+            gc.enable()
+
     def test_concat_patches_order_and_shape(self):
         a = Tensor(np.arange(6.0).reshape(2, 3))
         b = Tensor(np.arange(9.0).reshape(3, 3) + 100)
@@ -624,10 +683,10 @@ class TestBackward:
         try:
             x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
             w = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
-            h = matmul(x, w)
-            alive = weakref.ref(h.data)  # gelu's VJP reads it
-            loss = cross_entropy(gelu(h), np.full((3, 5), 0.2))
-            del h
+            y = gelu(matmul(x, w))
+            alive = weakref.ref(y.data)  # gelu's VJP reads it
+            loss = cross_entropy(y, np.full((3, 5), 0.2))
+            del y
             backward(loss)
             assert alive() is not None  # the loss still roots the graph
             del loss
