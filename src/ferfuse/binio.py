@@ -38,19 +38,21 @@ class BadFieldError(FileFormatError):
 
 
 _PIPE_CHUNK = 1 << 24  # the largest single read from a pipe
+_SMALL_READ = 1 << 16  # a read this size is bounded by its size alone
 
 
 def read_exact(f, n: int, what: str) -> np.ndarray:
     """Read ``n`` bytes into a new writable uint8 array, else raise TruncatedFileError.
 
-    Every read is bounded here: a regular file must hold ``n`` more bytes
-    before anything is allocated, and then fills the array with one
-    ``readinto``; a pipe has no size to check, so it is read in chunks and a
-    header promising more costs only what arrives.
+    Every read is bounded here: a read of at most ``_SMALL_READ`` bytes, from
+    any file, fills the array with one ``readinto``. A larger one from a
+    regular file must find ``n`` more bytes in it before anything is
+    allocated, and is then read the same way; a pipe has no size to check,
+    so it is read in chunks and a header promising more costs only what arrives.
     """
-    st = os.fstat(f.fileno())
-    if stat.S_ISREG(st.st_mode):
-        got = min(n, st.st_size - f.tell())
+    st = None if n <= _SMALL_READ else os.fstat(f.fileno())
+    if st is None or stat.S_ISREG(st.st_mode):
+        got = n if st is None else min(n, st.st_size - f.tell())
         if got == n:
             buf = np.empty(n, dtype=np.uint8)
             got = f.readinto(buf)

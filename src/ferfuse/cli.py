@@ -346,6 +346,7 @@ def cmd_params(args) -> int:
         f"adam {mem['adam']:,d}"
     )
     print(flops["formula"])
+    print(mem["formula"])
     return 0
 
 

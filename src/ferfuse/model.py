@@ -451,13 +451,14 @@ def estimate_memory(cfg: ModelConfig) -> dict:
     The tape holds ``per_sample["total"] * batch + constant["total"]`` bytes:
     the distinct arrays its VJP closures keep, each counted once, under the
     first op kind listed whose VJP keeps it. Per sample: ``softmax_rows``'
-    output; ``layer_norm``'s xhat and 1/std; ``cross_entropy``'s target and
-    log-probabilities; the left operand of every linear map and the operands
-    of the attention products, under ``matmul``; ``gelu``'s Phi(x), since its
-    output is fc2's operand. The constant: the weights of every linear map
-    but the input projections (their inputs need no gradient) and the head
-    concat's split offsets. ``adam``: the arena and two moments, 24 bytes per
-    parameter. The ``formula`` entry spells this out.
+    output; the left operand of every linear map and the operands of the
+    attention products, under ``matmul``; ``layer_norm``'s 1/std, since its
+    output, from which it reads xhat back, is the next linear map's operand;
+    ``cross_entropy``'s target and log-probabilities; ``gelu``'s Phi(x),
+    since its output is fc2's operand. The constant: the weights of every
+    linear map but the input projections (their inputs need no gradient)
+    and the head concat's split offsets. ``adam``: the arena and two
+    moments, 24 bytes per parameter. The ``formula`` entry spells this out.
     """
     rows = [2 * cfg.patches if s == "fused" else cfg.patches for s in cfg.layout.streams]
     feat, hidden, n = cfg.feature_dim(), cfg.head_hidden_dim(), cfg.num_classes
@@ -469,10 +470,10 @@ def estimate_memory(cfg: ModelConfig) -> dict:
         weights += sum(len(cfg.block_sets(j)) for j in range(cfg.depth)) * (4 + 2 * cfg.mlp_ratio) * dim * dim
         for r in rows:
             soft += cfg.depth * cfg.heads_for(dim) * r * r
-            norm += cfg.depth * (1 + cfg.pre_msa_norm) * r * (dim + 1)
+            norm += cfg.depth * (1 + cfg.pre_msa_norm) * r
             mm += cfg.depth * (6 + cfg.mlp_ratio) * r * dim
             phi += cfg.depth * cfg.mlp_ratio * r * dim
-    per = {"softmax_rows": soft, "layer_norm": norm, "cross_entropy": 2 * n, "matmul": mm, "gelu": phi}
+    per = {"softmax_rows": soft, "matmul": mm, "layer_norm": norm, "cross_entropy": 2 * n, "gelu": phi}
     const = {"matmul": weights, "concat": len(rows) * len(cfg.level_dims())}
     return {
         "per_sample": {**{k: 8 * v for k, v in per.items()}, "total": 8 * sum(per.values())},
@@ -480,9 +481,9 @@ def estimate_memory(cfg: ModelConfig) -> dict:
         "adam": 24 * count_params(cfg)["total"],
         "formula": (
             "tape bytes = per_sample * batch + constant, 8 per entry. Per sample, per stream per block: "
-            "softmax heads*rows^2; layer_norm norms*rows*(D+1); matmul (6+ratio)*rows*D (block input, "
-            "q, k, v, merged heads, normed rows, GELU output); gelu ratio*rows*D (Phi); then the stream "
-            "inputs, the head's F+2H and the loss's 2N. Constant: block and head weights, one offset "
-            "per pooled feature. Adam: 24 bytes/param."
+            "softmax heads*rows^2; matmul (6+ratio)*rows*D (block input, q, k, v, merged heads, "
+            "normed rows, GELU output); layer_norm norms*rows (1/std: xhat is read back from the normed "
+            "rows); gelu ratio*rows*D (Phi); then the stream inputs, the head's F+2H and the loss's 2N. "
+            "Constant: block and head weights, one offset per pooled feature. Adam: 24 bytes/param."
         ),
     }

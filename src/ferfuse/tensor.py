@@ -22,6 +22,10 @@ A VJP may return ``None`` for an input that does not require grad, and
 in the same op, so neither keeps a second activation on the tape.
 ``gelu`` keeps Phi(x) and its output, which the next linear map keeps
 anyway, and its VJP divides to read x back, so its input is not kept.
+``layer_norm`` keeps 1/std and its output, which the next linear map keeps
+too, and reads xhat back as (out - beta) / gamma, within about 1.2e-13;
+only the columns where gamma is 0 or subnormal, or |beta| >= 1024 |gamma|,
+keep xhat itself, and at gamma 1, beta 0 there are none.
 ``model.estimate_memory`` states the bytes the tape keeps, exactly.
 
 All data is float64 and row-major. Any NaN or Inf entering or leaving an
@@ -417,6 +421,12 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalise the last axis to zero mean / unit variance, then apply
     the gamma/beta affine. Variance is the population variance (divide by
     D), plus ``LN_EPS``.
+
+    The VJP keeps the output, which the next linear map keeps anyway, and
+    1/std, not xhat: it reads xhat back as (out - beta) / gamma, within
+    (1025 + 4 |xhat|) * 2^-53 of the forward's (exact at gamma 1, beta 0).
+    The columns where that bound could fail, gamma 0 or subnormal or
+    |beta| >= 1024 |gamma|, keep their xhat as computed.
     """
     d = x.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
@@ -432,8 +442,16 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     xhat *= inv
     out = gamma.data * xhat
     out += beta.data
+    gabs = np.abs(gamma.data)
+    cols = np.flatnonzero((gabs < _TINY) | (np.abs(beta.data) >= 1024 * gabs))
+    kept = xhat[..., cols]  # (.., 0) at gamma 1, beta 0
 
     def vjp(g):
+        den = gamma.data.copy()
+        den[cols] = 1.0  # no division by 0: these columns come from kept
+        xhat = out - beta.data
+        xhat /= den
+        xhat[..., cols] = kept
         # dx = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))
         dxhat = g * gamma.data
         t = g * xhat

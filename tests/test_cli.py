@@ -478,6 +478,7 @@ class TestGradcheckAndParams:
         assert lines[at - 1].startswith("flops (MACs/sample):")
         tape, const, adam = (int(n.replace(",", "")) for n in re.findall(r"[\d,]{2,}", lines[at]))
         assert (tape, const, adam) == (mem["per_sample"]["total"], mem["constant"]["total"], mem["adam"])
+        assert lines[-1] == mem["formula"]
 
     @pytest.mark.parametrize(
         "command,flag,value",

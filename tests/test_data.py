@@ -1,5 +1,7 @@
+import io
 import os
 import threading
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -344,6 +346,7 @@ class TestFeatureFiles:
 
     def test_reads_a_pipe_in_chunks(self, tmp_path, monkeypatch):
         monkeypatch.setattr(binio, "_PIPE_CHUNK", 100)  # the 992-byte payload takes 10 reads
+        monkeypatch.setattr(binio, "_SMALL_READ", 16)  # and is not a small read
         ds = self._small()
         path = tmp_path / "a.pfer"
         write_features(ds, path)
@@ -363,6 +366,35 @@ class TestFeatureFiles:
             buf = binio.read_exact(f, 4, "the tail")
         assert peak[0] < 1 << 20
         assert buf.flags.writeable and buf.tolist() == [1, 2, 3, 4]
+
+    def test_small_read_makes_no_size_check(self, tmp_path, monkeypatch):
+        # A read of at most 64 KiB is bounded by its own size: one readinto.
+        path = tmp_path / "small.bin"
+        path.write_bytes(bytes(range(256)) * 257)
+
+        def refuse(*_):
+            raise AssertionError("a small read checked the file's size")
+
+        class Untold(io.BufferedReader):
+            tell = refuse
+
+        monkeypatch.setattr(binio.os, "fstat", refuse)
+        with Untold(io.FileIO(path, "rb")) as f:
+            head = binio.read_exact(f, 4, "the head")
+            body = binio.read_exact(f, binio._SMALL_READ, "the body")
+        assert head.flags.writeable and head.tolist() == [0, 1, 2, 3]
+        assert body.tobytes() == path.read_bytes()[4 : 4 + (1 << 16)]
+
+    @pytest.mark.parametrize("piped", [False, True], ids=["file", "pipe"])
+    @pytest.mark.parametrize("n", [4, 1 << 16, (1 << 16) + 1])
+    def test_short_read_names_what_it_got(self, tmp_path, piped, n):
+        path = tmp_path / "short.bin"
+        path.write_bytes(bytes(n - 1))
+        with fed_fifo(tmp_path, path.read_bytes()) if piped else nullcontext(path) as source:
+            with open(source, "rb") as f, pytest.raises(
+                TruncatedFileError, match=rf"^unexpected end of file while reading the tail \({n - 1}/{n} bytes\)$"
+            ):
+                binio.read_exact(f, n, "the tail")
 
     def test_pipe_header_promising_terabytes_fails_in_bounded_memory(self, tmp_path):
         # 2^20 samples of 1024 x 1024 features, about 8.8 TB, of which 1 MB is sent.

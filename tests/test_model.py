@@ -304,9 +304,10 @@ class TestPosterForward:
 
     def test_training_forward_holds_at_most_four_fifths_of_its_op_outputs(self, monkeypatch):
         # A node holds an input's producer node, not the output, so residual sums,
-        # output projections, merged heads and GELU's inputs are freed during the
-        # forward: 10.4 of 17.4 MB here, against 12.2 MB while GELU kept its input
-        # and 16.4 MB when every node held its inputs.
+        # output projections, merged heads, GELU's inputs and the norms' xhat are
+        # freed during the forward: 9.6 of 17.4 MB here, against 10.4 MB while
+        # the norms kept xhat, 12.2 MB while GELU kept its input and 16.4 MB when
+        # every node held its inputs.
         cfg = desk_config()
         params = build_params(cfg)
         rng = np.random.default_rng(16)
@@ -603,8 +604,9 @@ class TestEstimateFlops:
 
 
 # estimate_memory's op kinds in its precedence order: an array several VJPs keep
-# counts under the first kind that keeps it.
-KEEPERS = ("softmax_rows", "layer_norm", "cross_entropy", "matmul", "gelu", "concat")
+# counts under the first kind that keeps it, so a norm's output, which its
+# VJP reads xhat back from, counts under the linear map that reads it.
+KEEPERS = ("softmax_rows", "matmul", "layer_norm", "cross_entropy", "gelu", "concat")
 
 
 def tape_bytes_by_kind(cfg, batch):
@@ -645,12 +647,16 @@ class TestEstimateMemory:
 
     def test_paper_shapes(self):
         # GELU keeps Phi(x), not its input: 3,906,560 and 15,604,736 bytes
-        # per sample fewer than a tape that also kept x.
+        # per sample fewer than a tape that also kept x. A norm keeps 1/std and
+        # its output, not xhat: 1,949,696 and 7,798,784 fewer than one that
+        # also kept xhat.
         paper_width = estimate_memory(ModelConfig(depth=2))
-        assert paper_width["per_sample"]["total"] == 24_110_576
+        assert paper_width["per_sample"]["total"] == 22_160_880
         assert paper_width["constant"]["total"] == 100_975_664
         assert paper_width["per_sample"]["gelu"] == 3_906_560
-        assert estimate_memory(ModelConfig())["per_sample"]["total"] == 94_684_784
+        assert paper_width["per_sample"]["layer_norm"] == 6_528
+        assert estimate_memory(ModelConfig())["per_sample"]["total"] == 86_886_000
+        assert estimate_memory(desk_config())["per_sample"]["total"] == 158_320
 
     def test_adam_bytes_are_the_arena_and_moments(self):
         cfg = desk_config(share_unswapped=True, swap_depth=1)

@@ -1,6 +1,7 @@
 import ctypes
 import gc
 import math
+import sys
 import warnings
 import weakref
 
@@ -362,6 +363,107 @@ class TestLayerNorm:
             return layer_norm(x, gamma, beta)
 
         assert finite_diff_check(f, {"x": x, "gamma": gamma, "beta": beta}, cotangent=c).passed
+
+    @staticmethod
+    def xhat_vjp(x, gamma, beta, g):
+        """xhat as the forward computes it, and the VJP that keeps it: the
+        derivative that ``layer_norm`` must give from the xhat it reads back."""
+        d = x.shape[-1]
+        xhat = x - x.mean(axis=-1, keepdims=True)
+        inv = (xhat * xhat).sum(axis=-1, keepdims=True) / d
+        inv += LN_EPS
+        np.sqrt(inv, out=inv)
+        np.divide(1.0, inv, out=inv)
+        xhat *= inv
+        dxhat = g * gamma
+        t = g * xhat
+        dgamma = t.reshape(-1, d).sum(axis=0)
+        dbeta = g.reshape(-1, d).sum(axis=0)
+        m1 = dxhat.mean(axis=-1, keepdims=True)
+        np.multiply(dxhat, xhat, out=t)
+        m2 = t.mean(axis=-1, keepdims=True)
+        np.multiply(xhat, m2, out=t)
+        dxhat -= m1
+        dxhat -= t
+        dxhat *= inv
+        return xhat, (dxhat, dgamma, dbeta)
+
+    @staticmethod
+    def grads(x, gamma, beta, g):
+        leaves = [Tensor(a, requires_grad=True) for a in (x, gamma, beta)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(divide="raise", invalid="raise", over="raise"):
+                got = {id(t): grad for t, grad in leaf_grads(layer_norm(*leaves), cotangent=g)}
+        return [got[id(t)] for t in leaves]
+
+    def test_xhat_freed_while_loss_alive(self, monkeypatch):
+        # The VJP keeps the output, which the next linear map keeps too, and
+        # reads xhat back from it; the forward's xhat goes when the op returns.
+        rng = np.random.default_rng(34)
+        freed = []
+
+        def spying(name, inputs, out, vjp):
+            if name == "layer_norm":
+                freed.append(weakref.ref(sys._getframe(1).f_locals["xhat"]))
+            return _record(name, inputs, out, vjp)
+
+        monkeypatch.setattr("ferfuse.tensor._record", spying)
+        gc.disable()
+        try:
+            x = Tensor(rng.standard_normal((3, 4, 6)), requires_grad=True)
+            gamma, beta = Tensor(np.ones(6), requires_grad=True), Tensor(np.zeros(6), requires_grad=True)
+            w = Tensor(rng.standard_normal((6, 5)), requires_grad=True)
+            loss = cross_entropy(mean_pool_patches(matmul(layer_norm(x, gamma, beta), w)), np.full((3, 5), 0.2))
+            [xhat] = freed
+            assert xhat() is None and loss.creator is not None
+        finally:
+            gc.enable()
+
+    def test_vjp_matches_the_xhat_vjp(self):
+        # gamma with zeros, a subnormal, negatives and entries below |beta|
+        # / 1024; the kept columns' dgamma and every dbeta are bitwise.
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            d = 16
+            x = rng.standard_normal((3, 5, d)) * rng.uniform(0.1, 10)
+            gamma = rng.choice([-1.0, 1.0], d) * 10 ** rng.uniform(-6, 1, d)
+            beta = gamma * rng.uniform(-1023.99, 1023.99, d)
+            gamma[:2], beta[:2] = 0.0, (0.0, -0.5)
+            gamma[2], beta[3] = 1e-310, 1e-3 * (1 - 2 * (seed % 2))
+            gamma[3] = beta[3] / 1024.5
+            beta[4] = 1e6 * gamma[4]
+            g = rng.standard_normal(x.shape)
+            _, want = self.xhat_vjp(x, gamma, beta, g)
+            got = self.grads(x, gamma, beta, g)
+            for a, b in zip(got, want):
+                assert not np.isnan(a).any()
+                assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+            assert np.array_equal(got[1][:5], want[1][:5]) and np.array_equal(got[2], want[2])
+
+    def test_vjp_bitwise_at_build_parameters(self):
+        rng = np.random.default_rng(35)
+        x = rng.standard_normal((4, 7, 12))
+        g = rng.standard_normal(x.shape)
+        gamma, beta = np.ones(12), np.zeros(12)
+        _, want = self.xhat_vjp(x, gamma, beta, g)
+        for a, b in zip(self.grads(x, gamma, beta, g), want):
+            assert a.tobytes() == b.tobytes()
+
+    def test_read_back_within_its_bound(self):
+        # With a cotangent of ones in row i and zeros elsewhere, dgamma is row i
+        # of the xhat the VJP read back, exactly; here |beta| < 1024 |gamma|.
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            x = rng.standard_normal((6, 64)) * rng.uniform(0.1, 10)
+            gamma = rng.choice([-1.0, 1.0], 64) * 10 ** rng.uniform(-6, 1, 64)
+            beta = gamma * rng.uniform(-1023.99, 1023.99, 64)
+            xhat, _ = self.xhat_vjp(x, gamma, beta, x)
+            for i, row in enumerate(xhat):
+                g = np.zeros_like(x)
+                g[i] = 1.0
+                _, read_back, _ = self.grads(x, gamma, beta, g)
+                assert np.all(np.abs(read_back - row) <= (1025 + 4 * np.abs(row)) * 2.0**-53)
 
 
 class TestLinear:
