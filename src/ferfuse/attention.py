@@ -10,9 +10,7 @@ and vice versa, so each stream mixes its own values under the other
 stream's addressing. A tied pair passes the same weight set twice.
 
 The tape keeps the attention weight arrays, read by the softmax and value
-mixing VJPs, not their tensors; given a trace list, a forward appends one
-``AttentionRecord`` (holding the tensor) per block and stream for relevance
-analysis. Pass its weights to ``leaf_grads(..., watch=...)`` for gradients.
+mixing VJPs, not their tensors; ``tensor.observe`` sees the tensors.
 """
 
 from __future__ import annotations
@@ -46,16 +44,6 @@ class MsaParams:
     o: LinearParams
 
 
-@dataclass
-class AttentionRecord:
-    """One attention-weight tensor captured during a forward pass."""
-
-    level: int
-    block: int
-    stream: int  # position of the stream in the forward's stream list
-    weights: Tensor  # (.., heads, P, P), rows sum to 1
-
-
 def _check_input(x: Tensor, p: MsaParams, label: str) -> None:
     if x.ndim < 2:
         raise ShapeError(f"{label} input must be (.., P, D), got {x.shape}")
@@ -66,24 +54,22 @@ def _check_input(x: Tensor, p: MsaParams, label: str) -> None:
         raise ShapeError(f"{label}: dim {d} not divisible by heads {p.heads}")
 
 
-def _attend(q: Tensor, k: Tensor, v: Tensor, heads: int, sink: list | None) -> Tensor:
-    """Head-split scaled-dot attention; appends the weight tensor to sink."""
+def _attend(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
+    """Head-split scaled-dot attention."""
     dh = q.shape[-1] // heads
     scores = matmul(split_heads(q, heads), swap_axes(split_heads(k, heads), -1, -2))
     weights = softmax_rows(scores, 1.0 / math.sqrt(dh))
-    if sink is not None:
-        sink.append(weights)
     return merge_heads(matmul(weights, split_heads(v, heads)))
 
 
-def mhsa(xs: list, ps: list, swapped: bool = False, sinks: list | None = None) -> list:
+def mhsa(xs: list, ps: list, swapped: bool = False) -> list:
     """Multi-head attention over a list of one or two token streams.
 
     Stream k, of shape (.., P, D), projects Q, K and V with ``ps[k]`` and
     applies ``ps[k]``'s output projection; each output keeps its input's
     shape. With ``swapped`` the two streams exchange queries, so they must
-    share shape and head count. ``sinks``, if given, holds one list per
-    stream; each gets that stream's (.., heads, P, P) softmax weights.
+    share shape and head count. Streams run in order, each with one
+    ``softmax_rows`` op whose output is its (.., heads, P, P) attention weights.
     """
     if len(ps) != len(xs):
         raise ValueError(f"mhsa needs one weight set per stream, got {len(ps)} for {len(xs)} streams")
@@ -101,8 +87,8 @@ def mhsa(xs: list, ps: list, swapped: bool = False, sinks: list | None = None) -
     if swapped:
         qs.reverse()
     outs = []
-    for x, p, q, sink in zip(xs, ps, qs, sinks if sinks is not None else [None] * len(xs)):
+    for x, p, q in zip(xs, ps, qs):
         k = matmul(x, p.k.w, p.k.b)
         v = matmul(x, p.v.w, p.v.b)
-        outs.append(matmul(_attend(q, k, v, p.heads, sink), p.o.w, p.o.b))
+        outs.append(matmul(_attend(q, k, v, p.heads), p.o.w, p.o.b))
     return outs

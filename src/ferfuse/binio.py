@@ -1,5 +1,6 @@
 """Shared helpers for the little-endian binary file formats, and the one
-writer of every JSON file (sidecars, configs) and every CSV table.
+writer of every JSON file (sidecars, configs) and every CSV table, which
+``train_loop`` streams row by row.
 
 Every read whose size a file states goes through ``read_exact``, the one
 place that checks a read's size against what the file holds."""
@@ -13,6 +14,7 @@ import os
 import stat
 import struct
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -99,9 +101,18 @@ def write_json(obj, path) -> None:
         f.write("\n")
 
 
-def write_csv(path, header, rows) -> None:
-    """Write ``header`` then ``rows`` as excel-dialect CSV: CRLF line ends, ``str()`` of each value."""
-    with open(path, "w", newline="") as f:
+@contextmanager
+def csv_rows(path, header):
+    """Write ``header`` as excel-dialect CSV (CRLF line ends, ``str()`` of each
+    value) and yield a function that writes one row and flushes it."""
+    with open(path, "w", newline="", buffering=1) as f:  # line-buffered: each row is flushed
         writer = csv.writer(f)
         writer.writerow(header)
-        writer.writerows(rows)
+        yield writer.writerow
+
+
+def write_csv(path, header, rows) -> None:
+    """Write ``header`` then ``rows`` through ``csv_rows``."""
+    with csv_rows(path, header) as put:
+        for row in rows:
+            put(row)

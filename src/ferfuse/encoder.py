@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .attention import AttentionRecord, MsaParams, mhsa
+from .attention import MsaParams, mhsa
 from .tensor import Tensor, add, gelu, layer_norm, matmul
 
 
@@ -81,18 +81,16 @@ def block(
     swapped: bool = False,
     drop_path_rate: float = 0.0,
     pre_msa_norm: bool = False,
-    sinks: list | None = None,
 ) -> list:
     """One encoder block over a list of one or two token streams.
 
     Stream k runs with ``ps[k]``: attention (queries exchanged between the
     two streams when ``swapped``), then the residual and MLP tail.
-    ``sinks`` holds one attention-weight list per stream.
     """
     if len(xs) != len(ps):
         raise ValueError(f"block has {len(ps)} stream weight sets, got {len(xs)} inputs")
     hs = [layer_norm(x, s.norm1_gamma, s.norm1_beta) if pre_msa_norm else x for x, s in zip(xs, ps)]
-    attn = mhsa(hs, [s.msa for s in ps], swapped, sinks)
+    attn = mhsa(hs, [s.msa for s in ps], swapped)
     return [_residual_tail(x, a, s, drop_path_rate, training, rng) for x, a, s in zip(xs, attn, ps)]
 
 
@@ -104,18 +102,12 @@ def stack_forward(
     swap_depth: int = 0,
     drop_path_rate: float = 0.0,
     pre_msa_norm: bool = False,
-    trace: list | None = None,
     level: int = 0,
 ) -> list:
     """Run a stack of blocks over one or two token streams: blocks below
-    ``swap_depth`` swap queries, the rest self-attend per stream.
-
-    Attention weights are appended to ``trace`` as ``AttentionRecord``s
-    holding the position of their stream in ``xs``.
+    ``swap_depth`` swap queries, the rest self-attend per stream. Only
+    ``bench/tracing.py`` reads ``level``, to time each pyramid level apart.
     """
     for i, ps in enumerate(blocks):
-        sinks = [[] for _ in xs]
-        xs = block(xs, ps, training, rng, i < swap_depth, drop_path_rate, pre_msa_norm, sinks)
-        if trace is not None:
-            trace.extend(AttentionRecord(level, i, k, w) for k, sink in enumerate(sinks) for w in sink)
+        xs = block(xs, ps, training, rng, i < swap_depth, drop_path_rate, pre_msa_norm)
     return xs

@@ -338,7 +338,6 @@ def forward(
     cfg: ModelConfig,
     training: bool,
     rng=None,
-    trace: list | None = None,
 ) -> Tensor:
     """Inputs are (.., P, base_dim) per stream; output is (.., num_classes)
     logits. Per level: project each stream, run the stack, mean-pool every
@@ -359,7 +358,7 @@ def forward(
     pooled = []
     for i, lvl in enumerate(params.levels):
         zs = [matmul(x, proj.w, proj.b) for x, proj in zip(xs, lvl.projs)]
-        ys = stack_forward(zs, lvl.blocks, training, rng, swap, cfg.drop_path, cfg.pre_msa_norm, trace, level=i)
+        ys = stack_forward(zs, lvl.blocks, training, rng, swap, cfg.drop_path, cfg.pre_msa_norm, level=i)
         pooled.extend(mean_pool_patches(y) for y in ys)
     return mlp(concat(pooled, axis=-1), params.head)
 

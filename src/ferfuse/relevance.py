@@ -25,7 +25,7 @@ import numpy as np
 
 from .binio import write_csv
 from .model import ModelConfig, ModelParams, forward
-from .tensor import Tensor, leaf_grads
+from .tensor import Tensor, leaf_grads, observe
 
 
 @dataclass
@@ -60,24 +60,22 @@ def capture_attention(
         raise ValueError(f"target_class {target_class} out of range [0, {cfg.num_classes})")
     if x_img.ndim != 2:
         raise ValueError(f"capture works on a single (P, D) sample, got {x_img.shape}")
-    trace = []
-    logits = forward(Tensor(x_img), Tensor(x_lm), params, cfg, training=False, trace=trace)
+    weights = []  # every softmax_rows output: one per level, block and stream, in that order
+    with observe(lambda name, out: weights.append(out) if name == "softmax_rows" else None):
+        logits = forward(Tensor(x_img), Tensor(x_lm), params, cfg, training=False)
     onehot = np.eye(cfg.num_classes)[target_class]  # the cotangent that selects the target logit
-    walk = leaf_grads(logits, watch=[rec.weights for rec in trace], cotangent=onehot)
-    grads = {id(t): g for t, g in walk if t.creator is not None}
-    captured = []
-    for rec in trace:
-        g = grads.get(id(rec.weights))
-        captured.append(
-            CapturedAttention(
-                level=rec.level,
-                block=rec.block,
-                stream=cfg.layout.streams[rec.stream],
-                weights=rec.weights.data.copy(),
-                grads=np.zeros_like(rec.weights.data) if g is None else g.copy(),
-            )
+    grads = {id(t): g for t, g in leaf_grads(logits, watch=weights, cotangent=onehot) if t.creator is not None}
+    s = len(cfg.layout.streams)
+    return [
+        CapturedAttention(
+            level=i // (s * cfg.depth),
+            block=i // s % cfg.depth,
+            stream=cfg.layout.streams[i % s],
+            weights=w.data.copy(),
+            grads=grads[id(w)].copy() if id(w) in grads else np.zeros_like(w.data),
         )
-    return captured
+        for i, w in enumerate(weights)
+    ]
 
 
 def relevance_rollout(captured: list) -> RelevanceMap:

@@ -27,6 +27,8 @@ too, and reads xhat back as (out - beta) / gamma, within about 1.2e-13;
 only the columns where gamma is 0 or subnormal, or |beta| >= 1024 |gamma|,
 keep xhat itself, and at gamma 1, beta 0 there are none.
 ``model.estimate_memory`` states the bytes the tape keeps, exactly.
+``observe(fn)`` is the one tape hook: while it is active, each op the current
+thread records calls ``fn(name, output)`` once the output holds its node.
 
 All data is float64 and row-major. Any NaN or Inf entering or leaving an
 op is a contract violation and raises ``NonFiniteError`` immediately,
@@ -44,6 +46,8 @@ from __future__ import annotations
 
 import ctypes
 import math
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -249,6 +253,25 @@ def zero_grads(named) -> None:
 _MOVES_DATA = frozenset(("swap_axes", "concat", "split_heads", "merge_heads"))
 
 
+class _Observers(threading.local):
+    fns = ()  # a class attribute, so a thread that never observes reads it without a lookup miss
+
+
+_observers = _Observers()
+
+
+@contextmanager
+def observe(fn):
+    """Call ``fn(name, out)`` for every op this thread records inside the block,
+    after any observers already active; the previous observers come back on exit."""
+    outer = _observers.fns
+    _observers.fns = outer + (fn,)
+    try:
+        yield
+    finally:
+        _observers.fns = outer
+
+
 def _record(name, inputs, out_data, vjp) -> Tensor:
     out = Tensor(out_data, screen=False)
     if name not in _MOVES_DATA and not _finite(out.data):
@@ -256,6 +279,8 @@ def _record(name, inputs, out_data, vjp) -> Tensor:
     if any(t.requires_grad for t in inputs):
         out.requires_grad = True
         out.creator = OpNode(name, [t.creator or t for t in inputs], vjp)
+    for fn in _observers.fns:
+        fn(name, out)
     return out
 
 

@@ -17,13 +17,14 @@ with ``t.data[...] = values``. ``train_loop`` feeds ``tensor.leaf_grads`` to
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import metrics
-from .binio import write_csv
+from .binio import csv_rows
 from .checkpoint import save_model
 from .data import FeatureDataset
 from .model import ModelConfig, ModelParams, build_params, check_fields, forward
@@ -237,7 +238,9 @@ def train_loop(
 
     When ``out_dir`` is given, writes train_log.csv (step,loss,lr,seconds),
     periodic checkpoints per ``checkpoint_every``, and checkpoint_final.pckpt,
-    each with its ``model_cfg`` beside it as ``<checkpoint>.json``.
+    each with its ``model_cfg`` beside it as ``<checkpoint>.json``. The log
+    gets its header first and each row, flushed, as its step ends, so a run
+    that stops leaves the rows of the steps it finished.
     A non-finite loss aborts with a diagnostic naming the step.
     """
     if len(dataset) == 0:
@@ -252,28 +255,30 @@ def train_loop(
     log = []
     start = clock()
     batch = min(train_cfg.batch_size, len(dataset))
-    for step in range(1, train_cfg.steps + 1):
-        rng = _step_rng(train_cfg.seed, step)
-        idx = rng.choice(len(dataset), size=batch, replace=False)
-        x_img, x_lm, labels = _batch_tensors(dataset, idx)
-        try:
-            logits = forward(x_img, x_lm, params, model_cfg, training=True, rng=rng)
-            loss = label_smoothing_ce(logits, labels, model_cfg.label_smoothing)
-        except NonFiniteError as e:
-            raise NonFiniteError(f"non-finite loss at step {step}: {e}") from e
-        # Each gradient is applied, and freed, as soon as its span is complete.
-        adam_step(state, leaf_grads(loss))
-        log.append((step, loss.item(), train_cfg.learning_rate, clock() - start))
-        # The loss roots this step's tape; free it before the next forward.
-        del logits, loss
-        if out_path is not None and train_cfg.checkpoint_every and step % train_cfg.checkpoint_every == 0:
-            save_model(out_path / f"checkpoint_{step:06d}.pckpt", params, model_cfg)
+    header = ["step", "loss", "lr", "seconds"]
+    with nullcontext(lambda row: None) if out_path is None else csv_rows(out_path / "train_log.csv", header) as write_row:
+        for step in range(1, train_cfg.steps + 1):
+            rng = _step_rng(train_cfg.seed, step)
+            idx = rng.choice(len(dataset), size=batch, replace=False)
+            x_img, x_lm, labels = _batch_tensors(dataset, idx)
+            try:
+                logits = forward(x_img, x_lm, params, model_cfg, training=True, rng=rng)
+                loss = label_smoothing_ce(logits, labels, model_cfg.label_smoothing)
+            except NonFiniteError as e:
+                raise NonFiniteError(f"non-finite loss at step {step}: {e}") from e
+            # Each gradient is applied, and freed, as soon as its span is complete.
+            adam_step(state, leaf_grads(loss))
+            seconds = clock() - start
+            log.append((step, loss.item(), train_cfg.learning_rate, seconds))
+            write_row([step, repr(loss.item()), repr(train_cfg.learning_rate), f"{seconds:.3f}"])
+            # The loss roots this step's tape; free it before the next forward.
+            del logits, loss
+            if out_path is not None and train_cfg.checkpoint_every and step % train_cfg.checkpoint_every == 0:
+                save_model(out_path / f"checkpoint_{step:06d}.pckpt", params, model_cfg)
     ckpt = None
     if out_path is not None:
         ckpt = out_path / "checkpoint_final.pckpt"
         save_model(ckpt, params, model_cfg)
-        rows = ([step, repr(loss), repr(lr), f"{seconds:.3f}"] for step, loss, lr, seconds in log)
-        write_csv(out_path / "train_log.csv", ["step", "loss", "lr", "seconds"], rows)
     return TrainResult(params=params, log=log, checkpoint_path=ckpt)
 
 

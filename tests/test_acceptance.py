@@ -188,8 +188,8 @@ class TestCriterion01GradientSuite:
             name for name, obj in vars(tensor).items()
             if inspect.isfunction(obj) and obj.__module__ == tensor.__name__ and not name.startswith("_")
         }
-        # These run or check the backward walk.
-        not_ops = {"leaf_grads", "backward", "zero_grads", "finite_diff_check"}
+        # These run or check the backward walk, or watch ops record.
+        not_ops = {"leaf_grads", "backward", "zero_grads", "finite_diff_check", "observe"}
         assert recorded == public - not_ops
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ferfuse.encoder import block
 from ferfuse.model import VARIANTS, ModelConfig, build_params, forward
 from ferfuse.relevance import (
     CapturedAttention,
@@ -13,7 +14,7 @@ from ferfuse.relevance import (
     write_pgm,
     write_scores_csv,
 )
-from ferfuse.tensor import Tensor, finite_diff_check
+from ferfuse.tensor import Tensor, finite_diff_check, matmul, observe
 
 
 def tiny_config(**kw):
@@ -63,12 +64,12 @@ class TestCaptureAttention:
         xi = rng.standard_normal((2, 4))
         xl = rng.standard_normal((2, 4))
         captured = capture_attention(params, cfg, xi, xl, target_class=1)
-        trace = []
-        forward(Tensor(xi), Tensor(xl), params, cfg, training=False, trace=trace)
-        assert len(captured) == len(trace)
-        for cap, rec in zip(captured, trace):
-            assert (cap.level, cap.block, cap.stream) == (rec.level, rec.block, cfg.layout.streams[rec.stream])
-            assert np.array_equal(cap.weights, rec.weights.data)
+        seen = []
+        with observe(lambda name, out: seen.append(out.data) if name == "softmax_rows" else None):
+            forward(Tensor(xi), Tensor(xl), params, cfg, training=False)
+        assert len(captured) == len(seen) == len(cfg.layout.streams)
+        for cap, weights in zip(captured, seen):
+            assert np.array_equal(cap.weights, weights)
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_records_named_by_layout_stream(self, variant):
@@ -80,6 +81,33 @@ class TestCaptureAttention:
         assert [(c.block, c.stream) for c in captured] == [(j, s) for j in range(2) for s in cfg.layout.streams]
         for stream in cfg.layout.streams:
             assert stream_relevance(captured, stream).stream == stream
+
+    def test_labels_name_the_level_block_and_stream_across_the_pyramid(self):
+        # Capture labels records by their position in the forward; rerun each
+        # block on its own and check the label holds that block's weights.
+        cfg = tiny_config(variant="poster", pyramid_dims=(8, 4, 2), heads_divisor=2, depth=2, swap_depth=1)
+        params = build_params(cfg)
+        rng = np.random.default_rng(4)
+        xi, xl = rng.standard_normal((2, 4)), rng.standard_normal((2, 4))
+        captured = capture_attention(params, cfg, xi, xl, target_class=0)
+        streams = cfg.layout.streams
+        assert [(c.level, c.block, c.stream) for c in captured] == [
+            (i, j, s) for i in range(3) for j in range(2) for s in streams
+        ]
+        dims = cfg.level_dims()
+        assert sorted({cfg.heads_for(d) for d in dims}) == [1, 2, 4]
+        for cap in captured:
+            assert cap.weights.shape == (cfg.heads_for(dims[cap.level]), 2, 2)
+        by_label = {(c.level, c.block, c.stream): c.weights for c in captured}
+        for i, lvl in enumerate(params.levels):
+            xs = [matmul(Tensor(x), proj.w, proj.b) for x, proj in zip((xi, xl), lvl.projs)]
+            for j, ps in enumerate(lvl.blocks):
+                seen = []
+                with observe(lambda name, out: seen.append(out.data) if name == "softmax_rows" else None):
+                    xs = block(xs, ps, training=False, swapped=j < cfg.swap_depth)
+                assert len(seen) == len(streams)
+                for stream, weights in zip(streams, seen):
+                    assert np.array_equal(by_label[i, j, stream], weights)
 
     def test_target_class_range(self):
         cfg = tiny_config()

@@ -2,6 +2,7 @@ import ctypes
 import gc
 import math
 import sys
+import threading
 import warnings
 import weakref
 
@@ -32,6 +33,7 @@ from ferfuse.tensor import (
     matmul,
     mean_pool_patches,
     merge_heads,
+    observe,
     scale,
     softmax_rows,
     split_heads,
@@ -945,6 +947,60 @@ class TestTapeOwnership:
             gc.enable()
         # The walk over a tape without the sum still gets every gradient right.
         assert finite_diff_check(f, {"x": x, "w": w, "gamma": gamma, "beta": beta}, cotangent=c).passed
+
+
+class TestObserve:
+    def test_sees_every_op_in_recording_order(self):
+        rng = np.random.default_rng(63)
+        x = Tensor(rng.standard_normal((2, 3)))  # no op below needs a gradient
+        w = Tensor(rng.standard_normal((3, 3)))
+        seen = []
+        with observe(lambda name, out: seen.append((name, out))):
+            h = matmul(x, w)
+            y = softmax_rows(add(gelu(h), h))
+        assert [name for name, _ in seen] == ["matmul", "gelu", "add", "softmax_rows"]
+        assert seen[0][1] is h and seen[-1][1] is y
+        assert all(out.creator is None for _, out in seen)
+        matmul(x, w)
+        assert len(seen) == 4
+
+    def test_sees_outputs_with_their_nodes(self):
+        w = Tensor(np.eye(2), requires_grad=True)
+        seen = []
+        with observe(lambda name, out: seen.append(out.creator)):
+            y = scale(w, 2.0)
+        assert seen == [y.creator] and y.creator.name == "scale"
+
+    def test_nested_observers_both_fire_and_the_outer_comes_back(self):
+        calls = []
+        with observe(lambda name, out: calls.append(("outer", name))):
+            with observe(lambda name, out: calls.append(("inner", name))):
+                scale(Tensor([1.0]), 2.0)
+            swap_axes(Tensor([[1.0]]), 0, 1)
+        assert calls == [("outer", "scale"), ("inner", "scale"), ("outer", "swap_axes")]
+
+    def test_outer_observers_come_back_when_the_body_raises(self):
+        calls = []
+        with observe(lambda name, out: calls.append(name)):
+            with pytest.raises(ShapeError), observe(lambda name, out: calls.append("inner " + name)):
+                scale(Tensor([1.0]), 2.0)
+                add(Tensor([1.0]), Tensor([1.0, 2.0]))
+            scale(Tensor([1.0]), 2.0)
+        scale(Tensor([1.0]), 2.0)
+        assert calls == ["scale", "inner scale", "scale"]
+
+    def test_an_observer_sees_no_op_of_another_thread(self):
+        seen, other = [], []
+
+        def record_elsewhere():
+            other.append(scale(Tensor([1.0]), 2.0))
+
+        with observe(lambda name, out: seen.append(out)):
+            thread = threading.Thread(target=record_elsewhere)
+            thread.start()
+            thread.join()
+            mine = scale(Tensor([1.0]), 3.0)
+        assert len(other) == 1 and seen == [mine]
 
 
 class TestPurityAndFiniteness:

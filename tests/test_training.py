@@ -342,6 +342,25 @@ class TestTrainLoop:
         ):
             train_loop(desk_config(), tcfg, ds)
 
+    def test_stopped_run_leaves_the_log_of_its_finished_steps(self, tmp_path):
+        ds = gen_clusters(patches=6, dim=16, num_classes=4, per_class=10, sigma=0.2, seed=7)
+        tcfg = TrainConfig(batch_size=16, learning_rate=1e150, steps=10, seed=0, checkpoint_every=1)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteError, match="^non-finite loss at step 2:"):
+            train_loop(desk_config(), tcfg, ds, out_dir=tmp_path)
+        assert (tmp_path / "checkpoint_000001.pckpt").exists()
+        header, row = (tmp_path / "train_log.csv").read_bytes().split(b"\r\n")[:2]
+        assert header == b"step,loss,lr,seconds"
+        step, loss, lr, seconds = row.decode().split(",")
+        assert (step, lr) == ("1", "1e+150") and math.isfinite(float(loss)) and float(seconds) >= 0
+        assert (tmp_path / "train_log.csv").read_bytes().endswith(row + b"\r\n")
+
+    def test_finished_run_logs_every_step(self, tmp_path):
+        ds = gen_clusters(patches=6, dim=16, num_classes=4, per_class=10, sigma=0.2, seed=6)
+        tcfg = TrainConfig(batch_size=16, learning_rate=1e-3, steps=3, seed=0)
+        result = train_loop(desk_config(), tcfg, ds, out_dir=tmp_path)
+        lines = [f"{s},{loss!r},{lr!r},{sec:.3f}\r\n" for s, loss, lr, sec in result.log]
+        assert (tmp_path / "train_log.csv").read_bytes().decode() == "step,loss,lr,seconds\r\n" + "".join(lines)
+
     def test_steps_and_checkpoint_cadence_validated(self):
         for bad in (0, -2):
             with pytest.raises(ValueError, match="steps must be >= 1"):
