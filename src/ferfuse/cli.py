@@ -365,9 +365,9 @@ def cmd_visualize(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     layout = near_square_layout(mcfg.patches)
     for stream in ("img", "lm"):
-        rel = stream_relevance(captured, stream)
-        write_pgm(out_dir / f"relevance_{stream}.pgm", render_map(rel.per_patch, layout))
-        write_scores_csv(out_dir / f"relevance_{stream}.csv", rel.per_patch)
+        scores = stream_relevance(captured, stream)
+        write_pgm(out_dir / f"relevance_{stream}.pgm", render_map(scores, layout))
+        write_scores_csv(out_dir / f"relevance_{stream}.csv", scores)
     print(f"wrote relevance_img.pgm and relevance_lm.pgm to {out_dir}")
     return 0
 

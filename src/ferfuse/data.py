@@ -107,22 +107,7 @@ def gen_clusters(
     noise_lm = rng.standard_normal((total, patches, dim)) * sigma
     x_img = protos_img[labels] + noise_img
     x_lm = protos_lm[labels] + noise_lm
-    order = rng.permutation(total)
-    return FeatureDataset(
-        x_img=x_img[order],
-        x_lm=x_lm[order],
-        labels=labels[order].astype(np.int64),
-        num_classes=num_classes,
-        metadata={
-            "generator": "clusters",
-            "patches": patches,
-            "dim": dim,
-            "num_classes": num_classes,
-            "per_class": per_class,
-            "sigma": sigma,
-            "seed": seed,
-        },
-    )
+    return _shuffled(rng, x_img, x_lm, labels, "clusters", patches, dim, num_classes, per_class, sigma, seed)
 
 
 def xor_directions(dim: int, seed: int) -> tuple:
@@ -168,7 +153,7 @@ def gen_xor(
     # label 0: (0, 0) and (1, 1); label 1: (0, 1) and (1, 0), each exactly half
     bits_img = np.concatenate([np.zeros(half), np.ones(half), np.zeros(half), np.ones(half)]).astype(int)
     bits_lm = np.concatenate([np.zeros(half), np.ones(half), np.ones(half), np.zeros(half)]).astype(int)
-    labels = (bits_img ^ bits_lm).astype(np.int64)
+    labels = bits_img ^ bits_lm
     total = 2 * per_class
     rng = np.random.default_rng([seed, 29])
     img_base = np.stack(img_dirs)[bits_img]  # (total, dim)
@@ -177,22 +162,16 @@ def gen_xor(
     x_lm = np.broadcast_to(lm_base[:, None, :], (total, patches, dim)).copy()
     x_img += rng.standard_normal((total, patches, dim)) * sigma
     x_lm += rng.standard_normal((total, patches, dim)) * sigma
-    order = rng.permutation(total)
-    return FeatureDataset(
-        x_img=x_img[order],
-        x_lm=x_lm[order],
-        labels=labels[order],
-        num_classes=2,
-        metadata={
-            "generator": "xor",
-            "patches": patches,
-            "dim": dim,
-            "num_classes": 2,
-            "per_class": per_class,
-            "sigma": sigma,
-            "seed": seed,
-        },
-    )
+    return _shuffled(rng, x_img, x_lm, labels, "xor", patches, dim, 2, per_class, sigma, seed)
+
+
+def _shuffled(rng, x_img, x_lm, labels, generator, patches, dim, num_classes, per_class, sigma, seed) -> FeatureDataset:
+    """The rows in the order of one ``rng.permutation``, int64 labels, and
+    the generator's name and settings as metadata."""
+    order = rng.permutation(len(labels))
+    metadata = {"generator": generator, "patches": patches, "dim": dim, "num_classes": num_classes,
+                "per_class": per_class, "sigma": sigma, "seed": seed}
+    return FeatureDataset(x_img[order], x_lm[order], labels[order].astype(np.int64), num_classes, metadata)
 
 
 def _records(buf: np.ndarray, count: int, patches: int, dim: int) -> tuple:

@@ -13,13 +13,15 @@ i.e. the operator that actually mixes that stream's value rows. With a
 feature pyramid, one rollout per level is computed and the per-patch
 scores are averaged across levels.
 
+The forward runs its attention level by level, block by block and, in a
+block, stream by stream in layout order; ``capture_attention`` slices that
+sequence into ``{stream: [per level: [(weights, grads) per block]]}``.
+
 Rendering is a plain min-max normalised grayscale grid written as a
 binary PGM (P5, maxval 255) plus a raw CSV of the scores.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,34 +30,17 @@ from .model import ModelConfig, ModelParams, forward
 from .tensor import Tensor, leaf_grads, observe
 
 
-@dataclass
-class CapturedAttention:
-    """One block's attention weights and their target-logit gradients."""
-
-    level: int
-    block: int
-    stream: str
-    weights: np.ndarray  # (heads, P, P)
-    grads: np.ndarray  # same shape
-
-
-@dataclass
-class RelevanceMap:
-    stream: str
-    matrix: np.ndarray  # (P, P), rows sum to 1
-    per_patch: np.ndarray  # (P,)
-
-
 def capture_attention(
     params: ModelParams,
     cfg: ModelConfig,
     x_img: np.ndarray,
     x_lm: np.ndarray,
     target_class: int,
-) -> list:
+) -> dict:
     """Run one eval forward on a single sample, given as two (P, D) arrays,
     and record, for every block and head, the attention weights and their
-    gradient with respect to the target-class logit."""
+    gradient with respect to the target-class logit, as ``{stream: [per
+    level: [(weights, grads) per block, in block order]]}`` of (heads, P, P) arrays."""
     if not 0 <= target_class < cfg.num_classes:
         raise ValueError(f"target_class {target_class} out of range [0, {cfg.num_classes})")
     if x_img.ndim != 2:
@@ -65,87 +50,72 @@ def capture_attention(
         logits = forward(Tensor(x_img), Tensor(x_lm), params, cfg, training=False)
     onehot = np.eye(cfg.num_classes)[target_class]  # the cotangent that selects the target logit
     grads = {id(t): g for t, g in leaf_grads(logits, watch=weights, cotangent=onehot) if t.creator is not None}
-    s = len(cfg.layout.streams)
-    return [
-        CapturedAttention(
-            level=i // (s * cfg.depth),
-            block=i // s % cfg.depth,
-            stream=cfg.layout.streams[i % s],
-            weights=w.data.copy(),
-            grads=grads[id(w)].copy() if id(w) in grads else np.zeros_like(w.data),
-        )
-        for i, w in enumerate(weights)
-    ]
+    pairs = [(w.data.copy(), grads[id(w)].copy() if id(w) in grads else np.zeros_like(w.data)) for w in weights]
+    streams = cfg.layout.streams
+    per_level = len(streams) * cfg.depth
+    return {
+        stream: [pairs[lo + k : lo + per_level : len(streams)] for lo in range(0, len(pairs), per_level)]
+        for k, stream in enumerate(streams)
+    }
 
 
-def relevance_rollout(captured: list) -> RelevanceMap:
-    """Roll a non-empty sequence of captured blocks (one stream, one level,
-    in block order) into a relevance map for their stream."""
-    if not captured:
+def relevance_rollout(blocks) -> np.ndarray:
+    """Roll a non-empty sequence of (weights, grads) pairs, one stream's
+    blocks at one level in block order, into its (P, P) relevance matrix,
+    whose rows sum to 1."""
+    if not blocks:
         raise ValueError("relevance rollout needs at least one captured block")
-    blocks = sorted(captured, key=lambda c: c.block)
-    if [c.block for c in blocks] != list(range(len(blocks))):
-        raise ValueError(
-            f"incomplete trace: expected consecutive blocks from 0, got {[c.block for c in blocks]}"
-        )
-    patches = blocks[0].weights.shape[-1]
+    patches = blocks[0][0].shape[-1]
     r = np.eye(patches)
-    for cap in blocks:
-        if cap.weights.shape[-2:] != (patches, patches):
-            raise ValueError(f"block {cap.block} attention shape {cap.weights.shape} != {patches} patches")
-        a_bar = np.maximum(cap.grads * cap.weights, 0.0).mean(axis=0)
+    for k, (weights, grads) in enumerate(blocks):
+        if weights.shape[-2:] != (patches, patches):
+            raise ValueError(f"block {k} attention shape {weights.shape} != {patches} patches")
+        a_bar = np.maximum(grads * weights, 0.0).mean(axis=0)
         r = r + a_bar @ r
         r = r / r.sum(axis=1, keepdims=True)
+    return r
+
+
+def patch_scores(r: np.ndarray) -> np.ndarray:
+    """Per-patch scores of a rollout: the column mean of ``r`` without its
+    diagonal, or 1 for a single patch."""
+    patches = r.shape[0]
     if patches == 1:
-        per_patch = np.array([1.0])
-    else:
-        per_patch = (r.sum(axis=0) - np.diag(r)) / (patches - 1)
-    return RelevanceMap(stream=blocks[0].stream, matrix=r, per_patch=per_patch)
+        return np.array([1.0])
+    return (r.sum(axis=0) - np.diag(r)) / (patches - 1)
 
 
-def stream_relevance(captured: list, stream: str) -> RelevanceMap:
-    """Per-patch relevance for one stream, averaged over pyramid levels."""
-    records = [c for c in captured if c.stream == stream]
-    if not records:
+def stream_relevance(captured: dict, stream: str) -> np.ndarray:
+    """Per-patch relevance for one stream of a capture, averaged over pyramid levels."""
+    if not captured.get(stream):
         raise ValueError(f"no captured attention for stream {stream!r}")
-    levels = sorted({c.level for c in records})
-    maps = [relevance_rollout([c for c in records if c.level == lvl]) for lvl in levels]
-    per_patch = np.mean([m.per_patch for m in maps], axis=0)
-    matrix = np.mean([m.matrix for m in maps], axis=0)
-    return RelevanceMap(stream=stream, matrix=matrix, per_patch=per_patch)
+    return np.mean([patch_scores(relevance_rollout(blocks)) for blocks in captured[stream]], axis=0)
 
 
-@dataclass
-class GridLayout:
-    """A rows x cols grid holding patch i at (i // cols, i % cols)."""
-
-    rows: int
-    cols: int
-
-
-def near_square_layout(patches: int) -> GridLayout:
-    """Smallest rows x cols grid with rows*cols == patches and rows <= cols."""
+def near_square_layout(patches: int) -> tuple:
+    """Smallest (rows, cols) grid with rows*cols == patches and rows <= cols;
+    it holds patch i at (i // cols, i % cols)."""
     rows = int(np.sqrt(patches))
     while rows > 1 and patches % rows != 0:
         rows -= 1
-    return GridLayout(rows=rows, cols=patches // rows)
+    return rows, patches // rows
 
 
-def render_map(scores, layout: GridLayout) -> np.ndarray:
-    """Min-max normalise per-patch scores onto a uint8 grayscale grid.
+def render_map(scores, layout: tuple) -> np.ndarray:
+    """Min-max normalise per-patch scores onto a uint8 (rows, cols) grayscale grid.
 
     Constant scores give a uniform mid-gray (128) image.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    patches = layout.rows * layout.cols
-    if scores.ndim != 1 or patches != scores.size:
-        raise ValueError(f"layout holds {patches} patches but scores have shape {scores.shape}")
+    rows, cols = layout
+    if scores.ndim != 1 or rows * cols != scores.size:
+        raise ValueError(f"layout holds {rows * cols} patches but scores have shape {scores.shape}")
     lo, hi = scores.min(), scores.max()
     if hi > lo:
         levels = np.rint((scores - lo) / (hi - lo) * 255.0).astype(np.uint8)
     else:
         levels = np.full(scores.shape, 128, dtype=np.uint8)
-    return levels.reshape(layout.rows, layout.cols)
+    return levels.reshape(rows, cols)
 
 
 def write_pgm(path, pixels: np.ndarray) -> None:

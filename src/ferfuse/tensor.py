@@ -126,7 +126,7 @@ class Tensor:
 
 def _finite(arr: np.ndarray) -> bool:
     """Whether every entry of ``arr`` is finite, by one sum when it is finite."""
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         total = arr.sum()
     return math.isfinite(total) or bool(np.isfinite(arr).all())
 

@@ -256,7 +256,12 @@ def train_loop(
     start = clock()
     batch = min(train_cfg.batch_size, len(dataset))
     header = ["step", "loss", "lr", "seconds"]
-    with nullcontext(lambda row: None) if out_path is None else csv_rows(out_path / "train_log.csv", header) as write_row:
+    # A diverging run overflows before an op's screen raises NonFiniteError;
+    # numpy's warnings about it would only repeat that error.
+    with (
+        nullcontext(lambda row: None) if out_path is None else csv_rows(out_path / "train_log.csv", header) as write_row,
+        np.errstate(over="ignore", invalid="ignore"),
+    ):
         for step in range(1, train_cfg.steps + 1):
             rng = _step_rng(train_cfg.seed, step)
             idx = rng.choice(len(dataset), size=batch, replace=False)

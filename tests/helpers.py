@@ -203,6 +203,31 @@ def reference_cross_entropy(x, q):
     return float(loss), g - np.exp(logp) * g.sum(axis=-1, keepdims=True)  # log_softmax_rows
 
 
+def oracle_rollout(blocks):
+    """The relevance rollout of (weights, grads) pairs in block order, spelled
+    out entry by entry: returns (R, per-patch scores), a score being the
+    column mean of R without its diagonal (two or more patches)."""
+    p = blocks[0][0].shape[-1]
+    r = np.eye(p)
+    for a, g in blocks:
+        heads = a.shape[0]
+        a_bar = np.zeros((p, p))
+        for i in range(p):
+            for j in range(p):
+                total = 0.0
+                for h in range(heads):
+                    total += max(g[h, i, j] * a[h, i, j], 0.0)
+                a_bar[i, j] = total / heads
+        updated = np.zeros((p, p))
+        for i in range(p):
+            for j in range(p):
+                updated[i, j] = r[i, j] + sum(a_bar[i, k] * r[k, j] for k in range(p))
+        for i in range(p):
+            updated[i] /= updated[i].sum()
+        r = updated
+    return r, np.array([(r[:, j].sum() - r[j, j]) / (p - 1) for j in range(p)])
+
+
 @contextmanager
 def fed_fifo(tmp_path, payload: bytes):
     """Yield a FIFO in ``tmp_path`` that a thread writes ``payload`` into and then closes."""

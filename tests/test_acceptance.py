@@ -25,7 +25,7 @@ from ferfuse.data import gen_clusters, gen_xor, read_features, split_dataset, wr
 from ferfuse.encoder import block, stack_forward
 from ferfuse.metrics import ConfusionMatrix, mean_class_accuracy, prediction_percentage_table, round_percent
 from ferfuse.model import ModelConfig, build_params, count_params, forward
-from ferfuse.relevance import CapturedAttention, relevance_rollout
+from ferfuse.relevance import patch_scores, relevance_rollout
 from ferfuse.tensor import (
     LN_EPS,
     Tensor,
@@ -404,12 +404,8 @@ class TestCriterion09Determinism:
 class TestCriterion10RelevanceSanity:
     def test_rollout_identities_and_visualize(self, tmp_path):
         # zero gradients keep the rollout at identity
-        caps = [
-            CapturedAttention(0, b, "img", np.full((2, 3, 3), 1 / 3), np.zeros((2, 3, 3)))
-            for b in range(3)
-        ]
-        rel = relevance_rollout(caps)
-        assert np.array_equal(rel.matrix, np.eye(3))
+        blocks = [(np.full((2, 3, 3), 1 / 3), np.zeros((2, 3, 3))) for _ in range(3)]
+        assert np.array_equal(relevance_rollout(blocks), np.eye(3))
 
         # hand-computed depth-2, 3-patch rollout
         p = 3
@@ -423,11 +419,9 @@ class TestCriterion10RelevanceSanity:
             r = r + a_bar @ r
             r = r / r.sum(axis=1, keepdims=True)
         want = np.array([(r[:, j].sum() - r[j, j]) / (p - 1) for j in range(p)])
-        got = relevance_rollout(
-            [CapturedAttention(0, 0, "img", a1, g1), CapturedAttention(0, 1, "img", a2, g2)]
-        )
-        assert np.max(np.abs(got.matrix - r)) < 1e-12
-        assert np.max(np.abs(got.per_patch - want)) < 1e-12
+        got = relevance_rollout([(a1, g1), (a2, g2)])
+        assert np.max(np.abs(got - r)) < 1e-12
+        assert np.max(np.abs(patch_scores(got) - want)) < 1e-12
 
         # visualize writes exactly one map per stream
         data = tmp_path / "clusters.pfer"

@@ -1,18 +1,25 @@
 import argparse
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ferfuse.checkpoint import save_checkpoint
+import ferfuse
+from ferfuse.checkpoint import load_model, save_checkpoint
 from ferfuse.cli import RunConfig, _add_config_flags, build_parser, main, resolve_config
 from ferfuse.data import read_features
 from ferfuse.model import ModelConfig, estimate_memory
+from ferfuse.relevance import capture_attention
 from ferfuse.tensor import Tensor
 from ferfuse.training import TrainConfig
+from helpers import oracle_rollout
 
 
 def run(*argv):
@@ -202,10 +209,25 @@ class TestTrainEval:
         gen = ("--p", 6, "--d", 16, "--classes", 4, "--count", 10, "--sigma", 0.2, "--seed", 7)
         assert run("gen-data", "--task", "clusters", *gen, "--out", data) == 0
         flags = desk_flags("--num-classes", 4, "--batch-size", 16, "--learning-rate", 1e150, "--steps", 10)
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert run("train", "--data", data, "--out", tmp_path / "run", *flags) == 1
+        assert run("train", "--data", data, "--out", tmp_path / "run", *flags) == 1
         err = capsys.readouterr().err
         assert re.fullmatch(r"error: non-finite loss at step [2-9]: [a-z_]+: output contains NaN/Inf \(shape \(.*\)\)\n", err)
+
+    def test_diverging_run_writes_only_its_error_line_to_stderr(self, tmp_path):
+        # A fresh interpreter, with Python's default warning filters, prints
+        # whatever numpy warns; the run must print its error line alone.
+        data = tmp_path / "desk.pfer"
+        assert run("gen-data", "--task", "clusters", "--classes", 7, "--count", 3, "--out", data) == 0
+        src = str(Path(ferfuse.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "ferfuse", "train", "--preset", "desk", "--data", str(data),
+             "--out", str(tmp_path / "run"), "--learning-rate", "1e150", "--steps", "5"],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 1
+        assert len(proc.stderr.splitlines()) == 1
+        assert re.fullmatch(r"error: non-finite loss at step [2-5]: .*\n", proc.stderr)
 
     def test_missing_data_path_fails(self, tmp_path, capsys):
         code = run("train", "--data", tmp_path / "nope.pfer", "--out", tmp_path / "o", *desk_flags())
@@ -367,6 +389,16 @@ class TestAblate:
             assert run("ablate", *data, "--grid", "table4", "--out", out, *desk_flags("--steps", 2)) == 1
             assert "P=5" in capsys.readouterr().err
             assert not out.exists()
+
+    def test_diverging_cells_recorded_as_non_finite(self, cluster_file, tmp_path):
+        # numpy's error state is per thread, so each worker must set its own
+        out = tmp_path / "grid"
+        assert run("ablate", "--data", cluster_file, "--grid", "pyramid", "--workers", 2, "--out", out,
+                   *desk_flags("--steps", 10, "--learning-rate", 1e150)) == 0
+        errors = self._rows(out / "errors.csv")
+        assert len(errors) == 4
+        for row in errors:
+            assert row["error"].startswith("NonFiniteError: non-finite loss at step ")
 
     def test_unknown_grid_rejected(self, cluster_file, tmp_path):
         with pytest.raises(SystemExit) as e:  # argparse rejects the choice
@@ -533,6 +565,26 @@ class TestVisualize:
         assert pgms == ["relevance_img.pgm", "relevance_lm.pgm"]
         assert (vis / "relevance_img.csv").exists()
         assert (vis / "relevance_lm.csv").exists()
+
+    def test_scores_match_the_hand_rollout_averaged_over_levels(self, tmp_path):
+        data = tmp_path / "desk.pfer"
+        assert run("gen-data", "--task", "clusters", "--classes", 7, "--count", 3, "--out", data) == 0
+        out = tmp_path / "run"
+        assert run("train", "--preset", "desk", "--data", data, "--out", out,
+                   "--steps", 4, "--drop-path", 0.3, "--variant", "poster") == 0
+        ckpt = out / "checkpoint_final.pckpt"
+        vis = tmp_path / "vis"
+        assert run("visualize", "--checkpoint", ckpt, "--data", data, "--sample", 1, "--class", 2, "--out", vis) == 0
+        params, mcfg = load_model(ckpt)
+        x_img, x_lm, _ = read_features(data).sample(1)
+        captured = capture_attention(params, mcfg, x_img, x_lm, 2)
+        for stream in ("img", "lm"):
+            assert [len(blocks) for blocks in captured[stream]] == [2, 2, 2]
+            want = np.mean([oracle_rollout(blocks)[1] for blocks in captured[stream]], axis=0)
+            with open(vis / f"relevance_{stream}.csv") as f:
+                got = np.array([float(row["score"]) for row in csv.DictReader(f)])
+            assert got.shape == (8,)
+            assert np.max(np.abs(got - want)) < 1e-12
 
     def test_rejects_fused_variant(self, cluster_file, tmp_path, capsys):
         out = tmp_path / "run"

@@ -4,10 +4,9 @@ import pytest
 from ferfuse.encoder import block
 from ferfuse.model import VARIANTS, ModelConfig, build_params, forward
 from ferfuse.relevance import (
-    CapturedAttention,
-    GridLayout,
     capture_attention,
     near_square_layout,
+    patch_scores,
     relevance_rollout,
     render_map,
     stream_relevance,
@@ -15,6 +14,7 @@ from ferfuse.relevance import (
     write_scores_csv,
 )
 from ferfuse.tensor import Tensor, finite_diff_check, matmul, observe
+from helpers import oracle_rollout
 
 
 def tiny_config(**kw):
@@ -54,8 +54,10 @@ class TestCaptureAttention:
             params, cfg, rng.standard_normal((1, 4)), rng.standard_normal((1, 4)), target_class=0
         )
         assert captured
-        for cap in captured:
-            assert np.allclose(cap.weights, 1.0, atol=1e-15)
+        for levels in captured.values():
+            for blocks in levels:
+                for weights, _ in blocks:
+                    assert np.allclose(weights, 1.0, atol=1e-15)
 
     def test_captured_weights_match_forward_trace_bitwise(self):
         cfg = tiny_config()
@@ -68,8 +70,8 @@ class TestCaptureAttention:
         with observe(lambda name, out: seen.append(out.data) if name == "softmax_rows" else None):
             forward(Tensor(xi), Tensor(xl), params, cfg, training=False)
         assert len(captured) == len(seen) == len(cfg.layout.streams)
-        for cap, weights in zip(captured, seen):
-            assert np.array_equal(cap.weights, weights)
+        for stream, weights in zip(cfg.layout.streams, seen):
+            assert np.array_equal(captured[stream][0][0][0], weights)
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_records_named_by_layout_stream(self, variant):
@@ -78,27 +80,29 @@ class TestCaptureAttention:
         captured = capture_attention(
             build_params(cfg), cfg, rng.standard_normal((2, 4)), rng.standard_normal((2, 4)), target_class=0
         )
-        assert [(c.block, c.stream) for c in captured] == [(j, s) for j in range(2) for s in cfg.layout.streams]
+        assert list(captured) == list(cfg.layout.streams)
+        assert [[len(blocks) for blocks in levels] for levels in captured.values()] == [[2]] * len(captured)
         for stream in cfg.layout.streams:
-            assert stream_relevance(captured, stream).stream == stream
+            patches = captured[stream][0][0][0].shape[-1]
+            assert stream_relevance(captured, stream).shape == (patches,)
 
     def test_labels_name_the_level_block_and_stream_across_the_pyramid(self):
-        # Capture labels records by their position in the forward; rerun each
-        # block on its own and check the label holds that block's weights.
+        # Capture slices maps by their position in the forward; rerun each
+        # block on its own and check [stream][level][block] holds its weights.
         cfg = tiny_config(variant="poster", pyramid_dims=(8, 4, 2), heads_divisor=2, depth=2, swap_depth=1)
         params = build_params(cfg)
         rng = np.random.default_rng(4)
         xi, xl = rng.standard_normal((2, 4)), rng.standard_normal((2, 4))
         captured = capture_attention(params, cfg, xi, xl, target_class=0)
         streams = cfg.layout.streams
-        assert [(c.level, c.block, c.stream) for c in captured] == [
-            (i, j, s) for i in range(3) for j in range(2) for s in streams
-        ]
+        assert list(captured) == list(streams)
+        assert [[len(blocks) for blocks in captured[s]] for s in streams] == [[2, 2, 2]] * len(streams)
         dims = cfg.level_dims()
         assert sorted({cfg.heads_for(d) for d in dims}) == [1, 2, 4]
-        for cap in captured:
-            assert cap.weights.shape == (cfg.heads_for(dims[cap.level]), 2, 2)
-        by_label = {(c.level, c.block, c.stream): c.weights for c in captured}
+        for s in streams:
+            for i, blocks in enumerate(captured[s]):
+                for weights, _ in blocks:
+                    assert weights.shape == (cfg.heads_for(dims[i]), 2, 2)
         for i, lvl in enumerate(params.levels):
             xs = [matmul(Tensor(x), proj.w, proj.b) for x, proj in zip((xi, xl), lvl.projs)]
             for j, ps in enumerate(lvl.blocks):
@@ -107,7 +111,7 @@ class TestCaptureAttention:
                     xs = block(xs, ps, training=False, swapped=j < cfg.swap_depth)
                 assert len(seen) == len(streams)
                 for stream, weights in zip(streams, seen):
-                    assert np.array_equal(by_label[i, j, stream], weights)
+                    assert np.array_equal(captured[stream][i][j][0], weights)
 
     def test_target_class_range(self):
         cfg = tiny_config()
@@ -137,9 +141,9 @@ class TestCaptureAttention:
         xl_raw = rng.standard_normal((2, 4))
         target = 2
         captured = capture_attention(params, cfg, xi_raw, xl_raw, target_class=target)
-        img_caps = [c for c in captured if c.stream == "img"]
-        lm_caps = [c for c in captured if c.stream == "lm"]
-        assert len(img_caps) == 1 and len(lm_caps) == 1
+        assert [len(blocks) for blocks in captured["img"]] == [1]
+        assert [len(blocks) for blocks in captured["lm"]] == [1]
+        img_weights, img_grads = captured["img"][0][0]
 
         lvl = params.levels[0]
         block = lvl.blocks[0]
@@ -156,7 +160,7 @@ class TestCaptureAttention:
         _, lm_out = stack_forward([xi, xl], lvl.blocks, training=False, swap_depth=cfg.depth)
         lm_pooled_const = Tensor(lm_out.data.mean(axis=0))
 
-        a_leaf = Tensor(img_caps[0].weights, requires_grad=True)
+        a_leaf = Tensor(img_weights, requires_grad=True)
         s = block[0]
         onehot = np.zeros(cfg.num_classes)
         onehot[target] = 1.0
@@ -177,18 +181,15 @@ class TestCaptureAttention:
         assert report.passed
         # and the captured gradient equals the reconstruction's analytic one
         grads = {id(t): g for t, g in leaf_grads(f(), cotangent=onehot)}
-        assert np.allclose(grads[id(a_leaf)], img_caps[0].grads, atol=1e-10)
+        assert np.allclose(grads[id(a_leaf)], img_grads, atol=1e-10)
 
 
 class TestRelevanceRollout:
     def test_zero_gradients_give_identity_and_flat_scores(self):
-        caps = [
-            CapturedAttention(0, b, "img", np.full((2, 3, 3), 1 / 3), np.zeros((2, 3, 3)))
-            for b in range(2)
-        ]
-        rel = relevance_rollout(caps)
-        assert np.array_equal(rel.matrix, np.eye(3))
-        assert np.allclose(rel.per_patch, 0.0, atol=1e-15)
+        blocks = [(np.full((2, 3, 3), 1 / 3), np.zeros((2, 3, 3))) for _ in range(2)]
+        r = relevance_rollout(blocks)
+        assert np.array_equal(r, np.eye(3))
+        assert np.allclose(patch_scores(r), 0.0, atol=1e-15)
 
     def test_empty_trace_rejected(self):
         with pytest.raises(ValueError):
@@ -196,13 +197,12 @@ class TestRelevanceRollout:
 
     def test_uniform_update_gives_uniform_scores(self):
         p = 3
-        caps = [CapturedAttention(0, 0, "img", np.full((1, p, p), 1 / p), np.ones((1, p, p)))]
-        rel = relevance_rollout(caps)
-        assert np.allclose(rel.per_patch, rel.per_patch[0], atol=1e-15)
-        assert np.allclose(rel.matrix.sum(axis=1), 1.0, atol=1e-12)
+        r = relevance_rollout([(np.full((1, p, p), 1 / p), np.ones((1, p, p)))])
+        scores = patch_scores(r)
+        assert np.allclose(scores, scores[0], atol=1e-15)
+        assert np.allclose(r.sum(axis=1), 1.0, atol=1e-12)
 
     def test_hand_computed_two_block_three_patch_case(self):
-        p = 3
         a1 = np.array(
             [
                 [[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.1, 0.1, 0.8]],
@@ -219,75 +219,43 @@ class TestRelevanceRollout:
         g2 = np.array([[[0.0, 2.0, 1.0], [1.0, 1.0, 0.0], [-3.0, 0.0, 1.0]]])
 
         # hand rollout, spelled out entry by entry
-        r = np.eye(p)
-        for a, g in ((a1, g1), (a2, g2)):
-            heads = a.shape[0]
-            a_bar = np.zeros((p, p))
-            for i in range(p):
-                for j in range(p):
-                    total = 0.0
-                    for h in range(heads):
-                        total += max(g[h, i, j] * a[h, i, j], 0.0)
-                    a_bar[i, j] = total / heads
-            updated = np.zeros((p, p))
-            for i in range(p):
-                for j in range(p):
-                    updated[i, j] = r[i, j] + sum(a_bar[i, k] * r[k, j] for k in range(p))
-            for i in range(p):
-                updated[i] /= updated[i].sum()
-            r = updated
-        want_scores = np.array(
-            [(r[:, j].sum() - r[j, j]) / (p - 1) for j in range(p)]
-        )
+        r, want_scores = oracle_rollout([(a1, g1), (a2, g2)])
 
-        caps = [
-            CapturedAttention(0, 0, "img", a1, g1),
-            CapturedAttention(0, 1, "img", a2, g2),
-        ]
-        rel = relevance_rollout(caps)
-        assert np.max(np.abs(rel.matrix - r)) < 1e-12
-        assert np.max(np.abs(rel.per_patch - want_scores)) < 1e-12
+        got = relevance_rollout([(a1, g1), (a2, g2)])
+        assert np.max(np.abs(got - r)) < 1e-12
+        assert np.max(np.abs(patch_scores(got) - want_scores)) < 1e-12
 
     def test_rows_stay_normalised_and_nonnegative(self):
         rng = np.random.default_rng(3)
-        caps = []
-        for b in range(3):
+        blocks = []
+        for _ in range(3):
             raw = rng.random((2, 4, 4))
             a = raw / raw.sum(axis=-1, keepdims=True)
-            caps.append(CapturedAttention(0, b, "img", a, rng.standard_normal((2, 4, 4))))
-        rel = relevance_rollout(caps)
-        assert np.all(rel.matrix >= 0)
-        assert np.allclose(rel.matrix.sum(axis=1), 1.0, atol=1e-12)
-
-    def test_incomplete_trace_rejected(self):
-        caps = [
-            CapturedAttention(0, 0, "img", np.full((1, 2, 2), 0.5), np.ones((1, 2, 2))),
-            CapturedAttention(0, 2, "img", np.full((1, 2, 2), 0.5), np.ones((1, 2, 2))),
-        ]
-        with pytest.raises(ValueError):
-            relevance_rollout(caps)
+            blocks.append((a, rng.standard_normal((2, 4, 4))))
+        r = relevance_rollout(blocks)
+        assert np.all(r >= 0)
+        assert np.allclose(r.sum(axis=1), 1.0, atol=1e-12)
 
     def test_single_patch_score(self):
-        caps = [CapturedAttention(0, 0, "img", np.ones((1, 1, 1)), np.ones((1, 1, 1)))]
-        rel = relevance_rollout(caps)
-        assert rel.per_patch.tolist() == [1.0]
+        r = relevance_rollout([(np.ones((1, 1, 1)), np.ones((1, 1, 1)))])
+        assert patch_scores(r).tolist() == [1.0]
 
     def test_stream_relevance_averages_levels(self):
         rng = np.random.default_rng(4)
 
-        def block(level):
+        def level():
             raw = rng.random((1, 3, 3))
-            return CapturedAttention(level, 0, "img", raw / raw.sum(-1, keepdims=True), rng.standard_normal((1, 3, 3)))
+            return [(raw / raw.sum(-1, keepdims=True), rng.standard_normal((1, 3, 3)))]
 
-        caps = [block(0), block(1)]
-        rel = stream_relevance(caps, "img")
-        solo = [relevance_rollout([c]) for c in caps]
-        want = np.mean([m.per_patch for m in solo], axis=0)
-        assert np.allclose(rel.per_patch, want, atol=1e-15)
+        captured = {"img": [level(), level()]}
+        scores = stream_relevance(captured, "img")
+        solo = [patch_scores(relevance_rollout(blocks)) for blocks in captured["img"]]
+        want = np.mean(solo, axis=0)
+        assert np.allclose(scores, want, atol=1e-15)
 
     def test_stream_relevance_missing_stream(self):
         with pytest.raises(ValueError):
-            stream_relevance([], "img")
+            stream_relevance({}, "img")
 
     def test_both_streams_from_one_capture(self):
         cfg = tiny_config(patches=3, depth=2)
@@ -298,31 +266,31 @@ class TestRelevanceRollout:
         )
         rel_img = stream_relevance(captured, "img")
         rel_lm = stream_relevance(captured, "lm")
-        assert rel_img.per_patch.shape == (3,)
-        assert rel_lm.per_patch.shape == (3,)
+        assert rel_img.shape == (3,)
+        assert rel_lm.shape == (3,)
 
 
 class TestRendering:
     def test_constant_scores_give_mid_gray(self):
-        pixels = render_map(np.full(6, 0.42), GridLayout(2, 3))
+        pixels = render_map(np.full(6, 0.42), (2, 3))
         assert pixels.shape == (2, 3)
         assert np.all(pixels == 128)
 
     def test_single_hot_patch_is_white(self):
         scores = np.zeros(4)
         scores[2] = 1.0
-        pixels = render_map(scores, GridLayout(2, 2))
+        pixels = render_map(scores, (2, 2))
         assert pixels[1, 0] == 255
         assert pixels[0, 0] == 0 and pixels[0, 1] == 0 and pixels[1, 1] == 0
 
     def test_layout_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            render_map(np.zeros(5), GridLayout(2, 2))
+            render_map(np.zeros(5), (2, 2))
 
     def test_near_square_layout(self):
-        layout = near_square_layout(8)
-        assert (layout.rows, layout.cols) == (2, 4)
-        assert near_square_layout(68).rows * near_square_layout(68).cols == 68
+        assert near_square_layout(8) == (2, 4)
+        rows, cols = near_square_layout(68)
+        assert rows * cols == 68
 
     def test_pgm_round_trip(self, tmp_path):
         rng = np.random.default_rng(6)

@@ -330,14 +330,14 @@ class TestTrainLoop:
         ds = gen_clusters(patches=6, dim=16, num_classes=4, per_class=10, sigma=0.2, seed=7)
         cfg = desk_config()
         tcfg = TrainConfig(batch_size=16, learning_rate=1e150, steps=10, seed=0)
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteError) as e:
+        with pytest.raises(NonFiniteError) as e:
             train_loop(cfg, tcfg, ds)
         assert "step" in str(e.value)
 
     def test_non_finite_abort_names_the_step_and_the_op(self):
         ds = gen_clusters(patches=6, dim=16, num_classes=4, per_class=10, sigma=0.2, seed=7)
         tcfg = TrainConfig(batch_size=16, learning_rate=1e150, steps=10, seed=0)
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+        with pytest.raises(
             NonFiniteError, match=r"^non-finite loss at step [2-9]: [a-z_]+: output contains NaN/Inf \(shape \("
         ):
             train_loop(desk_config(), tcfg, ds)
@@ -345,7 +345,7 @@ class TestTrainLoop:
     def test_stopped_run_leaves_the_log_of_its_finished_steps(self, tmp_path):
         ds = gen_clusters(patches=6, dim=16, num_classes=4, per_class=10, sigma=0.2, seed=7)
         tcfg = TrainConfig(batch_size=16, learning_rate=1e150, steps=10, seed=0, checkpoint_every=1)
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteError, match="^non-finite loss at step 2:"):
+        with pytest.raises(NonFiniteError, match="^non-finite loss at step 2:"):
             train_loop(desk_config(), tcfg, ds, out_dir=tmp_path)
         assert (tmp_path / "checkpoint_000001.pckpt").exists()
         header, row = (tmp_path / "train_log.csv").read_bytes().split(b"\r\n")[:2]
